@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contract import Conflict, SolverStats, TestOutcome, TestRequest
+from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
 from .hypothesis import SHS, Space, set_hyp
 from .properties import ANC, DESC, NEG_ANC, NEG_DESC, member
-from .satbackend import Cnf
+from .satbackend import AssumptionSolver, Cnf
 from .satcore import MiniSolver
 
 GATE_KINDS = ("and", "or", "not", "xor", "buf")
@@ -175,21 +175,20 @@ def _xor_clauses(cnf: Cnf, ab: int, out: int, a: int, b: int) -> None:
     cnf.add([ab, out, -a, b])
 
 
-class CircuitSolver:
-    """Test-solver contract over a circuit and pin observation."""
+class CircuitSolver(AssumptionSolver):
+    """Test-solver contract over a circuit and pin observation, on the live
+    kernel of :class:`AssumptionSolver`."""
 
     name = "circuit-sat"
 
     def __init__(self, circuit: Circuit, obs: PinObservation):
+        super().__init__(Cnf(), circuit.space())
         self.circuit = circuit
         self.obs = obs
-        self.space = circuit.space()
-        self.cnf = Cnf()
         encode_circuit(circuit, self.cnf)
         for signal, value in obs.assignments:
             lit = self.cnf.var(f"sig[{signal}]")
             self.cnf.unit(lit if value else -lit)
-        self.stats = SolverStats()
 
     def _encode_property(self, prop, act: int) -> None:
         gates = self.space.faults
@@ -211,45 +210,14 @@ class CircuitSolver:
             self.cnf.add([-act] + [ab(name) for name in gates
                                    if name not in anchor])
 
-    def _assumptions_for(self, props) -> list:
-        pairs = []
-        for prop in props:
-            name = f"act[{prop.kind}:{prop.anchor.canon()}]"
-            fresh = not self.cnf.has(name)
-            act = self.cnf.var(name)
-            if fresh:
-                self._encode_property(prop, act)
-            pairs.append((prop, act))
-        return pairs
-
-    def solve(self, request: TestRequest) -> TestOutcome:
-        if request.space.kind != SHS:
-            raise DiagError("circuit diagnosis runs on the set space")
-        self.stats.tests += 1
-        pairs = self._assumptions_for(request.props)
-        kernel = MiniSolver()
-        kernel.ensure_vars(self.cnf.nvars)
-        kernel.add_clauses(self.cnf.clauses)
-        if kernel.solve([act for _, act in pairs]):
-            self.stats.sat_tests += 1
-            hyp = set_hyp(name for name in self.space.faults
-                          if kernel.value(self.cnf.var(f"ab[{name}]")))
-            witness = {s: kernel.value(self.cnf.var(f"sig[{s}]"))
-                       for s in self.circuit.signals}
-            if not member(hyp, request.props, self.space):
-                raise DiagError("circuit witness fails property re-validation")
-            return TestOutcome.found(hyp, witness)
-        self.stats.unsat_tests += 1
-        failed = set(kernel.failed_assumptions())
-        props = tuple(p for p, act in pairs if act in failed)
-        return TestOutcome.failed(Conflict(props))
-
-    def check_conflict(self, conflict: Conflict) -> bool:
-        pairs = self._assumptions_for(conflict)
-        kernel = MiniSolver()
-        kernel.ensure_vars(self.cnf.nvars)
-        kernel.add_clauses(self.cnf.clauses)
-        return not kernel.solve([act for _, act in pairs])
+    def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
+        hyp = set_hyp(name for name in self.space.faults
+                      if kernel.value(self.cnf.var(f"ab[{name}]")))
+        witness = {s: kernel.value(self.cnf.var(f"sig[{s}]"))
+                   for s in self.circuit.signals}
+        if not member(hyp, request.props, self.space):
+            raise DiagError("circuit witness fails property re-validation")
+        return TestOutcome.found(hyp, witness)
 
 
 def circuit_solve_test(circuit: Circuit, obs: PinObservation,

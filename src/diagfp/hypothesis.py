@@ -88,11 +88,13 @@ def set_hyp(faults) -> Hypothesis:
 
 
 def multi_hyp(counts) -> Hypothesis:
-    items = tuple(sorted((f, c) for f, c in dict(counts).items() if c > 0))
-    for _, c in items:
+    items = []
+    for f, c in dict(counts).items():
         if c < 0:
-            raise DiagError("negative fault count")
-    return Hypothesis(MHS, items)
+            raise DiagError(f"negative count {c} of fault {f!r}")
+        if c:
+            items.append((f, c))
+    return Hypothesis(MHS, tuple(sorted(items)))
 
 
 def seq_hyp(seq) -> Hypothesis:
@@ -113,23 +115,37 @@ def parse_hyp(text: str, kind: str) -> Hypothesis:
     if kind == SQHS:
         if not (text.startswith("[") and text.endswith("]")):
             raise DiagError(f"bad sqhs hypothesis: {text!r}")
-        body = text[1:-1].strip()
-        return seq_hyp([] if not body else [p.strip() for p in body.split(",")])
+        return seq_hyp(_entries(text))
     if not (text.startswith("{") and text.endswith("}")):
         raise DiagError(f"bad {kind} hypothesis: {text!r}")
+    if kind == SHS:
+        return set_hyp(_entries(text))
+    counts = {}
+    for part in _entries(text):
+        f, sep, c = (x.strip() for x in part.partition(":"))
+        if not sep:
+            raise DiagError(f"bad mhs entry {part!r} in {text!r}")
+        if not f:
+            raise DiagError(f"empty fault name in {text!r}")
+        try:
+            n = int(c)
+        except ValueError:
+            raise DiagError(f"bad count in mhs entry {part!r}") from None
+        if n < 0:
+            raise DiagError(f"negative count in mhs entry {part!r}")
+        counts[f] = counts.get(f, 0) + n
+    return multi_hyp(counts)
+
+
+def _entries(text: str) -> list:
+    """Comma-separated entries between the brackets; none may be empty."""
     body = text[1:-1].strip()
     if not body:
-        return set_hyp([]) if kind == SHS else multi_hyp({})
+        return []
     parts = [p.strip() for p in body.split(",")]
-    if kind == SHS:
-        return set_hyp(parts)
-    counts = {}
-    for part in parts:
-        if ":" not in part:
-            raise DiagError(f"bad mhs entry: {part!r}")
-        f, c = part.split(":", 1)
-        counts[f.strip()] = counts.get(f.strip(), 0) + int(c)
-    return multi_hyp(counts)
+    if not all(parts):
+        raise DiagError(f"empty fault name in {text!r}")
+    return parts
 
 
 def order_key(h: Hypothesis):

@@ -9,10 +9,11 @@ everywhere.  The horizon is ``steps_per_obs * (|obs| + 1)``, leaving room for
 unobservable behaviour after the final observation (and ``steps_per_obs``
 steps when the observation is empty).
 
-Each requested property is encoded behind a fresh assumption literal, so a
-failed solve yields a conflict as the kernel's failed-assumption subset.
-Completeness is relative to the horizon: a Failed outcome means "no witness
-within n timesteps".
+Each requested property is encoded behind its own assumption literal, so a
+failed solve yields a conflict as the kernel's failed-assumption subset;
+:class:`AssumptionSolver` holds that machinery for this frontend and the
+circuit one.  Completeness is relative to the horizon: a Failed outcome
+means "no witness within n timesteps".
 """
 
 from __future__ import annotations
@@ -354,27 +355,87 @@ def encode_property(prop: Property, space: Space, model: DesModel,
 
 # ------------------------------------------------------------------ solver
 
-def _act_var(cnf: Cnf, prop: Property) -> int:
-    return cnf.var(f"act[{prop.kind}:{prop.anchor.canon()}]")
+class AssumptionSolver:
+    """Test solver over one growing CNF and one live kernel.
 
+    A property gets its activation literal when a request first names it;
+    ``_encode_property`` then emits its clauses, each guarded by ``-act``.
+    A test loads only the clauses added since the previous test into the
+    kernel (created by the first test), solves under the request's
+    activation literals and maps failed assumptions back to a conflict.
 
-def build_request_cnf(model: DesModel, obs: Observation, request: TestRequest,
-                      params: EncodingParams):
-    """Full CNF for one test request; returns (cnf, assumption literal list)."""
-    cnf = Cnf()
-    encode_model(model, len(obs), params, cnf)
-    encode_observation(model, obs, params, cnf)
-    if request.space.kind == SQHS:
-        encode_fault_interleaving(model, len(obs), params, cnf)
-    assumptions = []
-    for prop in request.props:
-        fresh = not cnf.has(f"act[{prop.kind}:{prop.anchor.canon()}]")
-        act = _act_var(cnf, prop)
-        if fresh:
-            encode_property(prop, request.space, model, params, len(obs),
-                            cnf, act)
-        assumptions.append(act)
-    return cnf, assumptions
+    One kernel across tests is sound: a property clause binds only while
+    its activation literal is assumed; the other clauses tests add define
+    fresh auxiliary variables (occurrence, counter and chain literals), so
+    every assignment of the older variables extends to them; and learnt
+    clauses are implied by the clause database.
+    """
+
+    def __init__(self, cnf: Cnf, space: Space):
+        self.cnf = cnf
+        self.space = space
+        self.stats = SolverStats()
+        self.kernel = None
+        self._acts = {}        # Property -> activation literal
+        self._loaded = 0       # clauses of cnf already in the kernel
+
+    def _encode_property(self, prop: Property, act: int) -> None:
+        """Emit the property's clauses into ``cnf``, guarded by ``-act``."""
+        raise NotImplementedError
+
+    def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
+        """Decode and re-validate the kernel's model after a SAT solve."""
+        raise NotImplementedError
+
+    def activate(self, props) -> list:
+        """Activation literal of each property, encoding it on first use."""
+        acts = []
+        for prop in props:
+            act = self._acts.get(prop)
+            if act is None:
+                # numbered: distinct properties can share a canon() text
+                # when fault names contain separators
+                act = self.cnf.var(f"act{len(self._acts)}"
+                                   f"[{prop.kind}:{prop.anchor.canon()}]")
+                self._acts[prop] = act
+                self._encode_property(prop, act)
+            acts.append(act)
+        return acts
+
+    def solve(self, request: TestRequest) -> TestOutcome:
+        if request.space.kind != self.space.kind:
+            raise DiagError("request space does not match solver space")
+        self.stats.tests += 1
+        props = tuple(request.props)
+        acts = self.activate(props)
+        if self.kernel is None:
+            self.kernel = MiniSolver()
+        kernel = self.kernel
+        kernel.ensure_vars(self.cnf.nvars)
+        kernel.add_clauses(self.cnf.clauses[self._loaded:])
+        self._loaded = len(self.cnf.clauses)
+        before = kernel.conflicts
+        sat = kernel.solve(acts)
+        extra = self.stats.extra
+        extra["kernel_conflicts"] = (extra.get("kernel_conflicts", 0)
+                                     + kernel.conflicts - before)
+        if sat:
+            self.stats.sat_tests += 1
+            return self._candidate(kernel, request)
+        self.stats.unsat_tests += 1
+        failed = set(kernel.failed_assumptions())
+        return TestOutcome.failed(Conflict(
+            tuple(p for p, act in zip(props, acts) if act in failed)))
+
+    def check_conflict(self, conflict: Conflict) -> bool:
+        """Independent check of a conflict: solve the whole CNF in a fresh
+        kernel (not the live one, with its learnt clauses) under only the
+        conflict's activation literals; True iff UNSAT."""
+        acts = self.activate(conflict)
+        kernel = MiniSolver()
+        kernel.ensure_vars(self.cnf.nvars)
+        kernel.add_clauses(self.cnf.clauses)
+        return not kernel.solve(acts)
 
 
 def decode_trace(model: DesModel, values, cnf: Cnf, n: int) -> tuple:
@@ -387,13 +448,12 @@ def decode_trace(model: DesModel, values, cnf: Cnf, n: int) -> tuple:
     return tuple(trace)
 
 
-class SatSolver:
+class SatSolver(AssumptionSolver):
     """Test solver backed by the bounded SAT encoding.
 
-    The model/observation block is encoded once; every property encoding and
-    its assumption literal is cached in the shared registry.  Each request
-    replays the accumulated clauses into a fresh kernel (no incremental SAT
-    across tests) and solves under that request's assumptions.
+    The model/observation block is encoded once, by the constructor; each
+    property is encoded behind its activation literal on first use, and
+    every test runs on the one live kernel of :class:`AssumptionSolver`.
     """
 
     name = "sat"
@@ -402,66 +462,37 @@ class SatSolver:
                  params: EncodingParams | None = None):
         if space.kind not in (SHS, MHS, SQHS):
             raise DiagError(f"sat backend does not handle space {space.kind}")
+        super().__init__(Cnf(), space)
         self.model = model
         self.obs = obs
-        self.space = space
         self.params = params or EncodingParams()
         self.horizon = self.params.horizon(len(obs))
-        self.cnf = Cnf()
         encode_model(model, len(obs), self.params, self.cnf)
         encode_observation(model, obs, self.params, self.cnf)
         if space.kind == SQHS:
             encode_fault_interleaving(model, len(obs), self.params, self.cnf)
-        self.stats = SolverStats()
         self.stats.extra["horizon"] = self.horizon
         self.stats.extra["steps_per_obs"] = self.params.steps_per_obs
 
-    def _assumptions_for(self, props) -> list:
-        out = []
-        for prop in props:
-            name = f"act[{prop.kind}:{prop.anchor.canon()}]"
-            fresh = not self.cnf.has(name)
-            act = self.cnf.var(name)
-            if fresh:
-                encode_property(prop, self.space, self.model, self.params,
-                                len(self.obs), self.cnf, act)
-            out.append((prop, act))
-        return out
+    def _encode_property(self, prop: Property, act: int) -> None:
+        encode_property(prop, self.space, self.model, self.params,
+                        len(self.obs), self.cnf, act)
 
-    def solve(self, request: TestRequest) -> TestOutcome:
-        if request.space.kind != self.space.kind:
-            raise DiagError("request space does not match solver space")
-        self.stats.tests += 1
-        pairs = self._assumptions_for(request.props)
-        kernel = MiniSolver()
-        kernel.ensure_vars(self.cnf.nvars)
-        kernel.add_clauses(self.cnf.clauses)
-        sat = kernel.solve([act for _, act in pairs])
-        self.stats.extra["kernel_conflicts"] = \
-            self.stats.extra.get("kernel_conflicts", 0) + kernel.conflicts
-        if sat:
-            self.stats.sat_tests += 1
-            trace = decode_trace(self.model, kernel.value, self.cnf,
-                                 self.horizon)
-            hyp = trace_hypothesis(trace, self.model, self.space)
-            if not (trace_in_model(trace, self.model)
-                    and trace_matches_observation(trace, self.model, self.obs)
-                    and member(hyp, request.props, self.space)):
-                raise EncodingError(
-                    f"decoded witness fails re-validation: {trace}")
-            return TestOutcome.found(hyp, trace)
-        self.stats.unsat_tests += 1
-        failed = set(kernel.failed_assumptions())
-        props = tuple(p for p, act in pairs if act in failed)
-        return TestOutcome.failed(Conflict(props))
+    def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
+        trace = decode_trace(self.model, kernel.value, self.cnf, self.horizon)
+        hyp = trace_hypothesis(trace, self.model, self.space)
+        if not (trace_in_model(trace, self.model)
+                and trace_matches_observation(trace, self.model, self.obs)
+                and member(hyp, request.props, self.space)):
+            raise EncodingError(f"decoded witness fails re-validation: {trace}")
+        return TestOutcome.found(hyp, trace)
 
-    def check_conflict(self, conflict: Conflict) -> bool:
-        """Re-solve under only the conflict's assumptions; True iff UNSAT."""
-        pairs = self._assumptions_for(conflict)
-        kernel = MiniSolver()
-        kernel.ensure_vars(self.cnf.nvars)
-        kernel.add_clauses(self.cnf.clauses)
-        return not kernel.solve([act for _, act in pairs])
+
+def build_request_cnf(model: DesModel, obs: Observation, request: TestRequest,
+                      params: EncodingParams):
+    """Full CNF for one test request; returns (cnf, assumption literal list)."""
+    solver = SatSolver(model, obs, request.space, params)
+    return solver.cnf, solver.activate(request.props)
 
 
 def sat_solve_test(model: DesModel, obs: Observation, request: TestRequest,

@@ -3,7 +3,7 @@
 The compiled extension (`_ckernel`, Cython) and the pure-Python solver
 implement the same algorithm behind the same interface; the extension is
 picked at import time unless it is unavailable or ``DIAGFP_PURE_PYTHON`` is
-set.  ``benchmarks/bench_satcore.py`` compares the two.
+set.
 """
 
 import os

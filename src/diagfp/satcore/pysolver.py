@@ -4,8 +4,11 @@ Minisat-style engine: two-watched-literal propagation, first-UIP clause
 learning, activity-ordered decisions with phase saving, Luby restarts.
 Solving under assumptions yields, on UNSAT, a subset of the assumptions
 sufficient for unsatisfiability (``failed_assumptions``); re-solving under
-only that subset stays UNSAT.  No clause deletion: workloads here are
-bounded-size encodings, solved one-shot.
+only that subset stays UNSAT.  The solver is incremental: clauses may be
+added between solves (``add_clause`` first returns to decision level 0),
+and learnt clauses, activities and saved phases carry over to the next
+solve.  No clause deletion: workloads here are bounded-size encodings whose
+tests add few clauses.
 
 Literals use the DIMACS convention externally (signed non-zero ints) and the
 ``2*var + sign`` packing internally.
@@ -106,7 +109,8 @@ class _VarHeap:
 
 
 class MiniSolver:
-    """One-shot CDCL solver; add clauses, then solve under assumptions."""
+    """Incremental CDCL solver; add clauses, solve under assumptions, add
+    more clauses and solve again."""
 
     def __init__(self):
         self.nvars = 0

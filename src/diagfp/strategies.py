@@ -88,7 +88,9 @@ def run_pls(solver, space: Space,
         if not outcome.is_candidate:
             return _result(space, min_antichain(found, space), run.stats())
         delta = outcome.candidate
-        assert not any(leq(s, delta, space) for s in found)
+        if any(leq(s, delta, space) for s in found):
+            raise DiagError(f"coverage test answered with {delta.canon()}, "
+                            "which a found candidate covers")
         found.append(delta)
 
 
@@ -118,7 +120,10 @@ def run_pls_r(solver, space: Space,
                 TestRequest(question_minimal(delta, space), space))
             if not refine.is_candidate:
                 break
-            assert lt(refine.candidate, delta, space)
+            if not lt(refine.candidate, delta, space):
+                raise DiagError(
+                    f"minimality test of {delta.canon()} answered with "
+                    f"{refine.candidate.canon()}, which is not below it")
             delta = refine.candidate
         found.append(delta)
 
@@ -194,9 +199,13 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             outcome = solver.solve(
                 TestRequest(question_candidate(h, space), space))
             if outcome.is_candidate:
-                assert outcome.candidate == h
-                for g in result:
-                    assert not leq(g, h, space) and not leq(h, g, space)
+                if outcome.candidate != h:
+                    raise DiagError(
+                        f"candidacy test of {h.canon()} answered with "
+                        f"{outcome.candidate.canon()}")
+                if any(leq(g, h, space) or leq(h, g, space) for g in result):
+                    raise DiagError(
+                        f"candidate {h.canon()} is comparable to a result")
                 result.append(h)
                 continue
             conflict = outcome.conflict

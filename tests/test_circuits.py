@@ -122,3 +122,14 @@ def test_conflicts_check_out():
     assert not out.is_candidate
     assert set(out.conflict) <= set(question_candidate(space.h0, space))
     assert solver.check_conflict(out.conflict)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_properties_with_equal_canon_text_stay_apart(strategy):
+    # {a,b} and {"a,b"} render alike; each needs its own activation literal
+    text = ("input x\noutput y z w\ngate a buf y x\ngate b buf z x\n"
+            "gate a,b buf w x\nobs x 0\nobs y 1\nobs z 1\nobs w 0\n")
+    circuit, obs = parse_circuit(text)
+    assert set_hyp(["a", "b"]).canon() == set_hyp(["a,b"]).canon()
+    got = run_strategy(strategy, CircuitSolver(circuit, obs), circuit.space())
+    assert got.minimal_candidates == brute_force_diagnosis(circuit, obs)

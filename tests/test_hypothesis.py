@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from diagfp.errors import SpaceMismatchError, UnsupportedProjectionError
+from diagfp.errors import (DiagError, SpaceMismatchError,
+                           UnsupportedProjectionError)
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, bin_hyp, children,
                                leq, min_antichain, multi_hyp, order_key,
                                otimes, parse_hyp, project, seq_hyp, set_hyp)
@@ -225,6 +226,35 @@ def test_canon_and_parse_roundtrip():
 
 def test_mhs_drops_zero_counts():
     assert multi_hyp({"a": 1, "b": 0}) == multi_hyp({"a": 1})
+
+
+def test_mhs_rejects_negative_counts():
+    with pytest.raises(DiagError):
+        multi_hyp({"f": -2, "g": 1})
+    with pytest.raises(DiagError):
+        multi_hyp({"f": -1})
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("{f:-1}", MHS),
+    ("{f:2,f:-1}", MHS),
+    ("{f:x}", MHS),
+    ("{f}", MHS),
+    ("{a:1,:2}", MHS),
+    ("[a,,b]", SQHS),
+    ("[a,]", SQHS),
+    ("{a,,b}", SHS),
+    ("{,}", SHS),
+])
+def test_parse_rejects_bad_entries(text, kind):
+    with pytest.raises(DiagError):
+        parse_hyp(text, kind)
+
+
+def test_parse_accepts_spaces_around_entries():
+    assert parse_hyp("{ f1 : 2 , f2:1 }", MHS) == multi_hyp({"f1": 2, "f2": 1})
+    assert parse_hyp("[ f1 , f2 ]", SQHS) == seq_hyp(["f1", "f2"])
+    assert parse_hyp("[ ]", SQHS) == seq_hyp([])
 
 
 def test_order_key_sorts_by_size_then_text():

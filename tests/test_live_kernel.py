@@ -1,0 +1,120 @@
+"""Differential tests of the live kernel that each SAT test solver keeps
+across its tests: every answer must agree with a fresh one-shot solve."""
+
+from pathlib import Path
+
+import pytest
+
+from diagfp.circuits import (CircuitSolver, brute_force_diagnosis,
+                             circuit_solve_test, parse_circuit)
+from diagfp.desmodel import Observation, parse_model
+from diagfp.explicit import oracle_diagnose
+from diagfp.hypothesis import MHS, SQHS
+from diagfp.properties import member
+from diagfp.satbackend import EncodingParams, SatSolver, sat_solve_test
+from diagfp.strategies import run_strategy
+
+CIRCUITS = Path(__file__).parent / "fixtures" / "circuits"
+
+# Two components that raise alarms when degraded.  c1 can reset itself
+# unobserved (masking its faults) or hand its degradation to c2 through p1,
+# so either component's faults explain an alarm of c2.
+ALARMS = """
+component c1
+states ok deg
+init ok
+trans ok f1a deg
+trans ok f1b deg
+trans deg alarm1 ok
+trans deg reset1 ok
+trans deg p1 ok
+end
+component c2
+states ok deg
+init ok
+trans ok f2 deg
+trans deg alarm2 ok
+trans ok p1 deg
+end
+observable alarm1 alarm2
+faults f1a f1b f2
+"""
+ALARM_OBS = Observation(("alarm2", "alarm1"))
+# f1a p1 alarm2 needs two unobservable steps before the first alarm
+ALARM_PARAMS = EncodingParams(steps_per_obs=3)
+
+
+class RecordingSolver:
+    """Passes tests to a solver and logs each request and its outcome, with
+    the solver's clause count before and after the test."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.space = solver.space
+        self.stats = solver.stats
+        self.log = []
+
+    def solve(self, request):
+        before = len(self.solver.cnf.clauses)
+        outcome = self.solver.solve(request)
+        self.log.append((request, outcome, before,
+                         len(self.solver.cnf.clauses)))
+        return outcome
+
+
+def check_run(solver, strategy, one_shot, expected):
+    recording = RecordingSolver(solver)
+    got = run_strategy(strategy, recording, solver.space)
+    assert got.minimal_candidates == expected
+    space = solver.space
+    for request, outcome, _, _ in recording.log:
+        fresh = one_shot(request)
+        assert outcome.is_candidate == fresh.is_candidate, list(request.props)
+        if outcome.is_candidate:
+            assert member(outcome.candidate, request.props, space)
+        else:
+            assert set(outcome.conflict) <= set(request.props)
+            assert solver.check_conflict(outcome.conflict)
+    # the live kernel must have taken new property clauses right after a
+    # satisfiable test, while it still held that test's assignment
+    log = recording.log
+    assert any(prev[1].is_candidate and cur[3] > cur[2]
+               for prev, cur in zip(log, log[1:]))
+    assert solver.stats.extra["kernel_conflicts"] == solver.kernel.conflicts
+
+
+@pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
+@pytest.mark.parametrize("name", ["inv3.ckt", "and1.ckt", "adder_slice.ckt"])
+def test_circuit_live_kernel_matches_one_shot(name, strategy):
+    circuit, obs = parse_circuit((CIRCUITS / name).read_text())
+    check_run(CircuitSolver(circuit, obs), strategy,
+              lambda request: circuit_solve_test(circuit, obs, request),
+              brute_force_diagnosis(circuit, obs))
+
+
+@pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
+@pytest.mark.parametrize("kind", [MHS, SQHS])
+def test_des_live_kernel_matches_one_shot(kind, strategy):
+    model = parse_model(ALARMS)
+    space = model.space(kind)
+    check_run(SatSolver(model, ALARM_OBS, space, ALARM_PARAMS), strategy,
+              lambda request: sat_solve_test(model, ALARM_OBS, request,
+                                             ALARM_PARAMS),
+              oracle_diagnose(model, ALARM_OBS, space))
+
+
+def test_kernel_conflicts_add_each_solves_delta():
+    model = parse_model(ALARMS)
+    space = model.space(SQHS)
+    solver = SatSolver(model, ALARM_OBS, space, ALARM_PARAMS)
+    run_strategy("pfs-ec", solver, space)
+    assert solver.stats.tests > 1
+    assert solver.kernel.conflicts > 0
+    assert solver.stats.extra["kernel_conflicts"] == solver.kernel.conflicts
+
+
+def test_kernel_is_created_by_the_first_test():
+    model = parse_model(ALARMS)
+    solver = SatSolver(model, ALARM_OBS, model.space(MHS), ALARM_PARAMS)
+    assert solver.kernel is None
+    assert "kernel_conflicts" not in solver.stats.extra

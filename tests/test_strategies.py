@@ -49,6 +49,31 @@ class EnumSolver:
         return TestOutcome.found(picked, None)
 
 
+class ScriptedSolver:
+    """Answers every test with the same candidate, whatever it asks."""
+
+    def __init__(self, space, answer):
+        self.space = space
+        self.answer = answer
+        self.stats = SolverStats()
+
+    def solve(self, request):
+        self.stats.tests += 1
+        return TestOutcome.found(self.answer, None)
+
+
+@pytest.mark.parametrize("strategy,message", [
+    ("pfs", "candidacy test of {} answered with {a}"),
+    ("pls", "which a found candidate covers"),
+    ("pls-r", "which is not below it"),
+])
+def test_strategy_invariants_raise_on_wrong_answers(strategy, message):
+    # the invariants are DiagErrors, so ``python -O`` keeps them
+    space = Space(SHS, ("a", "b"))
+    with pytest.raises(DiagError, match=message):
+        run_strategy(strategy, ScriptedSolver(space, set_hyp(["a"])), space)
+
+
 # ------------------------------------------------------- conflict successors
 
 def test_conflict_successors_example_discards_f3():
