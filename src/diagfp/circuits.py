@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
-from .hypothesis import SHS, Space, set_hyp
+from .hypothesis import SHS, Space, check_fault_name, set_hyp
 from .properties import ANC, DESC, NEG_ANC, NEG_DESC, member
 from .satbackend import AssumptionSolver, Cnf
 from .satcore import MiniSolver
@@ -121,6 +121,7 @@ def parse_circuit(text: str):
             if len(rest) < 4:
                 raise ModelFormatError(
                     "gate takes <name> <kind> <out> <in...>", line=ln)
+            check_fault_name(rest[0], ln)
             gates.append(Gate(rest[0], rest[1], rest[2], tuple(rest[3:])))
         elif key == "obs":
             if len(rest) != 2 or rest[1] not in ("0", "1"):

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import DiagError, ModelFormatError
-from .hypothesis import (MHS, SHS, SQHS, Hypothesis, Space, multi_hyp,
-                         seq_hyp, set_hyp)
+from .hypothesis import (MHS, SHS, SQHS, Hypothesis, Space, check_fault_name,
+                         multi_hyp, seq_hyp, set_hyp)
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,7 @@ def parse_model(text: str) -> DesModel:
             if len(rest) != 3:
                 fail("trans takes <from> <event> <to>", ln)
             src, event, dst = rest
+            check_fault_name(event, ln)
             if src not in cur[1]:
                 fail(f"undeclared state {src!r}", ln)
             if dst not in cur[1]:

@@ -1,11 +1,15 @@
 """Exact test solver by explicit-state breadth-first search.
 
-The search runs over the product of the model's global states, an
-observation tracker, and a per-space summary of the fault behaviour seen so
-far (fault set / saturated counts / per-anchor subsequence monitors).  A goal
-state has consumed the whole observation and satisfies every requested
-property.  Exhaustion yields the trivial conflict (the full request), which
-is the least informative legal conflict.
+The (global state, observation tracker) product graph of the observed model
+is built once per ``ExplicitSolver``, on its first test, and shared by all
+its tests; the oracle builds the same graph.  A test searches that graph
+times a per-space summary of the fault behaviour seen so far (fault set /
+saturated counts / per-anchor subsequence monitors).  A goal state has
+consumed the whole observation and satisfies every requested property.  The
+search never enters a node from which the observation cannot complete:
+nothing reachable from it is a goal, so the witness found is unchanged.
+Exhaustion yields the trivial conflict (the full request), which is the
+least informative legal conflict.
 
 The same machinery provides the brute-force oracle for minimal diagnoses and
 the horizon-fit certificate used to compare against the bounded SAT backend.
@@ -118,8 +122,15 @@ class _Summary:
 # ------------------------------------------------------------------ search
 
 def _search(model: DesModel, obs: Observation, space: Space, props,
-            state_budget: int, gap_caps=None, stats: SolverStats | None = None):
-    """Core BFS; returns a witness trace or None.
+            state_budget: int, graph=None, gap_caps=None,
+            stats: SolverStats | None = None):
+    """Core BFS over ``graph`` (built here when None); returns a witness
+    trace or None.
+
+    A node is ``((global state, tracker), summary, gap)``.  Successors
+    outside ``co_reach`` are skipped: ``co_reach`` is closed under
+    predecessors, so no goal lies beyond them, and the live nodes keep their
+    BFS order and parents, hence the witness.
 
     ``gap_caps`` = (per-gap cap, trailing cap) restricts the number of
     unobservable events per observation gap, which certifies that a witness
@@ -127,61 +138,52 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     """
     if space.kind not in (SHS, MHS, SQHS):
         raise DiagError(f"explicit solver does not handle space {space.kind}")
+    if graph is None:
+        graph = _product_graph(model, obs, state_budget)
+    succs, co_reach = graph
     summary = _Summary(space, props)
-    want = obs.sequence
-    events = model.events
-    observable = frozenset(model.observable)
+    end = len(obs)
     faults = frozenset(model.faults)
 
-    def mk(gstate, tracker, summ, gap):
-        if gap_caps is None:
-            return (gstate, tracker, summ)
-        return (gstate, tracker, summ, gap)
-
-    start_nodes = [mk(g, 0, summary.initial(), 0)
-                   for g in model.initial_global_states()]
+    start_nodes = [((g, 0), summary.initial(), 0)
+                   for g in model.initial_global_states()
+                   if (g, 0) in co_reach]
     parent = {node: None for node in start_nodes}
     queue = deque(start_nodes)
     visited = len(parent)
     expanded = 0
 
     def is_goal(node):
-        return node[1] == len(want) and summary.accepts(node[2], props)
+        return node[0][1] == end and summary.accepts(node[1], props)
 
     goal = next((node for node in start_nodes if is_goal(node)), None)
     while queue and goal is None:
         node = queue.popleft()
         expanded += 1
-        gstate, tracker, summ = node[0], node[1], node[2]
-        gap = node[3] if gap_caps is not None else 0
-        for e in events:
-            if e in observable:
-                if tracker >= len(want) or want[tracker] != e:
-                    continue
-                tracker2, gap2 = tracker + 1, 0
-            else:
-                tracker2 = tracker
+        pnode, summ, gap = node
+        tracker = pnode[1]
+        for e, pnode2 in succs[pnode]:
+            if pnode2 not in co_reach:
+                continue
+            # the gap restarts exactly on the edges that advance the tracker
+            gap2 = 0
+            if gap_caps is not None and pnode2[1] == tracker:
                 gap2 = gap + 1
-                if gap_caps is not None:
-                    cap = gap_caps[0] if tracker < len(want) else gap_caps[1]
-                    if gap2 > cap:
-                        continue
-            summ2 = summary.after(summ, e) if e in faults else summ
-            for gstate2 in model.step(gstate, e):
-                node2 = mk(gstate2, tracker2, summ2, gap2)
-                if node2 in parent:
+                if gap2 > gap_caps[0 if tracker < end else 1]:
                     continue
-                parent[node2] = (node, e)
-                visited += 1
-                if visited > state_budget:
-                    raise StateBudgetExceeded(
-                        f"explicit search exceeded {state_budget} states")
-                if is_goal(node2):
-                    goal = node2
-                    break
-                queue.append(node2)
-            if goal is not None:
+            summ2 = summary.after(summ, e) if e in faults else summ
+            node2 = (pnode2, summ2, gap2)
+            if node2 in parent:
+                continue
+            parent[node2] = (node, e)
+            visited += 1
+            if visited > state_budget:
+                raise StateBudgetExceeded(
+                    f"explicit search exceeded {state_budget} states")
+            if is_goal(node2):
+                goal = node2
                 break
+            queue.append(node2)
 
     if stats is not None:
         stats.extra["visited"] = stats.extra.get("visited", 0) + visited
@@ -199,11 +201,14 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
 
 def solve(model: DesModel, obs: Observation, request: TestRequest,
           state_budget: int = DEFAULT_STATE_BUDGET,
-          stats: SolverStats | None = None) -> TestOutcome:
-    """Decide a property-represented test exactly."""
+          stats: SolverStats | None = None, graph=None) -> TestOutcome:
+    """Decide a property-represented test exactly; ``graph`` is the
+    ``_product_graph`` of ``model`` and ``obs``, built here when None.  The
+    witness is re-validated against the model, not the graph."""
     space = request.space
     props = list(request.props)
-    trace = _search(model, obs, space, props, state_budget, stats=stats)
+    trace = _search(model, obs, space, props, state_budget, graph,
+                    stats=stats)
     if trace is None:
         return TestOutcome.failed(Conflict(tuple(props)))
     hyp = trace_hypothesis(trace, model, space)
@@ -248,19 +253,21 @@ def certified_bound(model: DesModel, obs: Observation) -> int:
     return (prod + 1) * (len(obs) + 1)
 
 
-def _product_graph(model: DesModel, obs: Observation):
+def _product_graph(model: DesModel, obs: Observation,
+                   state_budget: int = DEFAULT_STATE_BUDGET):
     """Forward-reachable (global state, tracker) graph of the observed model,
     and the subset from which the observation can still complete."""
     want = obs.sequence
+    events = model.events
     observable = frozenset(model.observable)
     initial = [(g, 0) for g in model.initial_global_states()]
-    succs = {}
+    succs, preds = {}, {}
     queue = deque(initial)
     seen = set(initial)
     while queue:
         gstate, tracker = queue.popleft()
         out = []
-        for e in model.events:
+        for e in events:
             if e in observable:
                 if tracker >= len(want) or want[tracker] != e:
                     continue
@@ -270,19 +277,19 @@ def _product_graph(model: DesModel, obs: Observation):
             for gstate2 in model.step(gstate, e):
                 node2 = (gstate2, tracker2)
                 out.append((e, node2))
+                preds.setdefault(node2, []).append((gstate, tracker))
                 if node2 not in seen:
                     seen.add(node2)
                     queue.append(node2)
         succs[(gstate, tracker)] = out
-    preds = {node: [] for node in succs}
-    for node, out in succs.items():
-        for _, node2 in out:
-            preds[node2].append(node)
+        if len(seen) > state_budget:
+            raise StateBudgetExceeded(
+                f"product graph exceeded {state_budget} states")
     co_reach = {node for node in succs if node[1] == len(want)}
     queue = deque(co_reach)
     while queue:
         node = queue.popleft()
-        for prev in preds[node]:
+        for prev in preds.get(node, ()):
             if prev not in co_reach:
                 co_reach.add(prev)
                 queue.append(prev)
@@ -314,6 +321,51 @@ def _accumulate(space: Space, acc, fault):
     return acc + (fault,)
 
 
+def _observed_hyps(model: DesModel, obs: Observation, space: Space, graph,
+                   bound: int, state_budget: int, admit, expand):
+    """Breadth-first search of (global state, tracker, accumulated
+    hypothesis) triples over ``graph``, to depth ``bound``; yields the
+    hypothesis of each new triple that has consumed the whole observation.
+
+    A triple whose accumulation fails ``admit`` is not entered; one whose
+    hypothesis fails ``expand`` is not expanded.  ``expand`` runs when the
+    triple is popped, after the caller has consumed every earlier yield.
+    """
+    succs, co_reach = graph
+    end = len(obs)
+    faults = frozenset(model.faults)
+    empty_acc = _empty_acc(space)
+    start = [(g, 0, empty_acc) for g in model.initial_global_states()
+             if (g, 0) in co_reach]
+    seen = set(start)
+    queue = deque((node, 0) for node in start)
+    for g, tracker, acc in start:
+        if tracker == end:
+            yield _hyp_of(space, acc)
+    while queue:
+        (gstate, tracker, acc), depth = queue.popleft()
+        if depth >= bound or not expand(_hyp_of(space, acc)):
+            continue
+        for e, (gstate2, tracker2) in succs[(gstate, tracker)]:
+            if (gstate2, tracker2) not in co_reach:
+                continue
+            acc2 = acc
+            if e in faults:
+                acc2 = _accumulate(space, acc, e)
+                if not admit(acc2):
+                    continue
+            node2 = (gstate2, tracker2, acc2)
+            if node2 in seen:
+                continue
+            seen.add(node2)
+            if len(seen) > state_budget:
+                raise StateBudgetExceeded(
+                    f"oracle exceeded {state_budget} states")
+            if tracker2 == end:
+                yield _hyp_of(space, acc2)
+            queue.append((node2, depth + 1))
+
+
 def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
                     bound: int | None = None,
                     state_budget: int = DEFAULT_STATE_BUDGET) -> list:
@@ -326,51 +378,20 @@ def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
     """
     if space.kind not in (SHS, MHS, SQHS):
         raise DiagError(f"oracle does not handle space {space.kind}")
-    succs, co_reach = _product_graph(model, obs)
+    graph = _product_graph(model, obs, state_budget)
     # every minimal candidate has a witness that is loop-free in the
     # (global state, tracker) product, so its depth is below the number of
     # reachable product nodes
-    tight = len(succs)
+    tight = len(graph[0])
     if bound is None or bound > tight:
         bound = tight
-    want = obs.sequence
-    faults = frozenset(model.faults)
-    empty_acc = _empty_acc(space)
-    start = [(g, 0, empty_acc) for g in model.initial_global_states()
-             if (g, 0) in co_reach]
-    seen = set(start)
-    queue = deque((node, 0) for node in start)
     found = []
-
-    def record(acc):
-        hyp = _hyp_of(space, acc)
+    for hyp in _observed_hyps(
+            model, obs, space, graph, bound, state_budget,
+            admit=lambda acc: True,
+            expand=lambda hyp: not any(leq(c, hyp, space) for c in found)):
         if hyp not in found:
             found.append(hyp)
-
-    for g, tracker, acc in start:
-        if tracker == len(want):
-            record(acc)
-    while queue:
-        (gstate, tracker, acc), depth = queue.popleft()
-        if depth >= bound:
-            continue
-        hyp = _hyp_of(space, acc)
-        if any(leq(c, hyp, space) for c in found):
-            continue
-        for e, (gstate2, tracker2) in succs[(gstate, tracker)]:
-            if (gstate2, tracker2) not in co_reach:
-                continue
-            acc2 = _accumulate(space, acc, e) if e in faults else acc
-            node2 = (gstate2, tracker2, acc2)
-            if node2 in seen:
-                continue
-            seen.add(node2)
-            if len(seen) > state_budget:
-                raise StateBudgetExceeded(
-                    f"oracle exceeded {state_budget} states")
-            if tracker2 == len(want):
-                record(acc2)
-            queue.append((node2, depth + 1))
     return min_antichain(found, space)
 
 
@@ -382,51 +403,21 @@ def oracle_candidates(model: DesModel, obs: Observation, space: Space,
     Complete for that slice: a candidate with k faults has a witness whose
     fault-free segments are loop-free, so length <= (k+|obs|+1)*(states+1).
     """
-    succs, co_reach = _product_graph(model, obs)
+    graph = _product_graph(model, obs, state_budget)
     # fault-free stretches of a witness can be made loop-free, so a candidate
     # with k fault events has a witness of depth (k+1) * |product| + k
-    bound = (max_faults + 1) * (len(succs) + 1)
-    want = obs.sequence
-    faults = frozenset(model.faults)
-    empty_acc = _empty_acc(space)
-    start = [(g, 0, empty_acc) for g in model.initial_global_states()
-             if (g, 0) in co_reach]
-    seen = set(start)
-    queue = deque((node, 0) for node in start)
-    found = set()
-    for g, tracker, acc in start:
-        if tracker == len(want):
-            found.add(_hyp_of(space, acc))
-    while queue:
-        (gstate, tracker, acc), depth = queue.popleft()
-        if depth >= bound:
-            continue
-        for e, (gstate2, tracker2) in succs[(gstate, tracker)]:
-            if (gstate2, tracker2) not in co_reach:
-                continue
-            if e in faults:
-                acc2 = _accumulate(space, acc, e)
-                if space.kind == SQHS and len(acc2) > max_faults:
-                    continue
-                if space.kind == MHS and sum(acc2) > max_faults:
-                    continue
-            else:
-                acc2 = acc
-            node2 = (gstate2, tracker2, acc2)
-            if node2 in seen:
-                continue
-            seen.add(node2)
-            if len(seen) > state_budget:
-                raise StateBudgetExceeded(
-                    f"candidate enumeration exceeded {state_budget} states")
-            if tracker2 == len(want):
-                found.add(_hyp_of(space, acc2))
-            queue.append((node2, depth + 1))
-    return found
+    bound = (max_faults + 1) * (len(graph[0]) + 1)
+    size = {SQHS: len, MHS: sum}.get(space.kind, lambda acc: 0)
+    return set(_observed_hyps(
+        model, obs, space, graph, bound, state_budget,
+        admit=lambda acc: size(acc) <= max_faults,
+        expand=lambda hyp: True))
 
 
 class ExplicitSolver:
-    """Test-solver contract implementation backed by the BFS search."""
+    """Test-solver contract implementation backed by the BFS search.  The
+    first test builds the product graph, which no request changes; every
+    test searches it."""
 
     name = "explicit"
 
@@ -437,11 +428,15 @@ class ExplicitSolver:
         self.space = space
         self.state_budget = state_budget
         self.stats = SolverStats()
+        self._graph = None
 
     def solve(self, request: TestRequest) -> TestOutcome:
         self.stats.tests += 1
+        if self._graph is None:
+            self._graph = _product_graph(self.model, self.obs,
+                                         self.state_budget)
         outcome = solve(self.model, self.obs, request, self.state_budget,
-                        self.stats)
+                        self.stats, self._graph)
         if outcome.is_candidate:
             self.stats.sat_tests += 1
         else:

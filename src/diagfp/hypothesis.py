@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import DiagError, SpaceMismatchError, UnsupportedProjectionError
+from .errors import (DiagError, ModelFormatError, SpaceMismatchError,
+                     UnsupportedProjectionError)
 
 BHS = "bhs"
 SHS = "shs"
@@ -32,6 +33,19 @@ KINDS = (BHS, SHS, MHS, SQHS)
 
 # Abstraction chain, most refined first.
 _CHAIN = (SQHS, MHS, SHS, BHS)
+
+# The syntax of canon() and parse_hyp; a fault name holding one of these
+# would make two hypotheses render alike.
+_RESERVED = frozenset(",:[]{}")
+
+
+def check_fault_name(name: str, line=None) -> None:
+    """Reject an event or gate name that ``canon()`` could not render
+    unambiguously as a fault."""
+    if not _RESERVED.isdisjoint(name):
+        raise ModelFormatError(
+            f"name {name!r} holds one of {''.join(sorted(_RESERVED))}",
+            line=line)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,16 @@ failure; the `e` variant prunes hypotheses whose removal keeps the open+result
 set covering, and the `c` variant replaces children by conflict-directed
 successors.  All four PFS variants share one loop.
 
-Every element PFS ever stores in its result set is a minimal candidate, so a
-budget-exhausted run still returns sound partial output (carried by the
-BudgetExhausted error).
+A budget-exhausted run carries its partial output in the BudgetExhausted
+error.  Every element PFS and PLS+r ever store in their result sets is a
+minimal candidate, so their partials are subsets of the minimal diagnosis.
+A PLS partial holds candidates, not necessarily minimal ones: PLS learns
+minimality only when its coverage question fails.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -39,7 +42,9 @@ class DiagnosisResult:
     stats: dict = field(default_factory=dict)
 
     def canon(self) -> list:
-        return [h.canon() for h in self.minimal_candidates]
+        # interned, like the run labels: a caller that keeps the results of
+        # many runs then holds one copy of each rendering
+        return [sys.intern(h.canon()) for h in self.minimal_candidates]
 
 
 def _result(space, hyps, stats) -> DiagnosisResult:
@@ -74,6 +79,9 @@ class _Run:
 
 def run_pls(solver, space: Space,
             iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
+    """Preferred-last search.  Its budget partial is the antichain of the
+    candidates found so far: each is a candidate, but a smaller candidate
+    may not have been found yet, so it need not be minimal."""
     run = _Run(solver, "pls")
     found = []
     while True:
@@ -152,7 +160,8 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             conflict_cache: bool = True) -> DiagnosisResult:
     if variant not in PFS_VARIANTS:
         raise DiagError(f"unknown pfs variant {variant!r}")
-    run = _Run(solver, "pfs" if variant == "plain" else f"pfs-{variant}")
+    run = _Run(solver,
+               sys.intern("pfs" if variant == "plain" else f"pfs-{variant}"))
     use_essential = variant in ("e", "ec")
     use_conflicts = variant in ("c", "ec")
 

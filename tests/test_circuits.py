@@ -5,9 +5,9 @@ import pytest
 from diagfp.circuits import (Circuit, CircuitSolver, Gate, PinObservation,
                              brute_force_diagnosis, circuit_solve_test,
                              encode_circuit, parse_circuit)
-from diagfp.contract import TestRequest
-from diagfp.errors import ModelFormatError
-from diagfp.hypothesis import set_hyp
+from diagfp.contract import SolverStats, TestRequest
+from diagfp.errors import BudgetExhausted, ModelFormatError
+from diagfp.hypothesis import SHS, parse_hyp, set_hyp
 from diagfp.properties import question_candidate
 from diagfp.satbackend import Cnf
 from diagfp.satcore import MiniSolver
@@ -35,6 +35,14 @@ def test_parse_rejects_cycle():
 def test_parse_rejects_double_driver():
     with pytest.raises(ModelFormatError):
         parse_circuit("input a\ngate g1 buf x a\ngate g2 buf x a\n")
+
+
+@pytest.mark.parametrize("ch", list(",:[]{}"))
+def test_parse_rejects_gate_names_that_break_canon(ch):
+    text = f"input x\noutput y\ngate a{ch}b buf y x\nobs x 0\n"
+    with pytest.raises(ModelFormatError) as err:
+        parse_circuit(text)
+    assert err.value.line == 3
 
 
 def test_single_and_gate_semantics():
@@ -126,10 +134,64 @@ def test_conflicts_check_out():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_properties_with_equal_canon_text_stay_apart(strategy):
-    # {a,b} and {"a,b"} render alike; each needs its own activation literal
-    text = ("input x\noutput y z w\ngate a buf y x\ngate b buf z x\n"
-            "gate a,b buf w x\nobs x 0\nobs y 1\nobs z 1\nobs w 0\n")
-    circuit, obs = parse_circuit(text)
+    # {a,b} and {"a,b"} render alike; each needs its own activation literal.
+    # The parser rejects such names, so the circuit is built directly.
+    circuit = Circuit((Gate("a", "buf", "y", ("x",)),
+                       Gate("b", "buf", "z", ("x",)),
+                       Gate("a,b", "buf", "w", ("x",))),
+                      ("x",), ("y", "z", "w")).validate()
+    obs = PinObservation((("x", False), ("y", True), ("z", True),
+                          ("w", False)))
     assert set_hyp(["a", "b"]).canon() == set_hyp(["a,b"]).canon()
     got = run_strategy(strategy, CircuitSolver(circuit, obs), circuit.space())
     assert got.minimal_candidates == brute_force_diagnosis(circuit, obs)
+
+
+class _Replay:
+    """Answers a strategy's tests from a recorded run of the same strategy:
+    a run under a test cap asks exactly the first tests of the full run."""
+
+    def __init__(self, solver):
+        self.space, self.stats = solver.space, SolverStats()
+        self.solver, self.log = solver, []
+
+    def solve(self, request):
+        i = self.stats.tests
+        self.stats.tests += 1
+        if i == len(self.log):
+            self.log.append((request, self.solver.solve(request)))
+        assert self.log[i][0] == request
+        return self.log[i][1]
+
+
+def test_budget_partials_by_strategy():
+    # PLS partials hold candidates that need not be minimal (cap 42 returns
+    # {g10,g12} while {g12} is minimal); PLS+r and PFS partials are subsets
+    # of the minimal diagnosis
+    circuit, obs = load("adder3_flip.ckt")
+    space = circuit.space()
+    # brute_force_diagnosis gives this too, but takes over a minute
+    diagnosis = {parse_hyp(c, SHS) for c in (
+        "{g12}", "{g13}", "{g14}", "{g10,g7}", "{g10,g8}", "{g10,g9}",
+        "{g10,g2,g5}", "{g10,g3,g5}", "{g10,g4,g5}", "{g0,g1,g10,g5}")}
+    seen_non_minimal, checked = False, set()
+    for strategy in ("pls", "pls-r", "pfs-ec"):
+        replay = _Replay(CircuitSolver(circuit, obs))
+        assert set(run_strategy(strategy, replay, space).minimal_candidates) \
+            == diagnosis
+        for cap in range(1, 121):
+            replay.stats.tests = 0
+            try:
+                run_strategy(strategy, replay, space, iteration_cap=cap)
+                continue
+            except BudgetExhausted as exc:
+                partial = exc.partial.minimal_candidates
+            if strategy != "pls":
+                assert set(partial) <= diagnosis, (strategy, cap)
+                continue
+            for hyp in set(partial) - checked:
+                req = TestRequest(question_candidate(hyp, space), space)
+                assert circuit_solve_test(circuit, obs, req).is_candidate
+                checked.add(hyp)
+            seen_non_minimal |= not set(partial) <= diagnosis
+    assert seen_non_minimal

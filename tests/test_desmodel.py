@@ -44,6 +44,15 @@ def test_parse_errors_carry_line_numbers():
         parse_model("observable o1\nfaults f\n")  # no components
 
 
+@pytest.mark.parametrize("ch", list(",:[]{}"))
+def test_parse_rejects_event_names_that_break_canon(ch):
+    text = (f"component c\nstates s0 s1\ninit s0\ntrans s0 f{ch}g s1\nend\n"
+            f"faults f{ch}g\n")
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(text)
+    assert err.value.line == 4
+
+
 def test_observable_fault_rejected():
     text = ("component c\nstates s0 s1\ninit s0\ntrans s0 f s1\nend\n"
             "observable f\nfaults f\n")

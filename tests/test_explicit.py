@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from diagfp import explicit
 from diagfp.contract import TestRequest
-from diagfp.desmodel import (Observation, parse_model, trace_hypothesis,
-                             trace_in_model, trace_matches_observation)
+from diagfp.desmodel import (Observation, parse_model, parse_observation,
+                             trace_hypothesis, trace_in_model,
+                             trace_matches_observation)
 from diagfp.errors import StateBudgetExceeded
 from diagfp.explicit import (ExplicitSolver, certified_bound, fits_horizon,
                              oracle_candidates, oracle_diagnose, solve,
@@ -14,6 +16,7 @@ from diagfp.explicit import (ExplicitSolver, certified_bound, fits_horizon,
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 from diagfp.properties import (Property, PropertySet, member,
                                question_candidate, question_coverage)
+from diagfp.strategies import run_strategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -222,3 +225,128 @@ def test_solver_class_counts(oneshot):
     assert solver.stats.sat_tests == 1
     assert solver.stats.unsat_tests == 1
     assert solver.stats.extra["visited"] > 0
+
+
+# Two components that raise alarms when degraded; c1 can reset unobserved or
+# hand its degradation to c2, so either component's faults explain alarm2.
+ALARM_CHAIN = """
+component c1
+states ok deg
+init ok
+trans ok f1 deg
+trans deg alarm1 ok
+trans deg reset1 ok
+trans deg p1 ok
+end
+component c2
+states ok deg
+init ok
+trans ok f2 deg
+trans deg alarm2 ok
+trans ok p1 deg
+end
+observable alarm1 alarm2
+faults f1 f2
+"""
+
+
+def graph_case(name):
+    if name == "alarms":
+        return parse_model(ALARM_CHAIN), Observation(("alarm2", "alarm1"))
+    model = parse_model((FIXTURES / f"{name}.des").read_text())
+    obs = parse_observation((FIXTURES / f"{name}.obs").read_text(), model)
+    return model, obs
+
+
+def count_graph_builds(monkeypatch):
+    calls = []
+    build = explicit._product_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(explicit, "_product_graph", counted)
+    return calls
+
+
+class Recording:
+    def __init__(self, solver):
+        self.solver, self.space = solver, solver.space
+        self.stats = solver.stats
+        self.log = []
+
+    def solve(self, request):
+        outcome = self.solver.solve(request)
+        self.log.append((request, outcome))
+        return outcome
+
+
+@pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
+@pytest.mark.parametrize("kind", [SHS, MHS, SQHS])
+@pytest.mark.parametrize("name", ["oneshot", "diverge", "alarms"])
+def test_cached_graph_answers_like_one_shot_solves(monkeypatch, name, kind,
+                                                   strategy):
+    model, obs = graph_case(name)
+    space = model.space(kind)
+    calls = count_graph_builds(monkeypatch)
+    solver = ExplicitSolver(model, obs, space)
+    assert calls == []  # built by the first test, not the constructor
+    recording = Recording(solver)
+    got = run_strategy(strategy, recording, space)
+    assert len(calls) == 1
+    assert len(recording.log) > 1
+    assert got.minimal_candidates == oracle_diagnose(model, obs, space)
+    for request, outcome in recording.log:
+        # candidate, witness and conflict all equal a fresh one-shot solve
+        assert outcome == solve(model, obs, request)
+
+
+DEAD_END = """
+component c
+states q0 q1 q2 sink
+init q0
+trans q0 f q1
+trans q1 o1 q2
+trans {g_from} g sink
+trans sink u sink
+end
+observable o1
+faults f g
+"""
+
+
+def test_search_skips_branches_that_cannot_complete_the_observation():
+    # the fault g leads into a sink that can never emit o1
+    dead = parse_model(DEAD_END.format(g_from="q0"))
+    live = parse_model(DEAD_END.format(g_from="sink"))  # g never fires
+    graph, _ = explicit._product_graph(dead, OBS1)
+    assert (("sink",), 0) in graph
+    for hyp in (set_hyp(["f"]), set_hyp(["g"])):
+        outcomes, visited = [], []
+        for model in (dead, live):
+            space = model.space(SHS)
+            solver = ExplicitSolver(model, OBS1, space)
+            outcomes.append(solver.solve(
+                TestRequest(question_candidate(hyp, space), space)))
+            visited.append(solver.stats.extra["visited"])
+        assert outcomes[0] == outcomes[1]
+        # (q0,{}), (q1,{f}), (q2,{f}): no node of the sink branch
+        assert visited == [3, 3]
+    assert outcomes[0].is_candidate is False
+    space = dead.space(SHS)
+    request = TestRequest(question_candidate(set_hyp(["f"]), space), space)
+    assert solve(dead, OBS1, request).witness == ("f", "o1")
+
+
+def test_tiny_state_budget_stops_the_graph_build():
+    model, obs = graph_case("alarms")
+    space = model.space(MHS)
+    request = TestRequest(question_coverage([], space), space)
+    with pytest.raises(StateBudgetExceeded):
+        explicit._product_graph(model, obs, state_budget=2)
+    with pytest.raises(StateBudgetExceeded):
+        ExplicitSolver(model, obs, space, state_budget=2).solve(request)
+    with pytest.raises(StateBudgetExceeded):
+        oracle_diagnose(model, obs, space, state_budget=2)
+    with pytest.raises(StateBudgetExceeded):
+        solve(model, obs, request, state_budget=2)
