@@ -16,7 +16,7 @@ variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
@@ -41,15 +41,14 @@ class Circuit:
     gates: tuple
     inputs: tuple
     outputs: tuple
+    # inputs first, then each gate's inputs and output, in order
+    signals: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def signals(self) -> tuple:
-        seen = list(self.inputs)
+    def __post_init__(self):
+        seen = dict.fromkeys(self.inputs)
         for g in self.gates:
-            for s in g.inputs + (g.output,):
-                if s not in seen:
-                    seen.append(s)
-        return tuple(seen)
+            seen.update(dict.fromkeys(g.inputs + (g.output,)))
+        object.__setattr__(self, "signals", tuple(seen))
 
     def validate(self):
         drivers = {}
@@ -187,35 +186,34 @@ class CircuitSolver(AssumptionSolver):
         self.circuit = circuit
         self.obs = obs
         encode_circuit(circuit, self.cnf)
+        # variable indices, in gate (= fault alphabet) and signal order
+        self._ab = {g.name: self.cnf.var(f"ab[{g.name}]")
+                    for g in circuit.gates}
+        self._sig = {s: self.cnf.var(f"sig[{s}]") for s in circuit.signals}
         for signal, value in obs.assignments:
-            lit = self.cnf.var(f"sig[{signal}]")
+            lit = self._sig[signal]
             self.cnf.unit(lit if value else -lit)
 
     def _encode_property(self, prop, act: int) -> None:
-        gates = self.space.faults
+        ab = self._ab
         anchor = prop.anchor.data
-
-        def ab(name):
-            return self.cnf.var(f"ab[{name}]")
-
         if prop.kind == DESC:
             for name in sorted(anchor):
-                self.cnf.add([-act, ab(name)])
+                self.cnf.add([-act, ab[name]])
         elif prop.kind == ANC:
-            for name in gates:
+            for name, var in ab.items():
                 if name not in anchor:
-                    self.cnf.add([-act, -ab(name)])
+                    self.cnf.add([-act, -var])
         elif prop.kind == NEG_DESC:
-            self.cnf.add([-act] + [-ab(name) for name in sorted(anchor)])
+            self.cnf.add([-act] + [-ab[name] for name in sorted(anchor)])
         else:
-            self.cnf.add([-act] + [ab(name) for name in gates
+            self.cnf.add([-act] + [var for name, var in ab.items()
                                    if name not in anchor])
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
-        hyp = set_hyp(name for name in self.space.faults
-                      if kernel.value(self.cnf.var(f"ab[{name}]")))
-        witness = {s: kernel.value(self.cnf.var(f"sig[{s}]"))
-                   for s in self.circuit.signals}
+        value = kernel.value
+        hyp = set_hyp(name for name, var in self._ab.items() if value(var))
+        witness = {s: value(var) for s, var in self._sig.items()}
         if not member(hyp, request.props, self.space):
             raise DiagError("circuit witness fails property re-validation")
         return TestOutcome.found(hyp, witness)

@@ -18,7 +18,7 @@ meaning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .errors import (DiagError, ModelFormatError, SpaceMismatchError,
@@ -173,12 +173,17 @@ class Space:
 
     kind: str
     faults: tuple
+    # Set here, not by a cached_property: on CPython 3.11 writing the
+    # instance __dict__ later makes every load of ``kind``, which the
+    # strategies and solvers do per search node, several times slower.
+    fault_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DiagError(f"unknown space kind {self.kind!r}")
         if len(set(self.faults)) != len(self.faults):
             raise DiagError("fault alphabet has duplicates")
+        object.__setattr__(self, "fault_set", frozenset(self.faults))
 
     @property
     def h0(self) -> Hypothesis:
@@ -195,7 +200,7 @@ class Space:
         if h.kind != self.kind:
             raise SpaceMismatchError(
                 f"hypothesis of kind {h.kind!r} used in {self.kind!r} space")
-        if not h.faults() <= frozenset(self.faults):
+        if not h.faults() <= self.fault_set:
             raise SpaceMismatchError(
                 f"{h.canon()} mentions faults outside the alphabet")
         return h

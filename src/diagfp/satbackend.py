@@ -369,6 +369,16 @@ class AssumptionSolver:
     fresh auxiliary variables (occurrence, counter and chain literals), so
     every assignment of the older variables extends to them; and learnt
     clauses are implied by the clause database.
+
+    Activation literals are non-decision variables of the kernel, so it
+    never branches on the literal of a property the request does not name.
+    A model may leave such a literal unassigned, and that is sound: every
+    clause holds activation literals only negatively (property clauses are
+    guarded by ``-act``; a learnt clause is a resolvent of clauses on
+    variables other than activation literals, which never occur positively,
+    so it keeps only such guards), so an unassigned one extends to false and
+    the model satisfies every clause.  No frontend reads the value of an
+    activation literal.
     """
 
     def __init__(self, cnf: Cnf, space: Space):
@@ -377,6 +387,7 @@ class AssumptionSolver:
         self.stats = SolverStats()
         self.kernel = None
         self._acts = {}        # Property -> activation literal
+        self._unmarked = []    # activation literals not yet non-decision
         self._loaded = 0       # clauses of cnf already in the kernel
 
     def _encode_property(self, prop: Property, act: int) -> None:
@@ -398,6 +409,7 @@ class AssumptionSolver:
                 act = self.cnf.var(f"act{len(self._acts)}"
                                    f"[{prop.kind}:{prop.anchor.canon()}]")
                 self._acts[prop] = act
+                self._unmarked.append(act)
                 self._encode_property(prop, act)
             acts.append(act)
         return acts
@@ -412,6 +424,9 @@ class AssumptionSolver:
             self.kernel = MiniSolver()
         kernel = self.kernel
         kernel.ensure_vars(self.cnf.nvars)
+        for act in self._unmarked:
+            kernel.set_decision_var(act, False)
+        self._unmarked.clear()
         kernel.add_clauses(self.cnf.clauses[self._loaded:])
         self._loaded = len(self.cnf.clauses)
         before = kernel.conflicts

@@ -1,9 +1,12 @@
 # distutils: language = c++
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
-"""Compiled CDCL kernel; algorithm and interface mirror pysolver.MiniSolver.
+"""Compiled CDCL kernel; algorithm and interface mirror pysolver.MiniSolver,
+non-decision variables (``set_decision_var``) included.
 
 Clauses live in a flat arena (offset/size per clause) and watch lists hold
 clause indices.  See pysolver.py for the commented reference implementation.
+This file is the only source of the extension: ``setup.py`` cythonizes it
+at build time, and no generated C++ is kept.
 """
 
 from libcpp.vector cimport vector
@@ -33,6 +36,7 @@ cdef class MiniSolver:
     cdef vector[int] level
     cdef vector[int] reason            # -1 means no reason
     cdef vector[signed char] phase
+    cdef vector[signed char] decision
     cdef vector[double] activity
     cdef vector[signed char] seen
     cdef vector[int] trail
@@ -59,6 +63,7 @@ cdef class MiniSolver:
         self.level.push_back(0)
         self.reason.push_back(-1)
         self.phase.push_back(0)
+        self.decision.push_back(0)
         self.activity.push_back(0.0)
         self.seen.push_back(0)
         self.hpos.push_back(-1)
@@ -136,6 +141,7 @@ cdef class MiniSolver:
         self.level.push_back(0)
         self.reason.push_back(-1)
         self.phase.push_back(0)
+        self.decision.push_back(1)
         self.activity.push_back(0.0)
         self.seen.push_back(0)
         self.hpos.push_back(-1)
@@ -146,6 +152,13 @@ cdef class MiniSolver:
     def ensure_vars(self, int n):
         while self._nvars < n:
             self.new_var()
+
+    def set_decision_var(self, int v, bint flag):
+        if not 0 < v <= self._nvars:
+            raise IndexError(f"no variable {v}")
+        self.decision[v] = flag
+        if flag and self.assign_[v] < 0:
+            self._heap_push(v)
 
     cdef inline int _value(self, int lit):
         cdef signed char va = self.assign_[lit >> 1]
@@ -232,7 +245,8 @@ cdef class MiniSolver:
             self.phase[v] = self.assign_[v]
             self.assign_[v] = -1
             self.reason[v] = -1
-            self._heap_push(v)
+            if self.decision[v]:
+                self._heap_push(v)
         self.trail.resize(bound)
         self.trail_lim.resize(target)
         self.qhead = bound
@@ -397,7 +411,7 @@ cdef class MiniSolver:
         cdef int v
         while self.heap.size() > 0:
             v = self._heap_pop()
-            if self.assign_[v] < 0:
+            if self.assign_[v] < 0 and self.decision[v]:
                 return 2 * v + (0 if self.phase[v] == 1 else 1)
         return -1
 

@@ -10,6 +10,13 @@ and learnt clauses, activities and saved phases carry over to the next
 solve.  No clause deletion: workloads here are bounded-size encodings whose
 tests add few clauses.
 
+A variable can be marked non-decision (``set_decision_var(v, False)``, as
+MiniSat's ``setDecisionVar``): the solver never branches on it, so it is
+assigned only by an assumption or by propagation and may stay unassigned in
+a model.  This is meant for selector literals that occur only negatively in
+every clause: such a literal, left unassigned, extends to false and the
+model still satisfies every clause.
+
 Literals use the DIMACS convention externally (signed non-zero ints) and the
 ``2*var + sign`` packing internally.
 """
@@ -120,6 +127,7 @@ class MiniSolver:
         self.level = [0]
         self.reason = [None]       # clause index or None
         self.phase = [0]
+        self.decision = [False]    # per var: may the solver branch on it
         self.activity = [0.0]
         self._seen = bytearray(1)
         self.trail = []
@@ -141,6 +149,7 @@ class MiniSolver:
         self.level.append(0)
         self.reason.append(None)
         self.phase.append(0)
+        self.decision.append(True)
         self.activity.append(0.0)
         self._seen.append(0)
         self.watches.append([])
@@ -152,6 +161,15 @@ class MiniSolver:
     def ensure_vars(self, n: int):
         while self.nvars < n:
             self.new_var()
+
+    def set_decision_var(self, v: int, flag: bool):
+        """Allow (True) or forbid (False) branching on existing variable
+        ``v``."""
+        if not 0 < v <= self.nvars:
+            raise IndexError(f"no variable {v}")
+        self.decision[v] = flag
+        if flag and self.assign[v] < 0:
+            self._heap.push(v)
 
     def _value(self, lit: int) -> int:
         va = self.assign[lit >> 1]
@@ -234,7 +252,8 @@ class MiniSolver:
             self.phase[v] = self.assign[v]
             self.assign[v] = -1
             self.reason[v] = None
-            self._heap.push(v)
+            if self.decision[v]:
+                self._heap.push(v)
         del self.trail[bound:]
         del self.trail_lim[target:]
         self.qhead = len(self.trail)
@@ -378,8 +397,8 @@ class MiniSolver:
     def _pick_branch(self):
         heap = self._heap
         while heap:
-            v = heap.pop()
-            if self.assign[v] < 0:
+            v = heap.pop()  # non-decision variables are dropped here
+            if self.assign[v] < 0 and self.decision[v]:
                 return 2 * v + (0 if self.phase[v] == 1 else 1)
         return -1
 
@@ -440,7 +459,7 @@ class MiniSolver:
             if next_lit == -1:
                 next_lit = self._pick_branch()
                 if next_lit == -1:
-                    return True  # full assignment found
+                    return True  # every decision variable assigned
                 self.decisions += 1
             self._new_level()
             self._enqueue(next_lit, None)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from diagfp import satbackend
 from diagfp.circuits import (CircuitSolver, brute_force_diagnosis,
                              circuit_solve_test, parse_circuit)
 from diagfp.desmodel import Observation, parse_model
@@ -12,6 +13,7 @@ from diagfp.explicit import oracle_diagnose
 from diagfp.hypothesis import MHS, SQHS
 from diagfp.properties import member
 from diagfp.satbackend import EncodingParams, SatSolver, sat_solve_test
+from diagfp.satcore.pysolver import MiniSolver as PySolver
 from diagfp.strategies import run_strategy
 
 CIRCUITS = Path(__file__).parent / "fixtures" / "circuits"
@@ -118,3 +120,42 @@ def test_kernel_is_created_by_the_first_test():
     solver = SatSolver(model, ALARM_OBS, model.space(MHS), ALARM_PARAMS)
     assert solver.kernel is None
     assert "kernel_conflicts" not in solver.stats.extra
+
+
+class BranchLoggingKernel(PySolver):
+    """Reference kernel that logs the variable of every branching decision."""
+
+    def __init__(self):
+        super().__init__()
+        self.branched = set()
+
+    def _pick_branch(self):
+        lit = super()._pick_branch()
+        if lit >= 0:
+            self.branched.add(lit >> 1)
+        return lit
+
+
+def solvers_and_diagnoses():
+    for name in ("inv3.ckt", "and1.ckt", "adder_slice.ckt"):
+        circuit, obs = parse_circuit((CIRCUITS / name).read_text())
+        yield (lambda c=circuit, o=obs: CircuitSolver(c, o),
+               brute_force_diagnosis(circuit, obs))
+    model = parse_model(ALARMS)
+    for kind in (MHS, SQHS):
+        space = model.space(kind)
+        yield (lambda s=space: SatSolver(model, ALARM_OBS, s, ALARM_PARAMS),
+               oracle_diagnose(model, ALARM_OBS, space))
+
+
+@pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
+def test_activation_literals_are_never_decisions(strategy, monkeypatch):
+    monkeypatch.setattr(satbackend, "MiniSolver", BranchLoggingKernel)
+    branched = 0
+    for make, expected in solvers_and_diagnoses():
+        solver = make()
+        got = run_strategy(strategy, solver, solver.space)
+        assert got.minimal_candidates == expected
+        assert not solver.kernel.branched & set(solver._acts.values())
+        branched += len(solver.kernel.branched)
+    assert branched  # the log does see decisions

@@ -35,6 +35,18 @@ def random_cnf(rng, nvars, nclauses, width=3):
     return clauses
 
 
+def selector_cnf(rng):
+    """Random CNF over base variables 1..n plus selectors n+1..n+k that,
+    like activation literals, occur only negatively (as clause guards)."""
+    n = rng.randint(1, 8)
+    k = rng.randint(1, 4)
+    clauses = random_cnf(rng, n, rng.randint(1, 3 * n))
+    for _ in range(rng.randint(1, 3 * k)):
+        sel = rng.randint(n + 1, n + k)
+        clauses.append([-sel] + random_cnf(rng, n, 1)[0])
+    return n, k, clauses
+
+
 @pytest.fixture(params=BACKENDS, ids=lambda b: b.__module__.rsplit(".", 1)[-1])
 def solver_cls(request):
     return request.param
@@ -156,6 +168,65 @@ def test_hard_pigeonhole_unsat(solver_cls):
     assert s.solve() is False
 
 
+def test_non_decision_selectors_stay_sound(solver_cls):
+    # one live solver per CNF, several solves under selector assumptions,
+    # as a test solver runs them; non-decision selectors may stay unassigned
+    rng = random.Random(11)
+    for round_ in range(150):
+        n, k, clauses = selector_cnf(rng)
+        s = solver_cls()
+        s.ensure_vars(n + k)
+        non_decision = {v for v in range(n + 1, n + k + 1)
+                        if rng.random() < 0.7}
+        for v in non_decision:
+            s.set_decision_var(v, False)
+        ok = s.add_clauses(clauses)
+        for _ in range(4):
+            assumptions = [v for v in range(n + 1, n + k + 1)
+                           if rng.random() < 0.5]
+            if rng.random() < 0.5:
+                b = rng.randint(1, n)
+                assumptions.append(b if rng.random() < 0.5 else -b)
+            expect = brute_force_sat(
+                n + k, clauses + [[a] for a in assumptions])
+            got = s.solve(assumptions) if ok else False
+            assert got == expect, (round_, clauses, assumptions)
+            if got:
+                for a in assumptions:
+                    assert s.value(abs(a)) == (a > 0)
+                model = [s.value(v) for v in range(n + k + 1)]
+                assert all(model[v] is not None
+                           for v in range(1, n + k + 1)
+                           if v not in non_decision)
+                extended = [bool(x) for x in model]
+                assert extended == s.model()
+                for cl in clauses:
+                    assert any(extended[abs(l)] == (l > 0) for l in cl), \
+                        (round_, clauses, cl)
+            elif ok:
+                failed = s.failed_assumptions()
+                assert set(failed) <= set(assumptions)
+                fresh = solver_cls()
+                fresh.add_clauses(clauses)
+                assert fresh.solve(failed) is False
+
+
+def test_non_decision_var_is_branched_on_again(solver_cls):
+    s = solver_cls()
+    s.ensure_vars(2)
+    s.add_clause([2])
+    s.set_decision_var(1, False)
+    assert s.solve()
+    assert s.value(1) is None and s.decisions == 0
+    assert s.solve()  # popped and dropped by the first solve; still off
+    assert s.value(1) is None and s.decisions == 0
+    s.set_decision_var(1, True)
+    assert s.solve()
+    assert s.value(1) is not None and s.decisions == 1
+    with pytest.raises(IndexError):
+        s.set_decision_var(3, False)
+
+
 @pytest.mark.skipif(CSolver is None, reason="compiled kernel unavailable")
 def test_backends_agree():
     rng = random.Random(3)
@@ -172,6 +243,24 @@ def test_backends_agree():
         ra = a.solve(assumptions) if oka else False
         rb = b.solve(assumptions) if okb else False
         assert ra == rb
+    for _ in range(150):
+        n, k, clauses = selector_cnf(rng)
+        a, b = PySolver(), CSolver()
+        for solver in (a, b):
+            solver.ensure_vars(n + k)
+        for v in range(n + 1, n + k + 1):
+            if rng.random() < 0.7:
+                a.set_decision_var(v, False)
+                b.set_decision_var(v, False)
+        oka, okb = a.add_clauses(clauses), b.add_clauses(clauses)
+        assert oka == okb
+        for _ in range(3):
+            assumptions = [v for v in range(n + 1, n + k + 1)
+                           if rng.random() < 0.5]
+            ra = a.solve(assumptions) if oka else False
+            rb = b.solve(assumptions) if okb else False
+            assert ra == rb
+            assert a.decisions == b.decisions
 
 
 def test_kernel_selection_reports_backend():
