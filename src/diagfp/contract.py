@@ -9,6 +9,12 @@ method (and a ``space`` attribute) can drive the strategies.  On success the
 outcome carries a witnessed candidate; on failure it carries a conflict,
 i.e. a subset of the requested properties that already rules every candidate
 out.  The least informative legal conflict is the full request.
+
+The request is where hypotheses meet a solver, and the one place their
+alphabet is checked: building a :class:`TestRequest` validates every
+property anchor against its space, and a solver refuses a request for any
+space but its own.  The order operations underneath (``leq``, ``children``,
+``otimes``, ``exhibits``) then only compare kinds.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ class TestRequest:
 
     props: PropertySet
     space: Space
+
+    def __post_init__(self):
+        for p in self.props:
+            self.space.validate(p.anchor)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from collections import deque
 from .contract import Conflict, SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
-from .errors import DiagError, StateBudgetExceeded
+from .errors import DiagError, SpaceMismatchError, StateBudgetExceeded
 from .hypothesis import (MHS, SHS, SQHS, Space, leq, min_antichain, multi_hyp,
                          seq_hyp, set_hyp)
 from .properties import ANC, DESC, NEG_ANC, NEG_DESC, member
@@ -38,14 +38,15 @@ class _Summary:
     def __init__(self, space: Space, props):
         self.space = space
         self.faults = space.faults
+        self.props = props
         if space.kind == MHS:
-            caps = {}
-            for p in props:
-                for f in self.faults:
-                    need = p.anchor.count(f) + 1
-                    if need > caps.get(f, 1):
-                        caps[f] = need
-            self.caps = tuple(caps.get(f, 1) for f in self.faults)
+            # per property: its kind and the anchor's count of each fault
+            self.needs = [(p.kind, tuple(p.anchor.count(f)
+                                         for f in self.faults))
+                          for p in props]
+            self.caps = tuple(max([need[i] for _, need in self.needs],
+                                  default=0) + 1
+                              for i in range(len(self.faults)))
         elif space.kind == SQHS:
             self.anchors = [p.anchor.data for p in props]
 
@@ -80,9 +81,9 @@ class _Summary:
             out.append((didx, apos))
         return tuple(out)
 
-    def accepts(self, summary, props) -> bool:
+    def accepts(self, summary) -> bool:
         if self.space.kind == SHS:
-            for p in props:
+            for p in self.props:
                 anchor = p.anchor.data
                 if p.kind == DESC and not anchor <= summary:
                     return False
@@ -94,18 +95,17 @@ class _Summary:
                     return False
             return True
         if self.space.kind == MHS:
-            for p in props:
-                need = tuple(p.anchor.count(f) for f in self.faults)
-                if p.kind == DESC and any(c < n for c, n in zip(summary, need)):
+            for kind, need in self.needs:
+                if kind == DESC and any(c < n for c, n in zip(summary, need)):
                     return False
-                if p.kind == ANC and any(c > n for c, n in zip(summary, need)):
+                if kind == ANC and any(c > n for c, n in zip(summary, need)):
                     return False
-                if p.kind == NEG_DESC and all(c >= n for c, n in zip(summary, need)):
+                if kind == NEG_DESC and all(c >= n for c, n in zip(summary, need)):
                     return False
-                if p.kind == NEG_ANC and all(c <= n for c, n in zip(summary, need)):
+                if kind == NEG_ANC and all(c <= n for c, n in zip(summary, need)):
                     return False
             return True
-        for (didx, apos), anchor, p in zip(summary, self.anchors, props):
+        for (didx, apos), anchor, p in zip(summary, self.anchors, self.props):
             embedded = didx == len(anchor)
             within = apos >= 0
             if p.kind == DESC and not embedded:
@@ -154,7 +154,7 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     expanded = 0
 
     def is_goal(node):
-        return node[0][1] == end and summary.accepts(node[1], props)
+        return node[0][1] == end and summary.accepts(node[1])
 
     goal = next((node for node in start_nodes if is_goal(node)), None)
     while queue and goal is None:
@@ -217,14 +217,6 @@ def solve(model: DesModel, obs: Observation, request: TestRequest,
             and member(hyp, props, space)):
         raise DiagError("explicit solver produced an invalid witness")
     return TestOutcome.found(hyp, trace)
-
-
-def solve_coverage(model: DesModel, obs: Observation, hyps, space: Space,
-                   state_budget: int = DEFAULT_STATE_BUDGET,
-                   stats: SolverStats | None = None) -> TestOutcome:
-    from .properties import question_coverage
-    request = TestRequest(question_coverage(hyps, space), space)
-    return solve(model, obs, request, state_budget, stats)
 
 
 def fits_horizon(model: DesModel, obs: Observation, request: TestRequest,
@@ -423,6 +415,9 @@ class ExplicitSolver:
 
     def __init__(self, model: DesModel, obs: Observation, space: Space,
                  state_budget: int = DEFAULT_STATE_BUDGET):
+        if space.fault_set != frozenset(model.faults):
+            raise SpaceMismatchError(
+                f"alphabet of {space} is not the model's faults")
         self.model = model
         self.obs = obs
         self.space = space
@@ -431,6 +426,9 @@ class ExplicitSolver:
         self._graph = None
 
     def solve(self, request: TestRequest) -> TestOutcome:
+        if request.space != self.space:
+            raise SpaceMismatchError(
+                f"request for {request.space} sent to a solver of {self.space}")
         self.stats.tests += 1
         if self._graph is None:
             self._graph = _product_graph(self.model, self.obs,

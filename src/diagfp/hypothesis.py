@@ -14,6 +14,12 @@ respectively.  All operations are pure; results that are mathematically sets
 are returned as lists sorted by :func:`order_key` so every run is
 reproducible.  The sort order is a tie-break only and carries no preference
 meaning.
+
+The order operations (``leq``, ``children``, ``otimes`` and what builds on
+them) take hypotheses of ``space``.  They compare kinds, because they read
+``h.data`` in the layout of ``space.kind``, but not the fault alphabet: that
+is checked once, when a :class:`~diagfp.contract.TestRequest` is built, and
+a solver decodes answers only over its own alphabet.
 """
 
 from __future__ import annotations
@@ -240,8 +246,8 @@ def _is_subsequence(a: tuple, b: tuple) -> bool:
 
 def leq(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
     """Preference order: True iff ``a`` is preferred-or-equal to ``b``."""
-    space.validate(a)
-    space.validate(b)
+    if a.kind != space.kind or b.kind != space.kind:
+        raise SpaceMismatchError(f"{a!r}, {b!r} in {space.kind!r} space")
     if space.kind == SHS:
         return a.data <= b.data
     if space.kind == MHS:
@@ -258,7 +264,8 @@ def lt(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
 
 def children(h: Hypothesis, space: Space) -> list:
     """Minimal strict descendants of ``h`` (a finite antichain)."""
-    space.validate(h)
+    if h.kind != space.kind:
+        raise SpaceMismatchError(f"{h!r} in {space.kind!r} space")
     if space.kind == SHS:
         out = {set_hyp(h.data | {f}) for f in space.faults if f not in h.data}
     elif space.kind == MHS:
@@ -306,8 +313,8 @@ def _seq_merge(a: tuple, b: tuple, memo: dict) -> frozenset:
 
 def otimes(a: Hypothesis, b: Hypothesis, space: Space) -> list:
     """Least common descendants of ``a`` and ``b``."""
-    space.validate(a)
-    space.validate(b)
+    if a.kind != space.kind or b.kind != space.kind:
+        raise SpaceMismatchError(f"{a!r}, {b!r} in {space.kind!r} space")
     if space.kind == SHS:
         return [set_hyp(a.data | b.data)]
     if space.kind == MHS:

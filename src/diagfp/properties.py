@@ -86,7 +86,6 @@ class PropertySet:
 
 def exhibits(h: Hypothesis, p: Property, space: Space) -> bool:
     """Does ``h`` exhibit property ``p``?"""
-    space.validate(p.anchor)
     if p.kind == DESC:
         return leq(p.anchor, h, space)
     if p.kind == ANC:
@@ -109,7 +108,6 @@ def question_candidate(h: Hypothesis, space: Space,
     conflict-directed strategies; ``anc_form`` switches to the two-property
     alternative {desc(h), anc(h)}.
     """
-    space.validate(h)
     if anc_form:
         return PropertySet([Property(DESC, h), Property(ANC, h)])
     props = [Property(DESC, h)]
@@ -119,15 +117,12 @@ def question_candidate(h: Hypothesis, space: Space,
 
 def question_minimal(d: Hypothesis, space: Space) -> PropertySet:
     """Property set of the strict ancestors of candidate ``d``."""
-    space.validate(d)
     return PropertySet([Property(ANC, d), Property(NEG_DESC, d)])
 
 
 def question_coverage(hyps, space: Space) -> PropertySet:
     """Property set of the hypotheses dominated by no element of ``hyps``."""
     anchors = sorted(set(hyps), key=order_key)
-    for h in anchors:
-        space.validate(h)
     return PropertySet([Property(NEG_DESC, h) for h in anchors])
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .contract import Conflict, SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
-from .errors import DiagError, EncodingError
+from .errors import DiagError, EncodingError, SpaceMismatchError
 from .hypothesis import MHS, SHS, SQHS, Space
 from .properties import ANC, DESC, NEG_ANC, NEG_DESC, Property, member
 from .satcore import MiniSolver
@@ -93,14 +93,6 @@ class Cnf:
     def exactly_one(self, lits, label: str) -> None:
         self.add(list(lits))
         self.at_most_one(lits, label)
-
-    def to_dimacs(self, extra_comments=()) -> str:
-        out = [f"c {i} {name}" for i, name in enumerate(self.names) if i]
-        out.extend(f"c {line}" for line in extra_comments)
-        out.append(f"p cnf {self.nvars} {len(self.clauses)}")
-        for cl in self.clauses:
-            out.append(" ".join(map(str, cl)) + " 0")
-        return "\n".join(out) + "\n"
 
 
 # ------------------------------------------------------------------- model
@@ -415,8 +407,9 @@ class AssumptionSolver:
         return acts
 
     def solve(self, request: TestRequest) -> TestOutcome:
-        if request.space.kind != self.space.kind:
-            raise DiagError("request space does not match solver space")
+        if request.space != self.space:
+            raise SpaceMismatchError(
+                f"request for {request.space} sent to a solver of {self.space}")
         self.stats.tests += 1
         props = tuple(request.props)
         acts = self.activate(props)
@@ -477,6 +470,9 @@ class SatSolver(AssumptionSolver):
                  params: EncodingParams | None = None):
         if space.kind not in (SHS, MHS, SQHS):
             raise DiagError(f"sat backend does not handle space {space.kind}")
+        if space.fault_set != frozenset(model.faults):
+            raise SpaceMismatchError(
+                f"alphabet of {space} is not the model's faults")
         super().__init__(Cnf(), space)
         self.model = model
         self.obs = obs
@@ -501,13 +497,6 @@ class SatSolver(AssumptionSolver):
                 and member(hyp, request.props, self.space)):
             raise EncodingError(f"decoded witness fails re-validation: {trace}")
         return TestOutcome.found(hyp, trace)
-
-
-def build_request_cnf(model: DesModel, obs: Observation, request: TestRequest,
-                      params: EncodingParams):
-    """Full CNF for one test request; returns (cnf, assumption literal list)."""
-    solver = SatSolver(model, obs, request.space, params)
-    return solver.cnf, solver.activate(request.props)
 
 
 def sat_solve_test(model: DesModel, obs: Observation, request: TestRequest,

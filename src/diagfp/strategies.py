@@ -156,8 +156,7 @@ def conflict_successors(h: Hypothesis, conflict: Conflict,
 
 
 def run_pfs(solver, space: Space, variant: str = "ec",
-            iteration_cap: int = DEFAULT_ITERATION_CAP,
-            conflict_cache: bool = True) -> DiagnosisResult:
+            iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
     if variant not in PFS_VARIANTS:
         raise DiagError(f"unknown pfs variant {variant!r}")
     run = _Run(solver,
@@ -193,12 +192,12 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             covered = solver.solve(
                 TestRequest(question_coverage(others, space), space))
             if not covered.is_candidate:
-                if use_conflicts and conflict_cache:
+                if use_conflicts:
                     conflicts.append(covered.conflict)
                     run.conflicts_recorded += 1
                 continue
         conflict = None
-        if use_conflicts and conflict_cache:
+        if use_conflicts:
             for c in conflicts:
                 if member(h, c, space):
                     conflict = c

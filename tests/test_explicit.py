@@ -11,8 +11,7 @@ from diagfp.desmodel import (Observation, parse_model, parse_observation,
                              trace_matches_observation)
 from diagfp.errors import StateBudgetExceeded
 from diagfp.explicit import (ExplicitSolver, certified_bound, fits_horizon,
-                             oracle_candidates, oracle_diagnose, solve,
-                             solve_coverage)
+                             oracle_candidates, oracle_diagnose, solve)
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 from diagfp.properties import (Property, PropertySet, member,
                                question_candidate, question_coverage)
@@ -55,12 +54,17 @@ def test_empty_everything(oneshot):
 
 def test_solve_coverage(oneshot):
     space = oneshot.space(SHS)
-    out = solve_coverage(oneshot, OBS1, [], space)
+
+    def coverage(obs, hyps):
+        return solve(oneshot, obs,
+                     TestRequest(question_coverage(hyps, space), space))
+
+    out = coverage(OBS1, [])
     assert out.is_candidate and out.candidate == set_hyp(["f"])
-    out = solve_coverage(oneshot, OBS1, [set_hyp(["f"])], space)
+    out = coverage(OBS1, [set_hyp(["f"])])
     assert not out.is_candidate
     # inconsistent observation: no behaviour at all
-    out = solve_coverage(oneshot, Observation(("o1", "o1")), [], space)
+    out = coverage(Observation(("o1", "o1")), [])
     assert not out.is_candidate
 
 

@@ -46,8 +46,14 @@ def test_leq_mhs_pointwise():
 
 
 def test_leq_rejects_mixed_spaces():
-    with pytest.raises(SpaceMismatchError):
-        leq(set_hyp(["f1"]), seq_hyp(["f1"]), SP_SHS)
+    shs, sqhs = set_hyp(["f1"]), seq_hyp(["f1"])
+    for call in (lambda: leq(shs, sqhs, SP_SHS),
+                 lambda: leq(sqhs, shs, SP_SHS),
+                 lambda: children(sqhs, SP_SHS),
+                 lambda: otimes(shs, sqhs, SP_SHS),
+                 lambda: otimes(sqhs, shs, SP_SHS)):
+        with pytest.raises(SpaceMismatchError):
+            call()
 
 
 @pytest.mark.parametrize("space", [SP_SHS, SP_MHS, SP_SQHS])

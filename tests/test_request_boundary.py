@@ -1,0 +1,82 @@
+"""The test request is where hypotheses meet a solver: its anchors are
+checked against its space once, when it is built, and a solver takes
+requests only for its own space, whose alphabet is its model's faults."""
+
+from pathlib import Path
+
+import pytest
+
+from diagfp.circuits import CircuitSolver, parse_circuit
+from diagfp.contract import TestRequest
+from diagfp.desmodel import parse_model
+from diagfp.errors import SpaceMismatchError
+from diagfp.explicit import ExplicitSolver
+from diagfp.hypothesis import MHS, SHS, Space, multi_hyp, set_hyp
+from diagfp.properties import (DESC, NEG_DESC, Property, PropertySet,
+                               question_coverage)
+from diagfp.satbackend import SatSolver
+from diagfp.strategies import run_strategy
+
+from test_live_kernel import (ALARM_OBS, ALARM_PARAMS, ALARMS, RecordingSolver,
+                              solvers_and_diagnoses)
+
+CIRCUITS = Path(__file__).parent / "fixtures" / "circuits"
+
+
+@pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
+def test_validate_runs_once_per_request_anchor(strategy, monkeypatch):
+    for make, expected in solvers_and_diagnoses():
+        solver = make()
+        calls = []
+        validate = Space.validate
+        monkeypatch.setattr(
+            Space, "validate",
+            lambda self, h: calls.append(h) or validate(self, h))
+        recording = RecordingSolver(solver)
+        got = run_strategy(strategy, recording, solver.space)
+        monkeypatch.undo()
+        assert got.minimal_candidates == expected
+        sizes = sum(len(request.props) for request, *_ in recording.log)
+        assert sizes > 0
+        assert len(calls) == sizes
+
+
+def test_request_rejects_anchor_outside_its_space():
+    space = Space(SHS, ("a", "b"))
+    TestRequest(PropertySet([Property(DESC, set_hyp(["a"]))]), space)
+    with pytest.raises(SpaceMismatchError):
+        TestRequest(PropertySet([Property(NEG_DESC, set_hyp(["a"])),
+                                 Property(DESC, set_hyp(["c"]))]), space)
+    with pytest.raises(SpaceMismatchError):
+        TestRequest(PropertySet([Property(DESC, multi_hyp({"a": 1}))]), space)
+
+
+def _solvers():
+    circuit, obs = parse_circuit((CIRCUITS / "and1.ckt").read_text())
+    yield CircuitSolver(circuit, obs)
+    model = parse_model(ALARMS)
+    yield SatSolver(model, ALARM_OBS, model.space(SHS), ALARM_PARAMS)
+    yield ExplicitSolver(model, ALARM_OBS, model.space(SHS))
+
+
+@pytest.mark.parametrize("solver", _solvers(), ids=lambda s: s.name)
+def test_solver_refuses_request_for_another_space(solver):
+    other = Space(SHS, solver.space.faults[:-1])
+    with pytest.raises(SpaceMismatchError):
+        solver.solve(TestRequest(question_coverage([], other), other))
+    assert solver.stats.tests == 0
+    own = solver.space
+    solver.solve(TestRequest(question_coverage([], own), own))
+    assert solver.stats.tests == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda model, space: SatSolver(model, ALARM_OBS, space, ALARM_PARAMS),
+    lambda model, space: ExplicitSolver(model, ALARM_OBS, space),
+], ids=["sat", "explicit"])
+def test_solver_refuses_alphabet_other_than_model_faults(make):
+    model = parse_model(ALARMS)
+    for faults in (model.faults[:-1], model.faults + ("f9",)):
+        with pytest.raises(SpaceMismatchError):
+            make(model, Space(MHS, faults))
+    make(model, Space(MHS, tuple(reversed(model.faults))))

@@ -11,8 +11,7 @@ from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
                                PropertySet, member, question_candidate,
                                question_coverage, question_minimal)
-from diagfp.satbackend import (Cnf, EncodingParams, SatSolver,
-                               build_request_cnf, sat_solve_test)
+from diagfp.satbackend import Cnf, EncodingParams, SatSolver, sat_solve_test
 from diagfp.satcore import MiniSolver
 
 from test_explicit import gen_instance
@@ -92,8 +91,9 @@ def test_shs_desc_guarded_clause_shape(oneshot):
     space = oneshot.space(SHS)
     params = EncodingParams(steps_per_obs=1)
     req = TestRequest(PropertySet([Property(DESC, set_hyp(["f"]))]), space)
-    cnf, assumptions = build_request_cnf(oneshot, OBS1, req, params)
-    act = assumptions[0]
+    solver = SatSolver(oneshot, OBS1, space, params)
+    act, = solver.activate(req.props)
+    cnf = solver.cnf
     n = params.horizon(1)
     expect = [-act] + [cnf.var(f"e[f]@{t}") for t in range(1, n + 1)]
     assert expect in cnf.clauses
@@ -235,14 +235,13 @@ def test_sat_agrees_with_explicit_when_certified():
         agreed += 1
 
 
-def test_dimacs_export_deterministic(oneshot):
+def test_request_cnf_deterministic(oneshot):
     space = oneshot.space(SHS)
     req = TestRequest(question_candidate(set_hyp(["f"]), space), space)
     params = EncodingParams(steps_per_obs=2)
-    cnf1, a1 = build_request_cnf(oneshot, OBS1, req, params)
-    cnf2, a2 = build_request_cnf(oneshot, OBS1, req, params)
-    assert cnf1.to_dimacs() == cnf2.to_dimacs()
+    s1, s2 = (SatSolver(oneshot, OBS1, space, params) for _ in range(2))
+    a1, a2 = s1.activate(req.props), s2.activate(req.props)
+    assert s1.cnf.names == s2.cnf.names
+    assert s1.cnf.clauses == s2.cnf.clauses
     assert a1 == a2
-    text = cnf1.to_dimacs()
-    assert "c 1 " in text and "p cnf" in text
-    assert "e[f]@1" in text
+    assert "e[f]@1" in s1.cnf.names
