@@ -9,9 +9,10 @@ abnormal gate is unconstrained.  Netlist format, one directive per line
     gate <name> <and|or|not|xor|buf> <out-signal> <in-signal> ...
     obs <signal> <0|1>
 
-Diagnosis runs through the same strategy engine as the DES path; properties
-over the gate-set hypotheses become unit/clause assumptions on the ``ab``
-variables.
+Diagnosis runs through the same strategy engine as the DES path; a property
+over the gate-set hypotheses is stated over the ``ab`` variables, as the DES
+set encoding states it over fault-occurrence variables, and guarded by
+``satbackend.guard_property``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
 from .hypothesis import SHS, Space, check_fault_name, set_hyp
-from .properties import ANC, DESC, NEG_ANC, NEG_DESC, member
-from .satbackend import AssumptionSolver, Cnf
+from .properties import DESC_KINDS, member
+from .satbackend import AssumptionSolver, Cnf, guard_property
 from .satcore import MiniSolver
 
 GATE_KINDS = ("and", "or", "not", "xor", "buf")
@@ -197,18 +198,11 @@ class CircuitSolver(AssumptionSolver):
     def _encode_property(self, prop, act: int) -> None:
         ab = self._ab
         anchor = prop.anchor.data
-        if prop.kind == DESC:
-            for name in sorted(anchor):
-                self.cnf.add([-act, ab[name]])
-        elif prop.kind == ANC:
-            for name, var in ab.items():
-                if name not in anchor:
-                    self.cnf.add([-act, -var])
-        elif prop.kind == NEG_DESC:
-            self.cnf.add([-act] + [-ab[name] for name in sorted(anchor)])
+        if prop.kind in DESC_KINDS:
+            lits = [ab[name] for name in sorted(anchor)]
         else:
-            self.cnf.add([-act] + [var for name, var in ab.items()
-                                   if name not in anchor])
+            lits = [-var for name, var in ab.items() if name not in anchor]
+        guard_property(self.cnf, prop, act, lits)
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
         value = kernel.value

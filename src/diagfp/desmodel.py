@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import DiagError, ModelFormatError
+from .errors import DiagError, ModelFormatError, SpaceMismatchError
 from .hypothesis import (MHS, SHS, SQHS, Hypothesis, Space, check_fault_name,
                          multi_hyp, seq_hyp, set_hyp)
 
@@ -85,6 +85,12 @@ class DesModel:
 
     def space(self, kind: str) -> Space:
         return Space(kind, tuple(self.faults))
+
+    def check_space(self, space: Space) -> None:
+        """Reject a space whose alphabet is not the model's faults."""
+        if space.fault_set != frozenset(self.faults):
+            raise SpaceMismatchError(
+                f"alphabet of {space} is not the model's faults")
 
     def initial_global_states(self):
         return [tuple(combo) for combo in
@@ -250,10 +256,6 @@ def model_to_json(model: DesModel) -> dict:
         "observable": list(model.observable),
         "faults": list(model.faults),
     }
-
-
-def observation_to_json(obs: Observation) -> dict:
-    return {"sequence": list(obs.sequence)}
 
 
 def random_walk(model: DesModel, rng, max_len: int):

@@ -25,7 +25,7 @@ from .desmodel import (DesModel, Observation, trace_hypothesis,
 from .errors import DiagError, SpaceMismatchError, StateBudgetExceeded
 from .hypothesis import (MHS, SHS, SQHS, Space, leq, min_antichain, multi_hyp,
                          seq_hyp, set_hyp)
-from .properties import ANC, DESC, NEG_ANC, NEG_DESC, member
+from .properties import DESC_KINDS, POSITIVE_KINDS, member
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
@@ -33,22 +33,29 @@ DEFAULT_STATE_BUDGET = 5_000_000
 # ----------------------------------------------------------- fault summary
 
 class _Summary:
-    """Tracks just enough about past fault events to decide the properties."""
+    """Tracks just enough about past fault events to decide the properties.
+
+    Each property is kept as ``(is_desc, positive, arg)``: ``accepts``
+    decides desc or anc of the anchor from the summary and compares the
+    answer with ``positive``.  ``arg`` is the anchor's fault set (SHS), its
+    count of each fault (MHS) or its length (SqHS).
+    """
 
     def __init__(self, space: Space, props):
         self.space = space
         self.faults = space.faults
-        self.props = props
-        if space.kind == MHS:
-            # per property: its kind and the anchor's count of each fault
-            self.needs = [(p.kind, tuple(p.anchor.count(f)
-                                         for f in self.faults))
-                          for p in props]
-            self.caps = tuple(max([need[i] for _, need in self.needs],
-                                  default=0) + 1
+        if space.kind == SHS:
+            args = [p.anchor.data for p in props]
+        elif space.kind == MHS:
+            args = [tuple(p.anchor.count(f) for f in self.faults)
+                    for p in props]
+            self.caps = tuple(max([need[i] for need in args], default=0) + 1
                               for i in range(len(self.faults)))
-        elif space.kind == SQHS:
+        else:
             self.anchors = [p.anchor.data for p in props]
+            args = [len(anchor) for anchor in self.anchors]
+        self.checks = [(p.kind in DESC_KINDS, p.kind in POSITIVE_KINDS,
+                        arg) for p, arg in zip(props, args)]
 
     def initial(self):
         if self.space.kind == SHS:
@@ -82,40 +89,25 @@ class _Summary:
         return tuple(out)
 
     def accepts(self, summary) -> bool:
-        if self.space.kind == SHS:
-            for p in self.props:
-                anchor = p.anchor.data
-                if p.kind == DESC and not anchor <= summary:
+        kind = self.space.kind
+        if kind == SHS:
+            for is_desc, positive, anchor in self.checks:
+                if (anchor <= summary if is_desc
+                        else summary <= anchor) != positive:
                     return False
-                if p.kind == ANC and not summary <= anchor:
+        elif kind == MHS:
+            for is_desc, positive, need in self.checks:
+                if is_desc:
+                    holds = all(c >= n for c, n in zip(summary, need))
+                else:
+                    holds = all(c <= n for c, n in zip(summary, need))
+                if holds != positive:
                     return False
-                if p.kind == NEG_DESC and anchor <= summary:
+        else:
+            for (didx, apos), (is_desc, positive, size) in zip(summary,
+                                                               self.checks):
+                if (didx == size if is_desc else apos >= 0) != positive:
                     return False
-                if p.kind == NEG_ANC and summary <= anchor:
-                    return False
-            return True
-        if self.space.kind == MHS:
-            for kind, need in self.needs:
-                if kind == DESC and any(c < n for c, n in zip(summary, need)):
-                    return False
-                if kind == ANC and any(c > n for c, n in zip(summary, need)):
-                    return False
-                if kind == NEG_DESC and all(c >= n for c, n in zip(summary, need)):
-                    return False
-                if kind == NEG_ANC and all(c <= n for c, n in zip(summary, need)):
-                    return False
-            return True
-        for (didx, apos), anchor, p in zip(summary, self.anchors, self.props):
-            embedded = didx == len(anchor)
-            within = apos >= 0
-            if p.kind == DESC and not embedded:
-                return False
-            if p.kind == NEG_DESC and embedded:
-                return False
-            if p.kind == ANC and not within:
-                return False
-            if p.kind == NEG_ANC and within:
-                return False
         return True
 
 
@@ -138,6 +130,7 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     """
     if space.kind not in (SHS, MHS, SQHS):
         raise DiagError(f"explicit solver does not handle space {space.kind}")
+    model.check_space(space)
     if graph is None:
         graph = _product_graph(model, obs, state_budget)
     succs, co_reach = graph
@@ -415,9 +408,7 @@ class ExplicitSolver:
 
     def __init__(self, model: DesModel, obs: Observation, space: Space,
                  state_budget: int = DEFAULT_STATE_BUDGET):
-        if space.fault_set != frozenset(model.faults):
-            raise SpaceMismatchError(
-                f"alphabet of {space} is not the model's faults")
+        model.check_space(space)
         self.model = model
         self.obs = obs
         self.space = space

@@ -7,6 +7,11 @@ A property is one of four statements anchored at a hypothesis ``g``:
 * ``anc(g)``      -- holds for ancestors of g,
 * ``neg_desc(g)`` / ``neg_anc(g)`` -- their complements.
 
+The neg_ kinds are complements, so a backend states only desc and anc of the
+anchor (``DESC_KINDS``); ``satbackend.guard_property`` adds the negation
+for the SAT frontends, and the explicit search compares the same test with
+``kind in POSITIVE_KINDS``.
+
 A :class:`PropertySet` denotes the intersection of its members' hypothesis
 sets.  Insertion order is preserved: the SAT backend numbers assumption
 literals by it, which keeps unsat cores reproducible.
@@ -26,6 +31,10 @@ NEG_DESC = "neg_desc"
 NEG_ANC = "neg_anc"
 
 _KINDS = (DESC, ANC, NEG_DESC, NEG_ANC)
+# kinds stated over the anchor's descendants (the rest: its ancestors), and
+# the positive kinds (the rest are their complements)
+DESC_KINDS = frozenset((DESC, NEG_DESC))
+POSITIVE_KINDS = frozenset((DESC, ANC))
 
 
 @dataclass(frozen=True)
@@ -36,10 +45,6 @@ class Property:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DiagError(f"unknown property kind {self.kind!r}")
-
-    def negate(self) -> "Property":
-        flip = {DESC: NEG_DESC, NEG_DESC: DESC, ANC: NEG_ANC, NEG_ANC: ANC}
-        return Property(flip[self.kind], self.anchor)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "anchor": self.anchor.canon()}

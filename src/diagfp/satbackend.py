@@ -25,7 +25,7 @@ from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import DiagError, EncodingError, SpaceMismatchError
 from .hypothesis import MHS, SHS, SQHS, Space
-from .properties import ANC, DESC, NEG_ANC, NEG_DESC, Property, member
+from .properties import DESC_KINDS, POSITIVE_KINDS, Property, member
 from .satcore import MiniSolver
 
 _PAIRWISE_LIMIT = 8
@@ -293,56 +293,52 @@ def _anc_chain(cnf: Cnf, anchor: tuple, faults: tuple, n: int) -> int:
     return cnf.var(top)
 
 
+def guard_property(cnf: Cnf, prop: Property, act: int, lits) -> None:
+    """Emit ``prop`` behind its activation literal ``act``.
+
+    ``lits`` are the literals whose conjunction states the positive form of
+    the property, desc or anc of its anchor; they may come from a generator
+    that builds auxiliary variables as it goes.  desc/anc get one clause
+    ``[-act, lit]`` per literal, neg_desc/neg_anc the single clause
+    ``[-act, -lit...]``.  Every property clause of every frontend is written
+    here, so ``act`` occurs in clauses only negatively.
+    """
+    if prop.kind in POSITIVE_KINDS:
+        for lit in lits:
+            cnf.add([-act, lit])
+    else:
+        cnf.add([-act] + [-lit for lit in lits])
+
+
 def encode_property(prop: Property, space: Space, model: DesModel,
                     params: EncodingParams, obs_len: int, cnf: Cnf,
                     act: int) -> None:
-    """Emit the property's semantic clauses, each guarded by ``-act`` so the
-    property binds only under its assumption literal."""
+    """Pick the literals stating desc or anc of the property's anchor in
+    this space and hand them to :func:`guard_property`."""
     n = params.horizon(obs_len)
     faults = tuple(model.faults)
     anchor = prop.anchor
+    desc = prop.kind in DESC_KINDS
     if space.kind == SHS:
-        if prop.kind == DESC:
-            for f in sorted(anchor.data):
-                cnf.add([-act] + [cnf.var(f"e[{f}]@{t}")
-                                  for t in range(1, n + 1)])
-        elif prop.kind == ANC:
-            for f in faults:
-                if f not in anchor.data:
-                    for t in range(1, n + 1):
-                        cnf.add([-act, -cnf.var(f"e[{f}]@{t}")])
-        elif prop.kind == NEG_DESC:
-            cnf.add([-act] + [-_occ_var(cnf, f, n)
-                              for f in sorted(anchor.data)])
+        if desc:
+            lits = (_occ_var(cnf, f, n) for f in sorted(anchor.data))
         else:
-            cnf.add([-act] + [_occ_var(cnf, f, n)
-                              for f in faults if f not in anchor.data])
+            lits = (-_occ_var(cnf, f, n)
+                    for f in faults if f not in anchor.data)
     elif space.kind == MHS:
-        if prop.kind == DESC:
-            for f in faults:
-                if anchor.count(f) >= 1:
-                    cnf.add([-act, _count_ge(cnf, f, anchor.count(f), n)])
-        elif prop.kind == ANC:
-            for f in faults:
-                cnf.add([-act, -_count_ge(cnf, f, anchor.count(f) + 1, n)])
-        elif prop.kind == NEG_DESC:
-            cnf.add([-act] + [-_count_ge(cnf, f, anchor.count(f), n)
-                              for f in faults if anchor.count(f) >= 1])
+        if desc:
+            lits = (_count_ge(cnf, f, anchor.count(f), n)
+                    for f in faults if anchor.count(f) >= 1)
         else:
-            cnf.add([-act] + [_count_ge(cnf, f, anchor.count(f) + 1, n)
-                              for f in faults])
+            lits = (-_count_ge(cnf, f, anchor.count(f) + 1, n)
+                    for f in faults)
     elif space.kind == SQHS:
         seq = tuple(anchor.data)
-        if prop.kind == DESC:
-            cnf.add([-act, _desc_chain(cnf, seq, n)])
-        elif prop.kind == NEG_DESC:
-            cnf.add([-act, -_desc_chain(cnf, seq, n)])
-        elif prop.kind == ANC:
-            cnf.add([-act, _anc_chain(cnf, seq, faults, n)])
-        else:
-            cnf.add([-act, -_anc_chain(cnf, seq, faults, n)])
+        lits = (_desc_chain(cnf, seq, n) if desc
+                else _anc_chain(cnf, seq, faults, n),)
     else:
         raise DiagError(f"sat backend does not handle space {space.kind}")
+    guard_property(cnf, prop, act, lits)
 
 
 # ------------------------------------------------------------------ solver
@@ -351,7 +347,9 @@ class AssumptionSolver:
     """Test solver over one growing CNF and one live kernel.
 
     A property gets its activation literal when a request first names it;
-    ``_encode_property`` then emits its clauses, each guarded by ``-act``.
+    ``_encode_property`` then picks the literals of its positive form and
+    emits them through :func:`guard_property`, which guards each clause by
+    ``-act``.
     A test loads only the clauses added since the previous test into the
     kernel (created by the first test), solves under the request's
     activation literals and maps failed assumptions back to a conflict.
@@ -366,7 +364,8 @@ class AssumptionSolver:
     never branches on the literal of a property the request does not name.
     A model may leave such a literal unassigned, and that is sound: every
     clause holds activation literals only negatively (property clauses are
-    guarded by ``-act``; a learnt clause is a resolvent of clauses on
+    written only by :func:`guard_property`, which puts ``act`` in them as
+    ``-act`` alone; a learnt clause is a resolvent of clauses on
     variables other than activation literals, which never occur positively,
     so it keeps only such guards), so an unassigned one extends to false and
     the model satisfies every clause.  No frontend reads the value of an
@@ -383,7 +382,7 @@ class AssumptionSolver:
         self._loaded = 0       # clauses of cnf already in the kernel
 
     def _encode_property(self, prop: Property, act: int) -> None:
-        """Emit the property's clauses into ``cnf``, guarded by ``-act``."""
+        """Emit the property into ``cnf`` through :func:`guard_property`."""
         raise NotImplementedError
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
@@ -470,9 +469,7 @@ class SatSolver(AssumptionSolver):
                  params: EncodingParams | None = None):
         if space.kind not in (SHS, MHS, SQHS):
             raise DiagError(f"sat backend does not handle space {space.kind}")
-        if space.fault_set != frozenset(model.faults):
-            raise SpaceMismatchError(
-                f"alphabet of {space} is not the model's faults")
+        model.check_space(space)
         super().__init__(Cnf(), space)
         self.model = model
         self.obs = obs

@@ -2,11 +2,12 @@
 
 Preferred-last (PLS) repeatedly asks "is there a candidate my set does not
 cover?" and collects counterexamples; the refinement variant (PLS+r) walks
-each new candidate down to a minimal one first.  Preferred-first (PFS) pops
-the best untested hypothesis, tests its candidacy and expands its children on
-failure; the `e` variant prunes hypotheses whose removal keeps the open+result
-set covering, and the `c` variant replaces children by conflict-directed
-successors.  All four PFS variants share one loop.
+each new candidate down to a minimal one first.  Both share one loop.
+Preferred-first (PFS) pops the best untested hypothesis, tests its candidacy
+and expands its children on failure; the `e` variant prunes hypotheses whose
+removal keeps the open+result set covering, and the `c` variant replaces
+children by conflict-directed successors.  All four PFS variants share one
+loop.
 
 A budget-exhausted run carries its partial output in the BudgetExhausted
 error.  Every element PFS and PLS+r ever store in their result sets is a
@@ -77,62 +78,42 @@ class _Run:
         }
 
 
-def run_pls(solver, space: Space,
-            iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
-    """Preferred-last search.  Its budget partial is the antichain of the
-    candidates found so far: each is a candidate, but a smaller candidate
-    may not have been found yet, so it need not be minimal."""
-    run = _Run(solver, "pls")
+def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
+            refine: bool = False) -> DiagnosisResult:
+    """Preferred-last search; with ``refine`` (PLS+r) each new candidate is
+    walked down to a minimal one before it is stored.  The budget partial
+    is the antichain of the candidates found so far: under plain PLS each
+    is a candidate, but a smaller candidate may not have been found yet, so
+    it need not be minimal."""
+    run = _Run(solver, "pls-r" if refine else "pls")
     found = []
-    while True:
-        if run.solver.stats.tests - run.tests0 >= iteration_cap:
+
+    def ask(props):
+        if solver.stats.tests - run.tests0 >= iteration_cap:
             raise BudgetExhausted(
-                "pls hit its test cap",
+                f"{run.strategy} hit its test cap",
                 partial=_result(space, min_antichain(found, space),
                                 run.stats()),
                 stats=run.stats())
-        outcome = solver.solve(
-            TestRequest(question_coverage(found, space), space))
+        return solver.solve(TestRequest(props, space))
+
+    while True:
+        outcome = ask(question_coverage(found, space))
         if not outcome.is_candidate:
             return _result(space, min_antichain(found, space), run.stats())
         delta = outcome.candidate
         if any(leq(s, delta, space) for s in found):
             raise DiagError(f"coverage test answered with {delta.canon()}, "
                             "which a found candidate covers")
-        found.append(delta)
-
-
-def run_pls_r(solver, space: Space,
-              iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
-    run = _Run(solver, "pls-r")
-
-    def budget():
-        if run.solver.stats.tests - run.tests0 >= iteration_cap:
-            raise BudgetExhausted(
-                "pls-r hit its test cap",
-                partial=_result(space, min_antichain(found, space),
-                                run.stats()),
-                stats=run.stats())
-
-    found = []
-    while True:
-        budget()
-        outcome = solver.solve(
-            TestRequest(question_coverage(found, space), space))
-        if not outcome.is_candidate:
-            return _result(space, found, run.stats())
-        delta = outcome.candidate
-        while True:
-            budget()
-            refine = solver.solve(
-                TestRequest(question_minimal(delta, space), space))
-            if not refine.is_candidate:
+        while refine:
+            smaller = ask(question_minimal(delta, space))
+            if not smaller.is_candidate:
                 break
-            if not lt(refine.candidate, delta, space):
+            if not lt(smaller.candidate, delta, space):
                 raise DiagError(
                     f"minimality test of {delta.canon()} answered with "
-                    f"{refine.candidate.canon()}, which is not below it")
-            delta = refine.candidate
+                    f"{smaller.candidate.canon()}, which is not below it")
+            delta = smaller.candidate
         found.append(delta)
 
 
@@ -267,10 +248,8 @@ def verify_minimal_diagnosis(hyps, solver, space: Space) -> Verdict:
 
 def run_strategy(name: str, solver, space: Space,
                  iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
-    if name == "pls":
-        return run_pls(solver, space, iteration_cap)
-    if name == "pls-r":
-        return run_pls_r(solver, space, iteration_cap)
+    if name in ("pls", "pls-r"):
+        return run_pls(solver, space, iteration_cap, refine=name == "pls-r")
     if name.startswith("pfs"):
         variant = "plain" if name == "pfs" else name.split("-", 1)[1]
         return run_pfs(solver, space, variant, iteration_cap)

@@ -10,7 +10,7 @@ from diagfp.circuits import (CircuitSolver, brute_force_diagnosis,
                              circuit_solve_test, parse_circuit)
 from diagfp.desmodel import Observation, parse_model
 from diagfp.explicit import oracle_diagnose
-from diagfp.hypothesis import MHS, SQHS
+from diagfp.hypothesis import MHS, SHS, SQHS
 from diagfp.properties import member
 from diagfp.satbackend import EncodingParams, SatSolver, sat_solve_test
 from diagfp.satcore.pysolver import MiniSolver as PySolver
@@ -142,7 +142,7 @@ def solvers_and_diagnoses():
         yield (lambda c=circuit, o=obs: CircuitSolver(c, o),
                brute_force_diagnosis(circuit, obs))
     model = parse_model(ALARMS)
-    for kind in (MHS, SQHS):
+    for kind in (SHS, MHS, SQHS):
         space = model.space(kind)
         yield (lambda s=space: SatSolver(model, ALARM_OBS, s, ALARM_PARAMS),
                oracle_diagnose(model, ALARM_OBS, space))
@@ -159,3 +159,17 @@ def test_activation_literals_are_never_decisions(strategy, monkeypatch):
         assert not solver.kernel.branched & set(solver._acts.values())
         branched += len(solver.kernel.branched)
     assert branched  # the log does see decisions
+
+
+@pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
+def test_activation_literals_occur_only_negatively(strategy):
+    # the invariant that makes activation literals safe non-decision
+    # variables (see AssumptionSolver)
+    for make, expected in solvers_and_diagnoses():
+        solver = make()
+        got = run_strategy(strategy, solver, solver.space)
+        assert got.minimal_candidates == expected
+        acts = set(solver._acts.values())
+        assert acts
+        assert not any(lit in acts for clause in solver.cnf.clauses
+                       for lit in clause)

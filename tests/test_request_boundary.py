@@ -10,7 +10,7 @@ from diagfp.circuits import CircuitSolver, parse_circuit
 from diagfp.contract import TestRequest
 from diagfp.desmodel import parse_model
 from diagfp.errors import SpaceMismatchError
-from diagfp.explicit import ExplicitSolver
+from diagfp.explicit import ExplicitSolver, fits_horizon, solve
 from diagfp.hypothesis import MHS, SHS, Space, multi_hyp, set_hyp
 from diagfp.properties import (DESC, NEG_DESC, Property, PropertySet,
                                question_coverage)
@@ -80,3 +80,16 @@ def test_solver_refuses_alphabet_other_than_model_faults(make):
         with pytest.raises(SpaceMismatchError):
             make(model, Space(MHS, faults))
     make(model, Space(MHS, tuple(reversed(model.faults))))
+
+
+@pytest.mark.parametrize("entry", [
+    solve,
+    lambda model, obs, request: fits_horizon(model, obs, request,
+                                             ALARM_PARAMS.steps_per_obs),
+], ids=["solve", "fits_horizon"])
+def test_explicit_entry_points_refuse_alphabet_other_than_model_faults(entry):
+    model = parse_model(ALARMS)
+    space = Space(MHS, model.faults[:-1])
+    with pytest.raises(SpaceMismatchError):
+        entry(model, ALARM_OBS, TestRequest(question_coverage([], space),
+                                            space))

@@ -95,8 +95,12 @@ def test_shs_desc_guarded_clause_shape(oneshot):
     act, = solver.activate(req.props)
     cnf = solver.cnf
     n = params.horizon(1)
-    expect = [-act] + [cnf.var(f"e[f]@{t}") for t in range(1, n + 1)]
-    assert expect in cnf.clauses
+    # desc({f}) is the guarded occurrence literal of f, which is defined
+    # as the disjunction of f over the timesteps
+    occ = cnf.var("occ[f]")
+    assert [-act, occ] in cnf.clauses
+    assert [-occ] + [cnf.var(f"e[f]@{t}") for t in range(1, n + 1)] \
+        in cnf.clauses
 
 
 def test_sat_candidate_and_conflict(oneshot):

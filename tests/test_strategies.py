@@ -13,7 +13,7 @@ from diagfp.properties import (NEG_DESC, Property, member, question_candidate)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.strategies import (STRATEGIES, DiagnosisResult,
                                conflict_successors, run_pfs, run_pls,
-                               run_pls_r, run_strategy,
+                               run_strategy,
                                terminating_strategies,
                                verify_minimal_diagnosis)
 
@@ -181,7 +181,7 @@ def test_pls_r_refines_spurious_fault():
             return super().solve(request)
 
     solver = MaxFirst(model, OBS1, space)
-    got = run_pls_r(solver, space)
+    got = run_strategy("pls-r", solver, space)
     assert got.minimal_candidates == [set_hyp(["f"])]
 
 
@@ -191,7 +191,7 @@ def test_pls_r_first_candidate_refines_to_h0():
         "trans q0 o1 q1\nend\nobservable o1\nfaults f\n")
     space = model.space(SHS)
     solver = ExplicitSolver(model, OBS1, space)
-    got = run_pls_r(solver, space)
+    got = run_strategy("pls-r", solver, space)
     assert got.minimal_candidates == [space.h0]
 
 
