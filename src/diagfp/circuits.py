@@ -126,6 +126,9 @@ def parse_circuit(text: str):
         elif key == "obs":
             if len(rest) != 2 or rest[1] not in ("0", "1"):
                 raise ModelFormatError("obs takes <signal> <0|1>", line=ln)
+            if (rest[0], rest[1] != "1") in obs:
+                raise ModelFormatError(
+                    f"signal {rest[0]} observed as both 0 and 1", line=ln)
             obs.append((rest[0], rest[1] == "1"))
         else:
             raise ModelFormatError(f"unknown directive {key!r}", line=ln)
@@ -141,11 +144,11 @@ def parse_circuit(text: str):
 def encode_circuit(circuit: Circuit, cnf: Cnf) -> None:
     """Health-conditioned gate semantics: -ab[g] -> (out = fn(inputs))."""
     for s in circuit.signals:
-        cnf.var(f"sig[{s}]")
+        cnf.var(("sig", s))
     for g in circuit.gates:
-        ab = cnf.var(f"ab[{g.name}]")
-        out = cnf.var(f"sig[{g.output}]")
-        ins = [cnf.var(f"sig[{s}]") for s in g.inputs]
+        ab = cnf.var(("ab", g.name))
+        out = cnf.var(("sig", g.output))
+        ins = [cnf.var(("sig", s)) for s in g.inputs]
         if g.kind == "and":
             for i in ins:
                 cnf.add([ab, -out, i])
@@ -162,8 +165,8 @@ def encode_circuit(circuit: Circuit, cnf: Cnf) -> None:
             cnf.add([ab, out, -ins[0]])
         else:  # xor, folded pairwise
             cur = ins[0]
-            for idx, nxt in enumerate(ins[1:-1], start=1):
-                aux = cnf.var(f"xor[{g.name}.{idx}]")
+            for nxt in ins[1:-1]:
+                aux = cnf.new()
                 _xor_clauses(cnf, ab, aux, cur, nxt)
                 cur = aux
             _xor_clauses(cnf, ab, out, cur, ins[-1])
@@ -188,9 +191,9 @@ class CircuitSolver(AssumptionSolver):
         self.obs = obs
         encode_circuit(circuit, self.cnf)
         # variable indices, in gate (= fault alphabet) and signal order
-        self._ab = {g.name: self.cnf.var(f"ab[{g.name}]")
+        self._ab = {g.name: self.cnf.var(("ab", g.name))
                     for g in circuit.gates}
-        self._sig = {s: self.cnf.var(f"sig[{s}]") for s in circuit.signals}
+        self._sig = {s: self.cnf.var(("sig", s)) for s in circuit.signals}
         for signal, value in obs.assignments:
             lit = self._sig[signal]
             self.cnf.unit(lit if value else -lit)
@@ -232,10 +235,10 @@ def brute_force_diagnosis(circuit: Circuit, obs: PinObservation) -> list:
         cnf = Cnf()
         encode_circuit(circuit, cnf)
         for signal, value in obs.assignments:
-            lit = cnf.var(f"sig[{signal}]")
+            lit = cnf.var(("sig", signal))
             cnf.unit(lit if value else -lit)
         for name, bit in zip(names, bits):
-            lit = cnf.var(f"ab[{name}]")
+            lit = cnf.var(("ab", name))
             cnf.unit(lit if bit else -lit)
         kernel = MiniSolver()
         kernel.ensure_vars(cnf.nvars)

@@ -180,7 +180,11 @@ def parse_model(text: str) -> DesModel:
                 fail(f"{key} outside component block", ln)
             if not rest:
                 fail(f"{key} needs at least one state", ln)
-            cur[1 if key == "states" else 2].extend(rest)
+            names = cur[1 if key == "states" else 2]
+            for s in rest:
+                if key == "states" and s in names:
+                    fail(f"duplicate state {s!r}", ln)
+                names.append(s)
         elif key == "trans":
             if cur is None:
                 fail("trans outside component block", ln)

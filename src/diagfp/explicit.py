@@ -352,27 +352,22 @@ def _observed_hyps(model: DesModel, obs: Observation, space: Space, graph,
 
 
 def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
-                    bound: int | None = None,
                     state_budget: int = DEFAULT_STATE_BUDGET) -> list:
-    """Reference minimal diagnosis by bounded exhaustive search.
+    """Reference minimal diagnosis by exhaustive search.
 
     Explores (global state, tracker, accumulated hypothesis) triples breadth
-    first.  A node whose hypothesis already dominates a discovered candidate
-    cannot contribute a new minimal candidate and is not expanded.  The bound
-    must be certified by the caller; :func:`certified_bound` is sufficient.
+    first, to the depth of the number of reachable (global state, tracker)
+    nodes: every minimal candidate has a witness that is loop-free in that
+    product, so the search is complete.  A node whose hypothesis already
+    dominates a discovered candidate cannot contribute a new minimal
+    candidate and is not expanded.
     """
     if space.kind not in (SHS, MHS, SQHS):
         raise DiagError(f"oracle does not handle space {space.kind}")
     graph = _product_graph(model, obs, state_budget)
-    # every minimal candidate has a witness that is loop-free in the
-    # (global state, tracker) product, so its depth is below the number of
-    # reachable product nodes
-    tight = len(graph[0])
-    if bound is None or bound > tight:
-        bound = tight
     found = []
     for hyp in _observed_hyps(
-            model, obs, space, graph, bound, state_budget,
+            model, obs, space, graph, len(graph[0]), state_budget,
             admit=lambda acc: True,
             expand=lambda hyp: not any(leq(c, hyp, space) for c in found)):
         if hyp not in found:

@@ -70,17 +70,11 @@ class PropertySet:
     def __len__(self):
         return len(self._props)
 
-    def __contains__(self, p):
-        return p in self._props
-
     def __eq__(self, other):
         return isinstance(other, PropertySet) and set(self._props) == set(other._props)
 
     def __hash__(self):
         return hash(frozenset(self._props))
-
-    def union(self, props) -> "PropertySet":
-        return PropertySet(list(self._props) + list(props))
 
     def to_json(self) -> list:
         return [p.to_json() for p in self._props]
@@ -105,16 +99,13 @@ def member(h: Hypothesis, props, space: Space) -> bool:
     return all(exhibits(h, p, space) for p in props)
 
 
-def question_candidate(h: Hypothesis, space: Space,
-                       anc_form: bool = False) -> PropertySet:
+def question_candidate(h: Hypothesis, space: Space) -> PropertySet:
     """Property set whose hypothesis set is exactly ``{h}``.
 
-    The default children-based form produces more general conflicts for the
-    conflict-directed strategies; ``anc_form`` switches to the two-property
-    alternative {desc(h), anc(h)}.
+    It is stated through the children of ``h`` rather than as {desc(h),
+    anc(h)}: the children-based form produces more general conflicts for the
+    conflict-directed strategies.
     """
-    if anc_form:
-        return PropertySet([Property(DESC, h), Property(ANC, h)])
     props = [Property(DESC, h)]
     props.extend(Property(NEG_DESC, c) for c in children(h, space))
     return PropertySet(props)

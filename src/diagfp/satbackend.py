@@ -1,10 +1,10 @@
 """Bounded-reachability SAT test solver for DES.
 
 A behaviour of parallel length ``n`` is encoded with one block of variables
-per timestep: component-state variables ``s[..]@t``, event variables
-``e[..]@t`` and transition variables ``t[..]@t``, constrained so that every
-solution decodes to a path of the model.  The i-th observed event is pinned
-at timestep ``steps_per_obs * i``; all other observable events are negated
+per timestep: an event variable per event, and a component-state and a
+transition variable per component, constrained so that every solution
+decodes to a path of the model.  The i-th observed event is pinned at
+timestep ``steps_per_obs * i``; all other observable events are negated
 everywhere.  The horizon is ``steps_per_obs * (|obs| + 1)``, leaving room for
 unobservable behaviour after the final observation (and ``steps_per_obs``
 steps when the observation is empty).
@@ -44,27 +44,34 @@ class EncodingParams:
 
 
 class Cnf:
-    """Clause store with a named-variable registry (deterministic indices)."""
+    """Clause store; variables are numbered 1, 2, ... in creation order.
+
+    A variable that encodings look up again is keyed by the tuple of values
+    that define it: ``("e", event, t)`` (event at timestep ``t``),
+    ``("occ", f)`` (``f`` occurs), ``("cnt", f, j, t)`` (at least ``j``
+    occurrences of ``f`` up to ``t``), ``("dh", anchor, i, t)`` and
+    ``("ah", anchor, i, t)`` (the subsequence chains), ``("nofault", t)``,
+    and for circuits ``("sig", signal)`` and ``("ab", gate)``.  Every other
+    variable comes from :meth:`new` and is held only by its creator.
+    """
 
     def __init__(self):
-        self.names = ["<0>"]
+        self.nvars = 0
         self.index = {}
         self.clauses = []
 
-    @property
-    def nvars(self) -> int:
-        return len(self.names) - 1
+    def new(self) -> int:
+        self.nvars += 1
+        return self.nvars
 
-    def var(self, name: str) -> int:
-        idx = self.index.get(name)
+    def var(self, key: tuple) -> int:
+        idx = self.index.get(key)
         if idx is None:
-            self.names.append(name)
-            idx = len(self.names) - 1
-            self.index[name] = idx
+            idx = self.index[key] = self.new()
         return idx
 
-    def has(self, name: str) -> bool:
-        return name in self.index
+    def has(self, key: tuple) -> bool:
+        return key in self.index
 
     def add(self, lits) -> None:
         self.clauses.append(list(lits))
@@ -72,7 +79,7 @@ class Cnf:
     def unit(self, lit: int) -> None:
         self.clauses.append([lit])
 
-    def at_most_one(self, lits, label: str) -> None:
+    def at_most_one(self, lits) -> None:
         """Pairwise for small groups, sequential (ladder) beyond."""
         lits = list(lits)
         if len(lits) <= _PAIRWISE_LIMIT:
@@ -81,8 +88,8 @@ class Cnf:
                     self.add([-a, -b])
             return
         prev = None
-        for i, x in enumerate(lits[:-1]):
-            cur = self.var(f"seq[{label}.{i}]")
+        for x in lits[:-1]:
+            cur = self.new()
             self.add([-x, cur])
             if prev is not None:
                 self.add([-prev, cur])
@@ -90,9 +97,9 @@ class Cnf:
             prev = cur
         self.add([-lits[-1], -prev])
 
-    def exactly_one(self, lits, label: str) -> None:
+    def exactly_one(self, lits) -> None:
         self.add(list(lits))
-        self.at_most_one(lits, label)
+        self.at_most_one(lits)
 
 
 # ------------------------------------------------------------------- model
@@ -105,14 +112,14 @@ def encode_model(model: DesModel, obs_len: int, params: EncodingParams,
     tv = {}
     for e in model.events:
         for t in range(1, n + 1):
-            ev[e, t] = cnf.var(f"e[{e}]@{t}")
+            ev[e, t] = cnf.var(("e", e, t))
     for comp in model.components:
         for s in comp.states:
             for t in range(n + 1):
-                sv[comp.name, s, t] = cnf.var(f"s[{comp.name}.{s}]@{t}")
+                sv[comp.name, s, t] = cnf.new()
         for i in range(len(comp.trans)):
             for t in range(1, n + 1):
-                tv[comp.name, i, t] = cnf.var(f"t[{comp.name}.{i}]@{t}")
+                tv[comp.name, i, t] = cnf.new()
 
     for comp in model.components:
         by_target = {s: [] for s in comp.states}
@@ -132,11 +139,9 @@ def encode_model(model: DesModel, obs_len: int, params: EncodingParams,
                         + [tv[comp.name, i, t] for i in by_target[s]])
             for e, idxes in by_event.items():
                 cnf.add([-ev[e, t]] + [tv[comp.name, i, t] for i in idxes])
-            cnf.at_most_one([ev[e, t] for e in by_event],
-                            f"ev.{comp.name}@{t}")
+            cnf.at_most_one([ev[e, t] for e in by_event])
         for t in range(n + 1):
-            cnf.exactly_one([sv[comp.name, s, t] for s in comp.states],
-                            f"st.{comp.name}@{t}")
+            cnf.exactly_one([sv[comp.name, s, t] for s in comp.states])
         cnf.add([sv[comp.name, s, 0] for s in comp.init])
 
 
@@ -148,7 +153,7 @@ def encode_observation(model: DesModel, obs: Observation,
         designated = obs.sequence[t // k - 1] if (t % k == 0
                                                   and t // k <= len(obs)) else None
         for e in model.observable:
-            lit = cnf.var(f"e[{e}]@{t}")
+            lit = cnf.var(("e", e, t))
             cnf.unit(lit if e == designated else -lit)
 
 
@@ -161,19 +166,18 @@ def encode_fault_interleaving(model: DesModel, obs_len: int,
     """
     n = params.horizon(obs_len)
     for t in range(1, n + 1):
-        cnf.at_most_one([cnf.var(f"e[{f}]@{t}") for f in model.faults],
-                        f"flt@{t}")
+        cnf.at_most_one([cnf.var(("e", f, t)) for f in model.faults])
 
 
 # -------------------------------------------------------------- properties
 
 def _occ_var(cnf: Cnf, fault: str, n: int) -> int:
     """occ[f] <-> f occurred at some timestep."""
-    name = f"occ[{fault}]"
-    if cnf.has(name):
-        return cnf.var(name)
-    occ = cnf.var(name)
-    lits = [cnf.var(f"e[{fault}]@{t}") for t in range(1, n + 1)]
+    key = ("occ", fault)
+    if cnf.has(key):
+        return cnf.var(key)
+    occ = cnf.var(key)
+    lits = [cnf.var(("e", fault, t)) for t in range(1, n + 1)]
     cnf.add([-occ] + lits)
     for lit in lits:
         cnf.add([-lit, occ])
@@ -183,30 +187,26 @@ def _occ_var(cnf: Cnf, fault: str, n: int) -> int:
 def _count_ge(cnf: Cnf, fault: str, j: int, n: int) -> int:
     """Threshold literal: at least ``j`` occurrences of ``fault``.
 
-    Sequential-counter grid r[i][j] = "at least j among the first i steps",
-    with pinned borders r[i][0]=true, r[0][j>=1]=false.
+    Sequential-counter grid r[i][j] = "at least j among the first i steps"
+    for ``j >= 1``, with pinned border r[0][j]=false; column 1 takes
+    r[i][0] as true.
     """
-    if j == 0:
-        name = "const[true]"
-        if not cnf.has(name):
-            cnf.unit(cnf.var(name))
-        return cnf.var(name)
-    top = f"cnt[{fault}>={j}]@{n}"
+    top = ("cnt", fault, j, n)
     if cnf.has(top):
         return cnf.var(top)
 
     def r(i, jj):
-        return cnf.var(f"cnt[{fault}>={jj}]@{i}")
+        return cnf.var(("cnt", fault, jj, i))
 
     # build columns 1..j that are not present yet
     for jj in range(1, j + 1):
-        if cnf.has(f"cnt[{fault}>={jj}]@{n}"):
+        if cnf.has(("cnt", fault, jj, n)):
             continue
         for i in range(n + 1):
             r(i, jj)
         cnf.unit(-r(0, jj))
         for i in range(1, n + 1):
-            x = cnf.var(f"e[{fault}]@{i}")
+            x = cnf.var(("e", fault, i))
             rij = r(i, jj)
             prev_same = r(i - 1, jj)
             if jj == 1:
@@ -224,13 +224,12 @@ def _count_ge(cnf: Cnf, fault: str, j: int, n: int) -> int:
 
 def _desc_chain(cnf: Cnf, anchor: tuple, n: int) -> int:
     """dh[i]@t <-> prefix of the anchor embedded in the fault word up to t."""
-    key = ",".join(anchor)
-    top = f"dh[{key}.{len(anchor)}]@{n}"
+    top = ("dh", anchor, len(anchor), n)
     if cnf.has(top):
         return cnf.var(top)
 
     def dh(i, t):
-        return cnf.var(f"dh[{key}.{i}]@{t}")
+        return cnf.var(("dh", anchor, i, t))
 
     for t in range(n + 1):
         cnf.unit(dh(0, t))
@@ -238,7 +237,7 @@ def _desc_chain(cnf: Cnf, anchor: tuple, n: int) -> int:
         cnf.unit(-dh(i, 0))
         fi = anchor[i - 1]
         for t in range(1, n + 1):
-            x = cnf.var(f"e[{fi}]@{t}")
+            x = cnf.var(("e", fi, t))
             cur, prev, prev_less = dh(i, t), dh(i, t - 1), dh(i - 1, t - 1)
             cnf.add([-cur, prev, prev_less])
             cnf.add([-cur, prev, x])
@@ -248,11 +247,11 @@ def _desc_chain(cnf: Cnf, anchor: tuple, n: int) -> int:
 
 
 def _nofault_var(cnf: Cnf, faults: tuple, t: int) -> int:
-    name = f"nofault@{t}"
-    if cnf.has(name):
-        return cnf.var(name)
-    nf = cnf.var(name)
-    lits = [cnf.var(f"e[{f}]@{t}") for f in faults]
+    key = ("nofault", t)
+    if cnf.has(key):
+        return cnf.var(key)
+    nf = cnf.var(key)
+    lits = [cnf.var(("e", f, t)) for f in faults]
     for lit in lits:
         cnf.add([-nf, -lit])
     cnf.add([nf] + lits)
@@ -267,13 +266,12 @@ def _anc_chain(cnf: Cnf, anchor: tuple, faults: tuple, n: int) -> int:
       fault f    -> ah[i]@t <-> OR_{p<=i, anchor[p-1]=f} ah[p-1]@(t-1).
     Relies on the at-most-one-fault-per-timestep constraint.
     """
-    key = ",".join(anchor)
-    top = f"ah[{key}.{len(anchor)}]@{n}"
+    top = ("ah", anchor, len(anchor), n)
     if cnf.has(top):
         return cnf.var(top)
 
     def ah(i, t):
-        return cnf.var(f"ah[{key}.{i}]@{t}")
+        return cnf.var(("ah", anchor, i, t))
 
     for i in range(len(anchor) + 1):
         cnf.unit(ah(i, 0))
@@ -284,7 +282,7 @@ def _anc_chain(cnf: Cnf, anchor: tuple, faults: tuple, n: int) -> int:
             cnf.add([-nf, -prev, cur])
             cnf.add([-nf, prev, -cur])
             for f in faults:
-                x = cnf.var(f"e[{f}]@{t}")
+                x = cnf.var(("e", f, t))
                 sources = [ah(p - 1, t - 1)
                            for p in range(1, i + 1) if anchor[p - 1] == f]
                 cnf.add([-x, -cur] + sources)
@@ -395,11 +393,7 @@ class AssumptionSolver:
         for prop in props:
             act = self._acts.get(prop)
             if act is None:
-                # numbered: distinct properties can share a canon() text
-                # when fault names contain separators
-                act = self.cnf.var(f"act{len(self._acts)}"
-                                   f"[{prop.kind}:{prop.anchor.canon()}]")
-                self._acts[prop] = act
+                act = self._acts[prop] = self.cnf.new()
                 self._unmarked.append(act)
                 self._encode_property(prop, act)
             acts.append(act)
@@ -450,7 +444,7 @@ def decode_trace(model: DesModel, values, cnf: Cnf, n: int) -> tuple:
     trace = []
     for t in range(1, n + 1):
         for e in model.events:
-            if values(cnf.var(f"e[{e}]@{t}")):
+            if values(cnf.var(("e", e, t))):
                 trace.append(e)
     return tuple(trace)
 

@@ -248,12 +248,12 @@ def verify_minimal_diagnosis(hyps, solver, space: Space) -> Verdict:
 
 def run_strategy(name: str, solver, space: Space,
                  iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
-    if name in ("pls", "pls-r"):
-        return run_pls(solver, space, iteration_cap, refine=name == "pls-r")
-    if name.startswith("pfs"):
-        variant = "plain" if name == "pfs" else name.split("-", 1)[1]
-        return run_pfs(solver, space, variant, iteration_cap)
-    raise DiagError(f"unknown strategy {name!r}")
+    if name not in STRATEGIES:
+        raise DiagError(f"unknown strategy {name!r}")
+    family, _, variant = name.partition("-")
+    if family == "pls":
+        return run_pls(solver, space, iteration_cap, refine=variant == "r")
+    return run_pfs(solver, space, variant or "plain", iteration_cap)
 
 
 def terminating_strategies(space: Space) -> tuple:

@@ -37,6 +37,16 @@ def test_parse_rejects_double_driver():
         parse_circuit("input a\ngate g1 buf x a\ngate g2 buf x a\n")
 
 
+def test_parse_rejects_pin_observed_with_both_values():
+    text = "input x\noutput y\ngate g buf y x\nobs x 0\nobs y 1\nobs x 1\n"
+    with pytest.raises(ModelFormatError, match="both 0 and 1") as err:
+        parse_circuit(text)
+    assert err.value.line == 6
+    # the same value twice is no contradiction
+    _, obs = parse_circuit(text.replace("obs x 1", "obs x 0"))
+    assert obs.as_dict() == {"x": False, "y": True}
+
+
 @pytest.mark.parametrize("ch", list(",:[]{}"))
 def test_parse_rejects_gate_names_that_break_canon(ch):
     text = f"input x\noutput y\ngate a{ch}b buf y x\nobs x 0\n"
@@ -52,9 +62,10 @@ def test_single_and_gate_semantics():
     kernel = MiniSolver()
     kernel.ensure_vars(cnf.nvars)
     kernel.add_clauses(cnf.clauses)
-    healthy = [-cnf.var("ab[A]"), cnf.var("sig[i1]"), cnf.var("sig[i2]")]
-    assert kernel.solve(healthy + [cnf.var("sig[o]")])
-    assert not kernel.solve(healthy + [-cnf.var("sig[o]")])
+    healthy = [-cnf.var(("ab", "A")), cnf.var(("sig", "i1")),
+               cnf.var(("sig", "i2"))]
+    assert kernel.solve(healthy + [cnf.var(("sig", "o"))])
+    assert not kernel.solve(healthy + [-cnf.var(("sig", "o"))])
 
 
 def test_abnormal_gate_is_unconstrained():
@@ -64,7 +75,8 @@ def test_abnormal_gate_is_unconstrained():
     kernel = MiniSolver()
     kernel.ensure_vars(cnf.nvars)
     kernel.add_clauses(cnf.clauses)
-    ab, i, o = cnf.var("ab[N]"), cnf.var("sig[i]"), cnf.var("sig[o]")
+    ab = cnf.var(("ab", "N"))
+    i, o = cnf.var(("sig", "i")), cnf.var(("sig", "o"))
     assert kernel.solve([ab, i, o])
     assert kernel.solve([ab, i, -o])
 
@@ -73,7 +85,7 @@ def test_inverter_chain_gate_clause_count():
     circuit, _ = load("inv3.ckt")
     cnf = Cnf()
     encode_circuit(circuit, cnf)
-    assert sum(1 for name in cnf.names if name.startswith("ab[")) == 3
+    assert sum(1 for key in cnf.index if key[0] == "ab") == 3
     assert len(cnf.clauses) == 6  # two clauses per inverter
 
 

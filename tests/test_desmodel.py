@@ -53,6 +53,17 @@ def test_parse_rejects_event_names_that_break_canon(ch):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("states", ["states s t s", "states s t\nstates s"])
+def test_parse_rejects_duplicate_state_names(states):
+    # a state name must name one state: the SAT encoding keeps one variable
+    # per component, state name and timestep
+    text = (f"component c\n{states}\ninit s\ntrans s f t\ntrans t o t\n"
+            "end\nobservable o\nfaults f\n")
+    with pytest.raises(ModelFormatError, match="duplicate state 's'") as err:
+        parse_model(text)
+    assert err.value.line == states.count("\n") + 2
+
+
 def test_observable_fault_rejected():
     text = ("component c\nstates s0 s1\ninit s0\ntrans s0 f s1\nend\n"
             "observable f\nfaults f\n")

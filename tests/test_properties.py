@@ -70,13 +70,6 @@ def test_question_candidate_structure():
          Property(NEG_DESC, multi_hyp({"f": 2}))]
 
 
-def test_question_candidate_anc_form():
-    got = question_candidate(set_hyp(["f1"]), SP2, anc_form=True)
-    assert list(got) == [Property(DESC, set_hyp(["f1"])),
-                         Property(ANC, set_hyp(["f1"]))]
-    assert hypos(got, SP2, 1) == {set_hyp(["f1"])}
-
-
 @pytest.mark.parametrize("space,bound", [
     (SP4, 1), (Space(MHS, ("a", "b")), 2), (Space(SQHS, ("a", "b")), 3),
 ])

@@ -95,10 +95,10 @@ def _consistent(circuit, obs, hyp) -> bool:
     cnf = Cnf()
     encode_circuit(circuit, cnf)
     for signal, value in obs.assignments:
-        lit = cnf.var(f"sig[{signal}]")
+        lit = cnf.var(("sig", signal))
         cnf.unit(lit if value else -lit)
     for g in circuit.gates:
-        lit = cnf.var(f"ab[{g.name}]")
+        lit = cnf.var(("ab", g.name))
         cnf.unit(lit if g.name in hyp.data else -lit)
     kernel = MiniSolver()
     kernel.ensure_vars(cnf.nvars)

@@ -47,13 +47,13 @@ def test_encode_model_solutions_are_model_paths(oneshot):
     encode_model(oneshot, 1, params, cnf)
     encode_observation(oneshot, OBS1, params, cnf)
     n = params.horizon(1)
-    event_vars = [cnf.var(f"e[{e}]@{t}") for t in range(1, n + 1)
+    event_vars = [cnf.var(("e", e, t)) for t in range(1, n + 1)
                   for e in oneshot.events]
     for sol in all_solutions(cnf, event_vars):
         trace = []
         for t in range(1, n + 1):
             for e in oneshot.events:
-                if sol[cnf.var(f"e[{e}]@{t}")]:
+                if sol[cnf.var(("e", e, t))]:
                     trace.append(e)
         assert trace_in_model(trace, oneshot)
         assert trace_matches_observation(trace, oneshot, OBS1)
@@ -78,10 +78,10 @@ def test_observation_units(oneshot):
     # pre-register event vars as encode_model would
     for e in oneshot.events:
         for t in range(1, params.horizon(1) + 1):
-            cnf.var(f"e[{e}]@{t}")
+            cnf.var(("e", e, t))
     encode_observation(oneshot, OBS1, params, cnf)
     units = {tuple(c) for c in cnf.clauses if len(c) == 1}
-    o1 = lambda t: cnf.var(f"e[o1]@{t}")
+    o1 = lambda t: cnf.var(("e", "o1", t))
     assert (o1(2),) in units          # pinned at steps_per_obs * 1
     assert (-o1(1),) in units
     assert (-o1(3),) in units and (-o1(4),) in units  # trailing slots silent
@@ -97,9 +97,9 @@ def test_shs_desc_guarded_clause_shape(oneshot):
     n = params.horizon(1)
     # desc({f}) is the guarded occurrence literal of f, which is defined
     # as the disjunction of f over the timesteps
-    occ = cnf.var("occ[f]")
+    occ = cnf.var(("occ", "f"))
     assert [-act, occ] in cnf.clauses
-    assert [-occ] + [cnf.var(f"e[f]@{t}") for t in range(1, n + 1)] \
+    assert [-occ] + [cnf.var(("e", "f", t)) for t in range(1, n + 1)] \
         in cnf.clauses
 
 
@@ -245,7 +245,8 @@ def test_request_cnf_deterministic(oneshot):
     params = EncodingParams(steps_per_obs=2)
     s1, s2 = (SatSolver(oneshot, OBS1, space, params) for _ in range(2))
     a1, a2 = s1.activate(req.props), s2.activate(req.props)
-    assert s1.cnf.names == s2.cnf.names
+    assert s1.cnf.index == s2.cnf.index
+    assert s1.cnf.nvars == s2.cnf.nvars
     assert s1.cnf.clauses == s2.cnf.clauses
     assert a1 == a2
-    assert "e[f]@1" in s1.cnf.names
+    assert ("e", "f", 1) in s1.cnf.index

@@ -74,6 +74,13 @@ def test_strategy_invariants_raise_on_wrong_answers(strategy, message):
         run_strategy(strategy, ScriptedSolver(space, set_hyp(["a"])), space)
 
 
+def test_run_strategy_rejects_unknown_names():
+    space = Space(SHS, ("a",))
+    for name in ("pfsx", "pfs-plain", "pfs-", "PFS"):
+        with pytest.raises(DiagError, match="unknown strategy"):
+            run_strategy(name, EnumSolver(space, [space.h0]), space)
+
+
 # ------------------------------------------------------- conflict successors
 
 def test_conflict_successors_example_discards_f3():
@@ -274,14 +281,28 @@ def test_verify_minimal_diagnosis(oneshot):
 
 # ----------------------------------------------------- random agreement
 
-def test_strategy_agreement_random_instances():
-    rng = random.Random(23)
-    done = 0
-    while done < 12:
+def faulty_instances(seed, count, max_draws=400):
+    """``count`` random instances whose SHS diagnosis is not ``[{}]``, from
+    at most ``max_draws`` draws: most draws of ``gen_instance`` need no
+    fault to explain their observation."""
+    rng = random.Random(seed)
+    for _ in range(max_draws):
         inst = gen_instance(rng)
         if inst is None:
             continue
         model, obs = inst
+        space = model.space(SHS)
+        if oracle_diagnose(model, obs, space) != [space.h0]:
+            yield inst
+            count -= 1
+            if not count:
+                return
+    raise AssertionError(f"{count} faulty instances short after "
+                         f"{max_draws} draws")
+
+
+def test_strategy_agreement_random_instances():
+    for model, obs in faulty_instances(23, 12):
         for kind in (SHS, MHS, SQHS):
             space = model.space(kind)
             expected = oracle_diagnose(model, obs, space)
@@ -291,19 +312,11 @@ def test_strategy_agreement_random_instances():
                                    iteration_cap=20_000)
                 assert got.minimal_candidates == expected, \
                     (strategy, kind, model, obs.sequence)
-        done += 1
 
 
 def test_pfs_conflicts_do_not_change_results():
-    rng = random.Random(29)
-    done = 0
-    while done < 10:
-        inst = gen_instance(rng)
-        if inst is None:
-            continue
-        model, obs = inst
+    for model, obs in faulty_instances(29, 10):
         space = model.space(SHS)
         base = run_pfs(ExplicitSolver(model, obs, space), space, "plain")
         with_c = run_pfs(ExplicitSolver(model, obs, space), space, "c")
         assert base.minimal_candidates == with_c.minimal_candidates
-        done += 1
