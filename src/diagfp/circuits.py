@@ -172,6 +172,20 @@ def encode_circuit(circuit: Circuit, cnf: Cnf) -> None:
             _xor_clauses(cnf, ab, out, cur, ins[-1])
 
 
+def encode_pins(obs: PinObservation, cnf: Cnf) -> None:
+    """Unit clauses fixing each observed signal, after
+    :func:`encode_circuit`; a pin that names no signal or is observed as
+    both 0 and 1 raises :class:`ModelFormatError`."""
+    values = {}
+    for signal, value in obs.assignments:
+        if not cnf.has(("sig", signal)):
+            raise ModelFormatError(f"observed signal {signal} not in circuit")
+        if values.setdefault(signal, value) != value:
+            raise ModelFormatError(f"signal {signal} observed as both 0 and 1")
+        lit = cnf.var(("sig", signal))
+        cnf.unit(lit if value else -lit)
+
+
 def _xor_clauses(cnf: Cnf, ab: int, out: int, a: int, b: int) -> None:
     cnf.add([ab, -out, a, b])
     cnf.add([ab, -out, -a, -b])
@@ -194,9 +208,7 @@ class CircuitSolver(AssumptionSolver):
         self._ab = {g.name: self.cnf.var(("ab", g.name))
                     for g in circuit.gates}
         self._sig = {s: self.cnf.var(("sig", s)) for s in circuit.signals}
-        for signal, value in obs.assignments:
-            lit = self._sig[signal]
-            self.cnf.unit(lit if value else -lit)
+        encode_pins(obs, self.cnf)
 
     def _encode_property(self, prop, act: int) -> None:
         ab = self._ab
@@ -234,9 +246,7 @@ def brute_force_diagnosis(circuit: Circuit, obs: PinObservation) -> list:
     for bits in iproduct([False, True], repeat=len(names)):
         cnf = Cnf()
         encode_circuit(circuit, cnf)
-        for signal, value in obs.assignments:
-            lit = cnf.var(("sig", signal))
-            cnf.unit(lit if value else -lit)
+        encode_pins(obs, cnf)
         for name, bit in zip(names, bits):
             lit = cnf.var(("ab", name))
             cnf.unit(lit if bit else -lit)

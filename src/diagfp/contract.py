@@ -1,4 +1,4 @@
-"""Shared test-solver contract: requests, outcomes and conflicts.
+"""Shared test-solver contract: requests and outcomes.
 
 A test solver answers one question: does the symbolically described
 hypothesis set contain a diagnosis candidate?  Any object with a
@@ -6,9 +6,10 @@ hypothesis set contain a diagnosis candidate?  Any object with a
     solve(request: TestRequest) -> TestOutcome
 
 method (and a ``space`` attribute) can drive the strategies.  On success the
-outcome carries a witnessed candidate; on failure it carries a conflict,
-i.e. a subset of the requested properties that already rules every candidate
-out.  The least informative legal conflict is the full request.
+outcome carries a witnessed candidate; on failure it carries a conflict: a
+:class:`PropertySet` holding a subset of the requested properties whose
+conjunction already rules every candidate out.  The least informative legal
+conflict is the full request.
 
 The request is where hypotheses meet a solver, and the one place their
 alphabet is checked: building a :class:`TestRequest` validates every
@@ -23,22 +24,6 @@ from dataclasses import dataclass, field
 
 from .hypothesis import Hypothesis, Space
 from .properties import PropertySet
-
-
-@dataclass(frozen=True)
-class Conflict:
-    """Set of properties whose conjunction provably contains no candidate."""
-
-    props: tuple
-
-    def __iter__(self):
-        return iter(self.props)
-
-    def __len__(self):
-        return len(self.props)
-
-    def to_json(self):
-        return [p.to_json() for p in self.props]
 
 
 @dataclass(frozen=True)
@@ -61,7 +46,7 @@ class TestOutcome:
 
     candidate: Hypothesis | None = None
     witness: object = None
-    conflict: Conflict | None = None
+    conflict: PropertySet | None = None
 
     @classmethod
     def found(cls, candidate, witness):
@@ -84,9 +69,3 @@ class SolverStats:
     sat_tests: int = 0
     unsat_tests: int = 0
     extra: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {"tests": self.tests, "sat_tests": self.sat_tests,
-               "unsat_tests": self.unsat_tests}
-        out.update(self.extra)
-        return out

@@ -20,7 +20,7 @@ Traces use interleaving semantics, one event per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .errors import DiagError, ModelFormatError, SpaceMismatchError
@@ -34,10 +34,17 @@ class Component:
     states: tuple
     init: tuple
     trans: tuple  # (from_state, event, to_state)
+    alphabet: frozenset = field(init=False, repr=False, compare=False)
 
-    @property
-    def alphabet(self) -> frozenset:
-        return frozenset(e for _, e, _ in self.trans)
+    def __post_init__(self):
+        # the SAT encoding would list a repeated state twice in its
+        # exactly-one constraint, which then rules the state out
+        for i, s in enumerate(self.states):
+            if s in self.states[:i]:
+                raise ModelFormatError(
+                    f"component {self.name}: duplicate state {s!r}")
+        object.__setattr__(self, "alphabet",
+                           frozenset(e for _, e, _ in self.trans))
 
     def moves(self, state, event):
         return [t for s, e, t in self.trans if s == state and e == event]
@@ -48,17 +55,13 @@ class DesModel:
     components: tuple
     observable: tuple
     faults: tuple
+    # global alphabet in first-seen component order (the registry order used
+    # for deterministic iteration and SAT decode linearisation)
+    events: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def events(self) -> tuple:
-        """Global alphabet in first-seen component order (the registry order
-        used for deterministic iteration and SAT decode linearisation)."""
-        seen = []
-        for comp in self.components:
-            for _, e, _ in comp.trans:
-                if e not in seen:
-                    seen.append(e)
-        return tuple(seen)
+    def __post_init__(self):
+        object.__setattr__(self, "events", tuple(dict.fromkeys(
+            e for comp in self.components for _, e, _ in comp.trans)))
 
     def validate(self):
         names = [c.name for c in self.components]

@@ -41,7 +41,8 @@ class StateBudgetExceeded(DiagError):
 
 
 class BudgetExhausted(DiagError):
-    """A strategy hit its iteration cap; carries the partial result."""
+    """A strategy hit its test cap (``iteration_cap``); carries the partial
+    result."""
 
     def __init__(self, message, partial, stats):
         self.partial = partial

@@ -6,10 +6,11 @@ its tests; the oracle builds the same graph.  A test searches that graph
 times a per-space summary of the fault behaviour seen so far (fault set /
 saturated counts / per-anchor subsequence monitors).  A goal state has
 consumed the whole observation and satisfies every requested property.  The
-search never enters a node from which the observation cannot complete:
-nothing reachable from it is a goal, so the witness found is unchanged.
-Exhaustion yields the trivial conflict (the full request), which is the
-least informative legal conflict.
+graph keeps only live edges, those into nodes from which the observation can
+still complete, and only live initial nodes: nothing reachable from a dead
+node is a goal, so the witness found is unchanged.  Exhaustion yields the
+trivial conflict (the full request), which is the least informative legal
+conflict.
 
 The same machinery provides the brute-force oracle for minimal diagnoses and
 the horizon-fit certificate used to compare against the bounded SAT backend.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .contract import Conflict, SolverStats, TestOutcome, TestRequest
+from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import DiagError, SpaceMismatchError, StateBudgetExceeded
@@ -119,10 +120,9 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     """Core BFS over ``graph`` (built here when None); returns a witness
     trace or None.
 
-    A node is ``((global state, tracker), summary, gap)``.  Successors
-    outside ``co_reach`` are skipped: ``co_reach`` is closed under
-    predecessors, so no goal lies beyond them, and the live nodes keep their
-    BFS order and parents, hence the witness.
+    A node is ``((global state, tracker), summary, gap)``.  The graph holds
+    live edges only; the live nodes keep the BFS order and parents they have
+    in the whole product, hence the witness.
 
     ``gap_caps`` = (per-gap cap, trailing cap) restricts the number of
     unobservable events per observation gap, which certifies that a witness
@@ -133,14 +133,12 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     model.check_space(space)
     if graph is None:
         graph = _product_graph(model, obs, state_budget)
-    succs, co_reach = graph
+    initial, succs = graph
     summary = _Summary(space, props)
     end = len(obs)
     faults = frozenset(model.faults)
 
-    start_nodes = [((g, 0), summary.initial(), 0)
-                   for g in model.initial_global_states()
-                   if (g, 0) in co_reach]
+    start_nodes = [(node, summary.initial(), 0) for node in initial]
     parent = {node: None for node in start_nodes}
     queue = deque(start_nodes)
     visited = len(parent)
@@ -156,8 +154,6 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
         pnode, summ, gap = node
         tracker = pnode[1]
         for e, pnode2 in succs[pnode]:
-            if pnode2 not in co_reach:
-                continue
             # the gap restarts exactly on the edges that advance the tracker
             gap2 = 0
             if gap_caps is not None and pnode2[1] == tracker:
@@ -203,7 +199,7 @@ def solve(model: DesModel, obs: Observation, request: TestRequest,
     trace = _search(model, obs, space, props, state_budget, graph,
                     stats=stats)
     if trace is None:
-        return TestOutcome.failed(Conflict(tuple(props)))
+        return TestOutcome.failed(request.props)
     hyp = trace_hypothesis(trace, model, space)
     if not (trace_in_model(trace, model)
             and trace_matches_observation(trace, model, obs)
@@ -240,8 +236,12 @@ def certified_bound(model: DesModel, obs: Observation) -> int:
 
 def _product_graph(model: DesModel, obs: Observation,
                    state_budget: int = DEFAULT_STATE_BUDGET):
-    """Forward-reachable (global state, tracker) graph of the observed model,
-    and the subset from which the observation can still complete."""
+    """Live (global state, tracker) graph of the observed model.
+
+    Returns ``(initial, succs)``.  ``succs`` has a key for every
+    forward-reachable node, so ``len(succs)`` is the size of the product;
+    its successor lists and ``initial`` keep, in BFS order, only the nodes
+    from which the observation can still complete."""
     want = obs.sequence
     events = model.events
     observable = frozenset(model.observable)
@@ -278,7 +278,9 @@ def _product_graph(model: DesModel, obs: Observation,
             if prev not in co_reach:
                 co_reach.add(prev)
                 queue.append(prev)
-    return succs, co_reach
+    for node, out in succs.items():
+        succs[node] = [edge for edge in out if edge[1] in co_reach]
+    return [node for node in initial if node in co_reach], succs
 
 
 def _empty_acc(space: Space):
@@ -316,12 +318,11 @@ def _observed_hyps(model: DesModel, obs: Observation, space: Space, graph,
     hypothesis fails ``expand`` is not expanded.  ``expand`` runs when the
     triple is popped, after the caller has consumed every earlier yield.
     """
-    succs, co_reach = graph
+    initial, succs = graph
     end = len(obs)
     faults = frozenset(model.faults)
     empty_acc = _empty_acc(space)
-    start = [(g, 0, empty_acc) for g in model.initial_global_states()
-             if (g, 0) in co_reach]
+    start = [(g, tracker, empty_acc) for g, tracker in initial]
     seen = set(start)
     queue = deque((node, 0) for node in start)
     for g, tracker, acc in start:
@@ -332,8 +333,6 @@ def _observed_hyps(model: DesModel, obs: Observation, space: Space, graph,
         if depth >= bound or not expand(_hyp_of(space, acc)):
             continue
         for e, (gstate2, tracker2) in succs[(gstate, tracker)]:
-            if (gstate2, tracker2) not in co_reach:
-                continue
             acc2 = acc
             if e in faults:
                 acc2 = _accumulate(space, acc, e)
@@ -367,7 +366,7 @@ def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
     graph = _product_graph(model, obs, state_budget)
     found = []
     for hyp in _observed_hyps(
-            model, obs, space, graph, len(graph[0]), state_budget,
+            model, obs, space, graph, len(graph[1]), state_budget,
             admit=lambda acc: True,
             expand=lambda hyp: not any(leq(c, hyp, space) for c in found)):
         if hyp not in found:
@@ -386,7 +385,7 @@ def oracle_candidates(model: DesModel, obs: Observation, space: Space,
     graph = _product_graph(model, obs, state_budget)
     # fault-free stretches of a witness can be made loop-free, so a candidate
     # with k fault events has a witness of depth (k+1) * |product| + k
-    bound = (max_faults + 1) * (len(graph[0]) + 1)
+    bound = (max_faults + 1) * (len(graph[1]) + 1)
     size = {SQHS: len, MHS: sum}.get(space.kind, lambda acc: 0)
     return set(_observed_hyps(
         model, obs, space, graph, bound, state_budget,

@@ -76,9 +76,6 @@ class PropertySet:
     def __hash__(self):
         return hash(frozenset(self._props))
 
-    def to_json(self) -> list:
-        return [p.to_json() for p in self._props]
-
     def __repr__(self):
         return "{" + ", ".join(map(repr, self._props)) + "}"
 

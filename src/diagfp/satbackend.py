@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contract import Conflict, SolverStats, TestOutcome, TestRequest
+from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import DiagError, EncodingError, SpaceMismatchError
 from .hypothesis import MHS, SHS, SQHS, Space
-from .properties import DESC_KINDS, POSITIVE_KINDS, Property, member
+from .properties import (DESC_KINDS, POSITIVE_KINDS, Property, PropertySet,
+                         member)
 from .satcore import MiniSolver
 
 _PAIRWISE_LIMIT = 8
@@ -425,10 +426,10 @@ class AssumptionSolver:
             return self._candidate(kernel, request)
         self.stats.unsat_tests += 1
         failed = set(kernel.failed_assumptions())
-        return TestOutcome.failed(Conflict(
-            tuple(p for p, act in zip(props, acts) if act in failed)))
+        return TestOutcome.failed(
+            PropertySet(p for p, act in zip(props, acts) if act in failed))
 
-    def check_conflict(self, conflict: Conflict) -> bool:
+    def check_conflict(self, conflict: PropertySet) -> bool:
         """Independent check of a conflict: solve the whole CNF in a fresh
         kernel (not the live one, with its learnt clauses) under only the
         conflict's activation literals; True iff UNSAT."""

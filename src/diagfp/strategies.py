@@ -9,7 +9,9 @@ removal keeps the open+result set covering, and the `c` variant replaces
 children by conflict-directed successors.  All four PFS variants share one
 loop.
 
-A budget-exhausted run carries its partial output in the BudgetExhausted
+Every test a strategy sends goes through :meth:`_Run.ask`, which holds the
+run's budget: ``iteration_cap`` tests, counted by the run itself.  A
+budget-exhausted run carries its partial output in the BudgetExhausted
 error.  Every element PFS and PLS+r ever store in their result sets is a
 minimal candidate, so their partials are subsets of the minimal diagnosis.
 A PLS partial holds candidates, not necessarily minimal ones: PLS learns
@@ -23,13 +25,14 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .contract import Conflict, TestOutcome, TestRequest
+from .contract import TestOutcome, TestRequest
 from .errors import BudgetExhausted, DiagError
 from .hypothesis import (Hypothesis, Space, children, leq, lt, min_antichain,
                          order_key, otimes)
-from .properties import (NEG_DESC, member, question_candidate,
+from .properties import (NEG_DESC, PropertySet, member, question_candidate,
                          question_coverage, question_minimal)
 
+# The most tests one strategy run may send, in every strategy.
 DEFAULT_ITERATION_CAP = 10_000
 
 PFS_VARIANTS = ("plain", "e", "c", "ec")
@@ -58,19 +61,40 @@ def _result(space, hyps, stats) -> DiagnosisResult:
 
 
 class _Run:
-    def __init__(self, solver, strategy):
+    """One strategy run: its counters, its test budget and ``store``, the
+    list it builds its result from (``found`` for PLS, ``result`` for
+    PFS)."""
+
+    def __init__(self, solver, space: Space, strategy: str, iteration_cap: int,
+                 store: list):
         self.solver = solver
+        self.space = space
         self.strategy = strategy
+        self.iteration_cap = iteration_cap
+        self.store = store
         self.t0 = time.perf_counter()
-        self.tests0 = solver.stats.tests
+        self.tests = 0
         self.expansions = 0
         self.cache_hits = 0
         self.conflicts_recorded = 0
 
+    def ask(self, props: PropertySet) -> TestOutcome:
+        """Send one test; past the cap, raise with the antichain of
+        ``store`` as the partial result."""
+        if self.tests >= self.iteration_cap:
+            raise BudgetExhausted(f"{self.strategy} hit its test cap",
+                                  partial=self.result(), stats=self.stats())
+        self.tests += 1
+        return self.solver.solve(TestRequest(props, self.space))
+
+    def result(self) -> DiagnosisResult:
+        return _result(self.space, min_antichain(self.store, self.space),
+                       self.stats())
+
     def stats(self) -> dict:
         return {
             "strategy": self.strategy,
-            "tests": self.solver.stats.tests - self.tests0,
+            "tests": self.tests,
             "expansions": self.expansions,
             "cache_hits": self.cache_hits,
             "conflicts_recorded": self.conflicts_recorded,
@@ -85,28 +109,19 @@ def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
     is the antichain of the candidates found so far: under plain PLS each
     is a candidate, but a smaller candidate may not have been found yet, so
     it need not be minimal."""
-    run = _Run(solver, "pls-r" if refine else "pls")
     found = []
-
-    def ask(props):
-        if solver.stats.tests - run.tests0 >= iteration_cap:
-            raise BudgetExhausted(
-                f"{run.strategy} hit its test cap",
-                partial=_result(space, min_antichain(found, space),
-                                run.stats()),
-                stats=run.stats())
-        return solver.solve(TestRequest(props, space))
-
+    run = _Run(solver, space, "pls-r" if refine else "pls", iteration_cap,
+               found)
     while True:
-        outcome = ask(question_coverage(found, space))
+        outcome = run.ask(question_coverage(found, space))
         if not outcome.is_candidate:
-            return _result(space, min_antichain(found, space), run.stats())
+            return run.result()
         delta = outcome.candidate
         if any(leq(s, delta, space) for s in found):
             raise DiagError(f"coverage test answered with {delta.canon()}, "
                             "which a found candidate covers")
         while refine:
-            smaller = ask(question_minimal(delta, space))
+            smaller = run.ask(question_minimal(delta, space))
             if not smaller.is_candidate:
                 break
             if not lt(smaller.candidate, delta, space):
@@ -117,7 +132,7 @@ def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
         found.append(delta)
 
 
-def conflict_successors(h: Hypothesis, conflict: Conflict,
+def conflict_successors(h: Hypothesis, conflict: PropertySet,
                         space: Space) -> list:
     """Minimal descendants of ``h`` outside the conflict's hypothesis set.
 
@@ -140,14 +155,15 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
     if variant not in PFS_VARIANTS:
         raise DiagError(f"unknown pfs variant {variant!r}")
-    run = _Run(solver,
-               sys.intern("pfs" if variant == "plain" else f"pfs-{variant}"))
+    result = []
+    run = _Run(solver, space,
+               sys.intern("pfs" if variant == "plain" else f"pfs-{variant}"),
+               iteration_cap, result)
     use_essential = variant in ("e", "ec")
     use_conflicts = variant in ("c", "ec")
 
     open_heap = []
     open_set = set()
-    result = []
     conflicts = []
 
     def push(h):
@@ -158,20 +174,16 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     push(space.h0)
     while open_heap:
         run.expansions += 1
-        if run.expansions > iteration_cap:
-            raise BudgetExhausted(
-                f"pfs({variant}) hit its expansion cap",
-                partial=_result(space, result, run.stats()),
-                stats=run.stats())
         _, h = heappop(open_heap)
         open_set.remove(h)
-        if any(leq(g, h, space) for g in open_set) or \
-           any(leq(g, h, space) for g in result):
+        # No open hypothesis is strictly preferred to h: in every space a
+        # strictly preferred hypothesis is strictly smaller, and the heap
+        # pops by (size, canon), so it would have been popped first.
+        if any(leq(g, h, space) for g in result):
             continue
         if use_essential:
-            others = list(open_set) + result
-            covered = solver.solve(
-                TestRequest(question_coverage(others, space), space))
+            covered = run.ask(question_coverage(list(open_set) + result,
+                                                space))
             if not covered.is_candidate:
                 if use_conflicts:
                     conflicts.append(covered.conflict)
@@ -185,8 +197,7 @@ def run_pfs(solver, space: Space, variant: str = "ec",
                     run.cache_hits += 1
                     break
         if conflict is None:
-            outcome = solver.solve(
-                TestRequest(question_candidate(h, space), space))
+            outcome = run.ask(question_candidate(h, space))
             if outcome.is_candidate:
                 if outcome.candidate != h:
                     raise DiagError(
@@ -205,7 +216,7 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             else children(h, space)
         for s in successors:
             push(s)
-    return _result(space, result, run.stats())
+    return run.result()
 
 
 @dataclass
@@ -213,16 +224,6 @@ class Verdict:
     ok: bool
     condition: str | None = None
     witness: object = None
-
-    def to_json(self) -> dict:
-        out = {"ok": self.ok}
-        if not self.ok:
-            out["condition"] = self.condition
-            if isinstance(self.witness, Hypothesis):
-                out["witness"] = self.witness.canon()
-            elif isinstance(self.witness, tuple):
-                out["witness"] = [w.canon() for w in self.witness]
-        return out
 
 
 def verify_minimal_diagnosis(hyps, solver, space: Space) -> Verdict:

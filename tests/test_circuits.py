@@ -47,6 +47,19 @@ def test_parse_rejects_pin_observed_with_both_values():
     assert obs.as_dict() == {"x": False, "y": True}
 
 
+@pytest.mark.parametrize("pins,message", [
+    ((("x", False), ("x", True)), "both 0 and 1"),
+    ((("x", False), ("q", True)), "signal q not in circuit"),
+])
+def test_solvers_reject_bad_pins_built_through_the_api(pins, message):
+    circuit, _ = parse_circuit("input x\noutput y\ngate g buf y x\n")
+    obs = PinObservation(pins)
+    with pytest.raises(ModelFormatError, match=message):
+        CircuitSolver(circuit, obs)
+    with pytest.raises(ModelFormatError, match=message):
+        brute_force_diagnosis(circuit, obs)
+
+
 @pytest.mark.parametrize("ch", list(",:[]{}"))
 def test_parse_rejects_gate_names_that_break_canon(ch):
     text = f"input x\noutput y\ngate a{ch}b buf y x\nobs x 0\n"

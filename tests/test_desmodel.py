@@ -64,6 +64,13 @@ def test_parse_rejects_duplicate_state_names(states):
     assert err.value.line == states.count("\n") + 2
 
 
+def test_model_built_through_the_api_rejects_duplicate_states():
+    with pytest.raises(ModelFormatError, match="duplicate state 's'"):
+        DesModel((Component("c", ("s", "t", "s"), ("s",),
+                            (("s", "f", "t"), ("t", "o", "t"))),),
+                 ("o",), ("f",))
+
+
 def test_observable_fault_rejected():
     text = ("component c\nstates s0 s1\ninit s0\ntrans s0 f s1\nend\n"
             "observable f\nfaults f\n")

@@ -135,6 +135,27 @@ def gen_instance(rng):
     return model, obs
 
 
+def faulty_instances(seed, count):
+    """``count`` random instances whose SHS diagnosis is not ``[{}]``, from
+    at most 40 draws per instance: most draws of ``gen_instance`` (about 15
+    in 16) need no fault to explain their observation."""
+    rng = random.Random(seed)
+    max_draws = 40 * count
+    for _ in range(max_draws):
+        inst = gen_instance(rng)
+        if inst is None:
+            continue
+        model, obs = inst
+        space = model.space(SHS)
+        if oracle_diagnose(model, obs, space) != [space.h0]:
+            yield inst
+            count -= 1
+            if not count:
+                return
+    raise AssertionError(f"{count} faulty instances short after "
+                         f"{max_draws} draws")
+
+
 def brute_words(model, obs, max_len):
     """Literal enumeration oracle: all accepted words matching obs."""
     out = []
@@ -179,12 +200,7 @@ def test_oracle_matches_literal_enumeration():
 
 def test_solve_agrees_with_candidate_enumeration():
     rng = random.Random(9)
-    done = 0
-    while done < 60:
-        inst = gen_instance(rng)
-        if inst is None:
-            continue
-        model, obs = inst
+    for model, obs in faulty_instances(9, 60):
         for kind in (SHS, MHS, SQHS):
             space = model.space(kind)
             cands = oracle_candidates(model, obs, space, max_faults=3)
@@ -198,7 +214,6 @@ def test_solve_agrees_with_candidate_enumeration():
                 assert trace_in_model(out.witness, model)
                 assert trace_matches_observation(out.witness, model, obs)
                 assert member(out.candidate, req.props, space)
-        done += 1
 
 
 def test_fits_horizon(oneshot):
@@ -323,8 +338,11 @@ def test_search_skips_branches_that_cannot_complete_the_observation():
     # the fault g leads into a sink that can never emit o1
     dead = parse_model(DEAD_END.format(g_from="q0"))
     live = parse_model(DEAD_END.format(g_from="sink"))  # g never fires
-    graph, _ = explicit._product_graph(dead, OBS1)
-    assert (("sink",), 0) in graph
+    initial, succs = explicit._product_graph(dead, OBS1)
+    sink = (("sink",), 0)
+    # the sink is reachable, and no edge leads to it
+    assert initial == [(("q0",), 0)] and sink in succs
+    assert all(node != sink for out in succs.values() for _, node in out)
     for hyp in (set_hyp(["f"]), set_hyp(["g"])):
         outcomes, visited = [], []
         for model in (dead, live):

@@ -14,7 +14,7 @@ from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
 from diagfp.satbackend import Cnf, EncodingParams, SatSolver, sat_solve_test
 from diagfp.satcore import MiniSolver
 
-from test_explicit import gen_instance
+from test_explicit import faulty_instances
 
 FIXTURES = Path(__file__).parent / "fixtures"
 OBS1 = Observation(("o1",))
@@ -181,13 +181,8 @@ def test_neg_desc_of_h0_is_contradictory(oneshot):
 
 
 def test_conflicts_resolve_unsat_and_exclude_no_candidate():
-    rng = random.Random(21)
-    checked = 0
-    while checked < 40:
-        inst = gen_instance(rng)
-        if inst is None:
-            continue
-        model, obs = inst
+    # {} is a candidate of no faulty instance, in any space
+    for model, obs in faulty_instances(21, 40):
         for kind in (SHS, MHS, SQHS):
             space = model.space(kind)
             params = EncodingParams(steps_per_obs=3)
@@ -196,24 +191,18 @@ def test_conflicts_resolve_unsat_and_exclude_no_candidate():
             hyp = space.h0
             req = TestRequest(question_candidate(hyp, space), space)
             out = solver.solve(req)
-            if out.is_candidate:
-                continue
+            assert not out.is_candidate
             assert set(out.conflict) <= set(req.props)
             assert solver.check_conflict(out.conflict)
             for cand in cands:
                 assert not member(cand, out.conflict, space), \
                     (model, obs.sequence, kind, cand)
-        checked += 1
 
 
 def test_sat_agrees_with_explicit_when_certified():
     rng = random.Random(22)
     agreed = 0
-    while agreed < 150:
-        inst = gen_instance(rng)
-        if inst is None:
-            continue
-        model, obs = inst
+    for model, obs in faulty_instances(22, 300):
         kind = rng.choice((SHS, MHS, SQHS))
         space = model.space(kind)
         cands = sorted(oracle_candidates(model, obs, space, max_faults=2),
@@ -237,6 +226,9 @@ def test_sat_agrees_with_explicit_when_certified():
         assert got.is_candidate == exp.is_candidate, \
             (model, obs.sequence, kind, list(props))
         agreed += 1
+        if agreed == 150:
+            break
+    assert agreed == 150
 
 
 def test_request_cnf_deterministic(oneshot):

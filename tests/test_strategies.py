@@ -3,13 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from diagfp.contract import Conflict, SolverStats, TestOutcome, TestRequest
+from diagfp.contract import SolverStats, TestOutcome, TestRequest
 from diagfp.desmodel import Observation, parse_model
 from diagfp.errors import BudgetExhausted, DiagError
 from diagfp.explicit import ExplicitSolver, oracle_diagnose
-from diagfp.hypothesis import (MHS, SHS, SQHS, Space, leq, min_antichain,
-                               multi_hyp, order_key, seq_hyp, set_hyp)
-from diagfp.properties import (NEG_DESC, Property, member, question_candidate)
+from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, leq, lt,
+                               min_antichain, multi_hyp, order_key, seq_hyp,
+                               set_hyp)
+from diagfp.properties import (DESC, NEG_DESC, Property, PropertySet, member,
+                               question_candidate)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.strategies import (STRATEGIES, DiagnosisResult,
                                conflict_successors, run_pfs, run_pls,
@@ -17,7 +19,7 @@ from diagfp.strategies import (STRATEGIES, DiagnosisResult,
                                terminating_strategies,
                                verify_minimal_diagnosis)
 
-from test_explicit import gen_instance
+from test_explicit import faulty_instances
 
 FIXTURES = Path(__file__).parent / "fixtures"
 OBS1 = Observation(("o1",))
@@ -42,7 +44,7 @@ class EnumSolver:
                    member(h, request.props, self.space)]
         if not matches:
             self.stats.unsat_tests += 1
-            return TestOutcome.failed(Conflict(tuple(request.props)))
+            return TestOutcome.failed(request.props)
         self.stats.sat_tests += 1
         matches.sort(key=order_key)
         picked = matches[0] if self.choice == "min" else matches[-1]
@@ -85,8 +87,8 @@ def test_run_strategy_rejects_unknown_names():
 
 def test_conflict_successors_example_discards_f3():
     sp = Space(SQHS, ("f1", "f2", "f3"))
-    c = Conflict((Property(NEG_DESC, seq_hyp(["f1"])),
-                  Property(NEG_DESC, seq_hyp(["f2"]))))
+    c = PropertySet((Property(NEG_DESC, seq_hyp(["f1"])),
+                     Property(NEG_DESC, seq_hyp(["f2"]))))
     got = conflict_successors(sp.h0, c, sp)
     assert set(got) == {seq_hyp(["f1"]), seq_hyp(["f2"])}
 
@@ -96,7 +98,7 @@ def test_conflict_successors_example_skips_depth_one():
     # fewer than two faults is a candidate
     sp = Space(SQHS, ("f1", "f2", "f3"))
     two_fault = [seq_hyp([a, b]) for a in sp.faults for b in sp.faults]
-    c = Conflict(tuple(Property(NEG_DESC, h) for h in two_fault))
+    c = PropertySet(Property(NEG_DESC, h) for h in two_fault)
     got = conflict_successors(sp.h0, c, sp)
     assert set(got) == set(two_fault)
     assert len(got) == 9
@@ -106,21 +108,20 @@ def test_trivial_conflict_reduces_to_children():
     from diagfp.hypothesis import children
     sp = Space(SQHS, ("f1", "f2"))
     h = seq_hyp(["f2"])
-    trivial = Conflict(tuple(question_candidate(h, sp)))
+    trivial = question_candidate(h, sp)
     assert conflict_successors(h, trivial, sp) == children(h, sp)
 
 
 def test_conflict_successors_requires_membership():
     sp = Space(SHS, ("f1", "f2"))
-    c = Conflict((Property(NEG_DESC, set_hyp(["f1"])),))
+    c = PropertySet((Property(NEG_DESC, set_hyp(["f1"])),))
     with pytest.raises(DiagError):
         conflict_successors(set_hyp(["f1"]), c, sp)  # h exhibits desc(f1)
 
 
 def test_empty_neg_desc_conflict_kills_cone():
     sp = Space(SHS, ("f1",))
-    from diagfp.properties import DESC
-    c = Conflict((Property(DESC, set_hyp([])),))
+    c = PropertySet((Property(DESC, set_hyp([])),))
     assert conflict_successors(sp.h0, c, sp) == []
 
 
@@ -146,6 +147,35 @@ def test_strategies_agree_on_enumerated_candidates(strategy):
         solver = EnumSolver(space, cands, bound)
         got = run_strategy(strategy, solver, space, iteration_cap=2000)
         assert got.minimal_candidates == expected, (strategy, kind, seeds)
+
+
+@pytest.mark.parametrize("variant", ["plain", "ec"])
+def test_pfs_tests_candidacy_in_order_of_size(variant):
+    # run_pfs never checks whether an open hypothesis is preferred to the
+    # one it pops; that rests on these two facts
+    rng = random.Random(41)
+    for kind in (BHS, SHS, MHS, SQHS):
+        space = Space(kind, ("a", "b"))
+        universe = space.enumerate(2)
+        for a in universe:
+            for b in universe:
+                if lt(a, b, space):
+                    assert a.size() < b.size(), (a, b)
+        tested = 0
+        for _ in range(6):
+            seeds = [h for h in universe if rng.random() < 0.3]
+            cands = {h for h in universe
+                     if any(leq(s, h, space) for s in seeds)}
+            solver = EnumSolver(space, cands, 2)
+            try:
+                run_pfs(solver, space, variant, iteration_cap=200)
+            except BudgetExhausted:
+                pass
+            sizes = [p.anchor.size() for props in solver.requests
+                     for p in props if p.kind == DESC]
+            assert sizes == sorted(sizes), (kind, seeds)
+            tested += len(sizes)
+        assert tested, kind
 
 
 def test_plain_variants_hit_budget_on_empty_infinite_diagnosis():
@@ -280,26 +310,6 @@ def test_verify_minimal_diagnosis(oneshot):
 
 
 # ----------------------------------------------------- random agreement
-
-def faulty_instances(seed, count, max_draws=400):
-    """``count`` random instances whose SHS diagnosis is not ``[{}]``, from
-    at most ``max_draws`` draws: most draws of ``gen_instance`` need no
-    fault to explain their observation."""
-    rng = random.Random(seed)
-    for _ in range(max_draws):
-        inst = gen_instance(rng)
-        if inst is None:
-            continue
-        model, obs = inst
-        space = model.space(SHS)
-        if oracle_diagnose(model, obs, space) != [space.h0]:
-            yield inst
-            count -= 1
-            if not count:
-                return
-    raise AssertionError(f"{count} faulty instances short after "
-                         f"{max_draws} draws")
-
 
 def test_strategy_agreement_random_instances():
     for model, obs in faulty_instances(23, 12):
