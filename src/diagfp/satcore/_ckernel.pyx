@@ -135,23 +135,24 @@ cdef class MiniSolver:
 
     # ------------------------------------------------------------- setup
 
-    def new_var(self):
-        self._nvars += 1
-        self.assign_.push_back(-1)
-        self.level.push_back(0)
-        self.reason.push_back(-1)
-        self.phase.push_back(0)
-        self.decision.push_back(1)
-        self.activity.push_back(0.0)
-        self.seen.push_back(0)
-        self.hpos.push_back(-1)
-        self.watches.resize(2 * self._nvars + 2)
-        self._heap_push(self._nvars)
-        return self._nvars
-
     def ensure_vars(self, int n):
-        while self._nvars < n:
-            self.new_var()
+        """Create variables ``nvars + 1 .. n``."""
+        cdef int v
+        for v in range(self._nvars + 1, n + 1):
+            self.assign_.push_back(-1)
+            self.level.push_back(0)
+            self.reason.push_back(-1)
+            self.phase.push_back(0)
+            self.decision.push_back(1)
+            self.activity.push_back(0.0)
+            self.seen.push_back(0)
+            # a new variable has activity 0 and no activity is negative, so
+            # it stays the leaf it is appended as
+            self.hpos.push_back(<int>self.heap.size())
+            self.heap.push_back(v)
+        if n > self._nvars:
+            self.watches.resize(2 * n + 2)
+            self._nvars = n
 
     def set_decision_var(self, int v, bint flag):
         if not 0 < v <= self._nvars:
@@ -167,15 +168,36 @@ cdef class MiniSolver:
         return va ^ (lit & 1)
 
     def add_clause(self, lits):
+        return self.add_clauses((lits,))
+
+    def add_clauses(self, clauses):
+        """Return to decision level 0, create every variable the clauses
+        name, then load them in order; False once UNSAT at root."""
+        cdef int v
+        cdef int top = 0
+        # backtrack before creating variables: the heap order depends on it
+        self._cancel_until(0)
+        for cl in clauses:
+            for sl in cl:
+                v = abs(<int>sl)
+                if v > top:
+                    top = v
+        self.ensure_vars(top)
         if not self._ok:
             return False
-        self._cancel_until(0)
+        for cl in clauses:
+            if not self._add(cl):
+                return False
+        return True
+
+    cdef bint _add(self, lits):
+        """Load one clause at level 0 over existing variables; False, with
+        ``ok`` cleared, when it makes the clauses UNSAT at root."""
         cdef vector[int] internal
         cdef int v, lit, val, i
         cdef bint dup
         for sl in lits:
             v = abs(<int>sl)
-            self.ensure_vars(v)
             lit = 2 * v + (1 if sl < 0 else 0)
             dup = False
             for i in range(<int>internal.size()):
@@ -208,12 +230,6 @@ cdef class MiniSolver:
         self.watches[internal[0]].push_back(idx)
         self.watches[internal[1]].push_back(idx)
         return True
-
-    def add_clauses(self, clauses):
-        ok = True
-        for cl in clauses:
-            ok = self.add_clause(cl) and ok
-        return ok
 
     # ------------------------------------------------------ trail control
 
@@ -422,11 +438,14 @@ cdef class MiniSolver:
             return False
         cdef vector[int] assume
         cdef int sl_i, v
+        cdef int top = 0
         for sl in assumptions:
             sl_i = <int>sl
             v = abs(sl_i)
-            self.ensure_vars(v)
+            if v > top:
+                top = v
             assume.push_back(2 * v + (1 if sl_i < 0 else 0))
+        self.ensure_vars(top)
         self._cancel_until(0)
         if self._propagate() >= 0:
             self._ok = False

@@ -18,10 +18,28 @@ every clause: such a literal, left unassigned, extends to false and the
 model still satisfies every clause.
 
 Literals use the DIMACS convention externally (signed non-zero ints) and the
-``2*var + sign`` packing internally.
+``2*var + sign`` packing internally.  Values are kept per internal literal
+(``values[lit]``: 1 true, 0 false, -1 unassigned), so testing a literal is
+one index.
+
+Hot-path rule: ``_propagate``, ``_cancel_until``, ``_pick_branch`` and
+``add_clauses`` bind the attributes they use to locals and inline the value
+test, the enqueue and the heap sift, since in Python a method call costs more
+than the work it wraps.  Loading is done once per batch: ``add_clauses``
+returns to decision level 0 and creates every variable its clauses name
+before loading them, and ``solve`` creates its assumptions' variables once.
+
+This kernel and the compiled one (``_ckernel.pyx``) make the same search:
+both keep each clause's literal order, the order of every watch list and the
+heap order, so on the same calls they return the same verdicts, failed
+assumptions and models and count the same conflicts, decisions and
+propagations.  ``tests/test_satcore.py::test_search_is_unchanged`` pins that
+search.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 _RESTART_BASE = 100
 _ACT_BUMP = 1.0
@@ -43,76 +61,39 @@ def _luby(i: int) -> int:
 
 
 class _VarHeap:
-    """Indexed max-heap over variable activities."""
+    """Indexed max-heap over variable activities.  ``pos[v]`` is ``v``'s
+    index in ``heap``, or -1 when ``v`` is not in it."""
 
     def __init__(self, activity):
         self.act = activity
         self.heap = []
-        self.pos = []
-
-    def grow(self, nvars):
-        while len(self.pos) <= nvars:
-            self.pos.append(-1)
-
-    def _less(self, u, v):
-        return self.act[u] > self.act[v]
+        self.pos = [-1]
 
     def _up(self, i):
-        heap, pos = self.heap, self.pos
+        heap, pos, act = self.heap, self.pos, self.act
         v = heap[i]
+        a = act[v]
         while i > 0:
             parent = (i - 1) >> 1
-            if not self._less(v, heap[parent]):
+            u = heap[parent]
+            if a <= act[u]:
                 break
-            heap[i] = heap[parent]
-            pos[heap[i]] = i
+            heap[i] = u
+            pos[u] = i
             i = parent
         heap[i] = v
         pos[v] = i
 
-    def _down(self, i):
-        heap, pos = self.heap, self.pos
-        v = heap[i]
-        n = len(heap)
-        while True:
-            left = 2 * i + 1
-            if left >= n:
-                break
-            right = left + 1
-            child = right if right < n and self._less(heap[right], heap[left]) \
-                else left
-            if not self._less(heap[child], v):
-                break
-            heap[i] = heap[child]
-            pos[heap[i]] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
-
     def push(self, v):
-        if self.pos[v] >= 0:
-            return
-        self.heap.append(v)
-        self.pos[v] = len(self.heap) - 1
-        self._up(len(self.heap) - 1)
-
-    def pop(self):
-        heap, pos = self.heap, self.pos
-        top = heap[0]
-        last = heap.pop()
-        pos[top] = -1
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._down(0)
-        return top
+        pos = self.pos
+        if pos[v] < 0:
+            pos[v] = len(self.heap)
+            self.heap.append(v)
+            self._up(pos[v])
 
     def bumped(self, v):
         if self.pos[v] >= 0:
             self._up(self.pos[v])
-
-    def __bool__(self):
-        return bool(self.heap)
 
 
 class MiniSolver:
@@ -123,7 +104,7 @@ class MiniSolver:
         self.nvars = 0
         self.clauses = []          # lists of internal lits
         self.watches = [[], []]    # per internal lit (index 0,1 unused)
-        self.assign = [-1]         # per var: -1 undef / 0 false / 1 true
+        self.values = [-1, -1]     # per internal lit: -1 undef / 0 / 1
         self.level = [0]
         self.reason = [None]       # clause index or None
         self.phase = [0]
@@ -143,24 +124,26 @@ class MiniSolver:
 
     # ------------------------------------------------------------- setup
 
-    def new_var(self) -> int:
-        self.nvars += 1
-        self.assign.append(-1)
-        self.level.append(0)
-        self.reason.append(None)
-        self.phase.append(0)
-        self.decision.append(True)
-        self.activity.append(0.0)
-        self._seen.append(0)
-        self.watches.append([])
-        self.watches.append([])
-        self._heap.grow(self.nvars)
-        self._heap.push(self.nvars)
-        return self.nvars
-
     def ensure_vars(self, n: int):
-        while self.nvars < n:
-            self.new_var()
+        """Create variables ``nvars + 1 .. n``."""
+        k = n - self.nvars
+        if k <= 0:
+            return
+        first = self.nvars + 1
+        self.nvars = n
+        self.values.extend([-1] * (2 * k))
+        self.level.extend([0] * k)
+        self.reason.extend([None] * k)
+        self.phase.extend([0] * k)
+        self.decision.extend([True] * k)
+        self.activity.extend([0.0] * k)
+        self._seen.extend(bytes(k))
+        self.watches.extend([[] for _ in range(2 * k)])
+        # A new variable has activity 0 and no activity is negative, so it
+        # stays the leaf it is appended as: no sift-up is needed.
+        heap = self._heap
+        heap.pos.extend(range(len(heap.heap), len(heap.heap) + k))
+        heap.heap.extend(range(first, n + 1))
 
     def set_decision_var(self, v: int, flag: bool):
         """Allow (True) or forbid (False) branching on existing variable
@@ -168,138 +151,154 @@ class MiniSolver:
         if not 0 < v <= self.nvars:
             raise IndexError(f"no variable {v}")
         self.decision[v] = flag
-        if flag and self.assign[v] < 0:
+        if flag and self.values[2 * v] < 0:
             self._heap.push(v)
 
-    def _value(self, lit: int) -> int:
-        va = self.assign[lit >> 1]
-        if va < 0:
-            return -1
-        return va ^ (lit & 1)
-
     def add_clause(self, lits) -> bool:
-        """Add a clause of signed DIMACS literals; False once UNSAT at root.
-
-        Clauses are only added at decision level 0 (before/between solves).
-        """
-        if not self.ok:
-            return False
-        self._cancel_until(0)
-        internal = []
-        seen = set()
-        for sl in lits:
-            v = abs(sl)
-            self.ensure_vars(v)
-            lit = 2 * v + (1 if sl < 0 else 0)
-            if lit ^ 1 in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            val = self._value(lit)
-            if val == 1:
-                return True  # satisfied at root
-            if val == 0:
-                continue     # false at root: drop the literal
-            seen.add(lit)
-            internal.append(lit)
-        if not internal:
-            self.ok = False
-            return False
-        if len(internal) == 1:
-            if not self._enqueue(internal[0], None):
-                self.ok = False
-                return False
-            self.ok = self._propagate() is None
-            return self.ok
-        idx = len(self.clauses)
-        self.clauses.append(internal)
-        self.watches[internal[0]].append(idx)
-        self.watches[internal[1]].append(idx)
-        return True
+        """Add a clause of signed DIMACS literals; False once UNSAT at root."""
+        return self.add_clauses((lits,))
 
     def add_clauses(self, clauses) -> bool:
-        ok = True
-        for cl in clauses:
-            ok = self.add_clause(cl) and ok
-        return ok
+        """Add a sequence of clauses of signed DIMACS literals; False once
+        UNSAT at root.
+
+        Clauses are only added at decision level 0 (before/between solves):
+        the solver first returns there, then creates every variable the
+        clauses name, then loads the clauses in order.
+        """
+        # backtrack before creating variables: the heap order depends on it
+        self._cancel_until(0)
+        self.ensure_vars(max(map(abs, chain.from_iterable(clauses)),
+                             default=0))
+        if not self.ok:
+            return False
+        values, watches, stored = self.values, self.watches, self.clauses
+        for lits in clauses:
+            internal = []
+            for sl in lits:
+                lit = 2 * sl if sl > 0 else 1 - 2 * sl
+                va = values[lit]
+                if va >= 0:
+                    if va:
+                        break    # true at root: the clause is satisfied
+                    continue     # false at root: drop the literal
+                if lit in internal:
+                    continue
+                if lit ^ 1 in internal:
+                    break        # tautology
+                internal.append(lit)
+            else:
+                if len(internal) > 1:
+                    watches[internal[0]].append(len(stored))
+                    watches[internal[1]].append(len(stored))
+                    stored.append(internal)
+                elif not internal or not self._enqueue(internal[0], None) \
+                        or self._propagate() is not None:
+                    self.ok = False
+                    return False
+        return True
 
     # ------------------------------------------------------ trail control
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
-    def _new_level(self):
-        self.trail_lim.append(len(self.trail))
-
     def _enqueue(self, lit: int, reason) -> bool:
-        val = self._value(lit)
-        if val >= 0:
-            return val == 1
+        values = self.values
+        if values[lit] >= 0:
+            return values[lit] == 1
+        values[lit] = 1
+        values[lit ^ 1] = 0
         v = lit >> 1
-        self.assign[v] = 1 - (lit & 1)
-        self.level[v] = self._decision_level()
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
         return True
 
     def _cancel_until(self, target: int):
-        if self._decision_level() <= target:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target:
             return
-        bound = self.trail_lim[target]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
+        trail, values = self.trail, self.values
+        phase, decision = self.phase, self.decision
+        heap = self._heap
+        hlist, hpos, act = heap.heap, heap.pos, heap.act
+        bound = trail_lim[target]
+        for lit in reversed(trail[bound:]):
             v = lit >> 1
-            self.phase[v] = self.assign[v]
-            self.assign[v] = -1
-            self.reason[v] = None
-            if self.decision[v]:
-                self._heap.push(v)
-        del self.trail[bound:]
-        del self.trail_lim[target:]
-        self.qhead = len(self.trail)
+            phase[v] = (lit & 1) ^ 1
+            values[lit] = values[lit ^ 1] = -1
+            if decision[v] and hpos[v] < 0:
+                # push v: sift a new leaf up
+                a = act[v]
+                i = len(hlist)
+                hlist.append(v)
+                while i > 0:
+                    parent = (i - 1) >> 1
+                    u = hlist[parent]
+                    if a <= act[u]:
+                        break
+                    hlist[i] = u
+                    hpos[u] = i
+                    i = parent
+                hlist[i] = v
+                hpos[v] = i
+        del trail[bound:]
+        del trail_lim[target:]
+        self.qhead = bound
 
     # --------------------------------------------------------- propagation
 
     def _propagate(self):
         """Exhaust the propagation queue; return a conflicting clause index."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            false_lit = p ^ 1
-            watchers = self.watches[false_lit]
-            kept = []
-            i = 0
-            n = len(watchers)
-            while i < n:
-                ci = watchers[i]
-                i += 1
-                clause = self.clauses[ci]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+        trail, values, clauses = self.trail, self.values, self.clauses
+        watches, level, reason = self.watches, self.level, self.reason
+        lvl = len(self.trail_lim)
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            # watchers[:kept] are kept; the next ``moved`` were moved away
+            watchers = watches[false_lit]
+            kept = moved = 0
+            for ci in watchers:
+                clause = clauses[ci]
                 first = clause[0]
-                if self._value(first) == 1:
-                    kept.append(ci)
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                va = values[first]
+                if va == 1:
+                    watchers[kept] = ci
+                    kept += 1
                     continue
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._value(clause[j]) != 0:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
+                size = len(clause)
+                j = 2
+                while j < size:
+                    lit = clause[j]
+                    if values[lit]:
+                        break    # not false: watch it instead
+                    j += 1
+                if j < size:
+                    clause[1] = lit
+                    clause[j] = false_lit
+                    watches[lit].append(ci)
+                    moved += 1
                     continue
-                kept.append(ci)
-                if self._value(first) == 0:
-                    kept.extend(watchers[i:n])
-                    del watchers[:]
-                    watchers.extend(kept)
-                    self.qhead = len(self.trail)
+                watchers[kept] = ci
+                kept += 1
+                if va == 0:
+                    # conflict: keep the watchers not yet visited
+                    del watchers[kept:kept + moved]
+                    self.propagations += qhead - start
+                    self.qhead = len(trail)
                     return ci
-                self._enqueue(first, ci)
-            del watchers[:]
-            watchers.extend(kept)
+                values[first] = 1
+                values[first ^ 1] = 0
+                v = first >> 1
+                level[v] = lvl
+                reason[v] = ci
+                trail.append(first)
+            del watchers[kept:]
+        self.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     # ----------------------------------------------------------- learning
@@ -316,25 +315,27 @@ class MiniSolver:
         """First-UIP conflict analysis: learnt clause + backtrack level."""
         learnt = [0]
         seen = self._seen
+        trail, level, reason = self.trail, self.level, self.reason
+        clauses, bump_var = self.clauses, self._bump_var
         counter = 0
         p = -1
-        index = len(self.trail) - 1
-        clause = self.clauses[confl]
-        cur_level = self._decision_level()
+        index = len(trail) - 1
+        clause = clauses[confl]
+        cur_level = len(self.trail_lim)
         while True:
             for q in clause:
                 if q == p:
                     continue
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump_var(v)
-                    if self.level[v] >= cur_level:
+                    bump_var(v)
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
             while True:
-                lit = self.trail[index]
+                lit = trail[index]
                 index -= 1
                 if seen[lit >> 1]:
                     break
@@ -344,7 +345,7 @@ class MiniSolver:
             counter -= 1
             if counter == 0:
                 break
-            clause = self.clauses[self.reason[v]]
+            clause = clauses[reason[v]]
         learnt[0] = p ^ 1
         for q in learnt[1:]:
             seen[q >> 1] = 0
@@ -353,10 +354,10 @@ class MiniSolver:
         # second watch must sit at the backtrack level
         max_i = 1
         for i in range(2, len(learnt)):
-            if self.level[learnt[i] >> 1] > self.level[learnt[max_i] >> 1]:
+            if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self.level[learnt[1] >> 1]
+        return learnt, level[learnt[1] >> 1]
 
     def _record_learnt(self, learnt):
         if len(learnt) == 1:
@@ -372,7 +373,7 @@ class MiniSolver:
         """Assumption literals (internal) whose conjunction is refuted, given
         the falsified assumption literal ``p``."""
         out = {p}
-        if self._decision_level() == 0:
+        if not self.trail_lim:
             return out
         seen = self._seen
         seen[p >> 1] = 1
@@ -396,10 +397,35 @@ class MiniSolver:
 
     def _pick_branch(self):
         heap = self._heap
-        while heap:
-            v = heap.pop()  # non-decision variables are dropped here
-            if self.assign[v] < 0 and self.decision[v]:
-                return 2 * v + (0 if self.phase[v] == 1 else 1)
+        hlist, hpos, act = heap.heap, heap.pos, heap.act
+        values, decision, phase = self.values, self.decision, self.phase
+        while hlist:
+            # pop the top; non-decision variables are dropped here
+            top = hlist[0]
+            hpos[top] = -1
+            v = hlist.pop()
+            n = len(hlist)
+            if n:
+                # sift the last leaf down from the root
+                a = act[v]
+                i = 0
+                while True:
+                    child = 2 * i + 1
+                    if child >= n:
+                        break
+                    right = child + 1
+                    if right < n and act[hlist[right]] > act[hlist[child]]:
+                        child = right
+                    u = hlist[child]
+                    if act[u] <= a:
+                        break
+                    hlist[i] = u
+                    hpos[u] = i
+                    i = child
+                hlist[i] = v
+                hpos[v] = i
+            if values[2 * top] < 0 and decision[top]:
+                return 2 * top + (0 if phase[top] == 1 else 1)
         return -1
 
     def solve(self, assumptions=()) -> bool:
@@ -408,15 +434,15 @@ class MiniSolver:
         if not self.ok:
             self.failed = []
             return False
-        for sl in assumptions:
-            self.ensure_vars(abs(sl))
-        assume = [2 * abs(sl) + (1 if sl < 0 else 0) for sl in assumptions]
+        assume = [2 * sl if sl > 0 else 1 - 2 * sl for sl in assumptions]
+        self.ensure_vars(max(assume, default=0) >> 1)
         self._cancel_until(0)
         if self._propagate() is not None:
             self.ok = False
             self.failed = []
             return False
 
+        values, trail, trail_lim = self.values, self.trail, self.trail_lim
         restart_round = 0
         conflict_budget = _RESTART_BASE * _luby(0)
         conflicts_here = 0
@@ -425,7 +451,7 @@ class MiniSolver:
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self.ok = False
                     self.failed = []
                     return False
@@ -441,12 +467,12 @@ class MiniSolver:
                 self._cancel_until(0)
                 continue
             next_lit = -1
-            while self._decision_level() < len(assume):
-                p = assume[self._decision_level()]
-                val = self._value(p)
-                if val == 1:
-                    self._new_level()
-                elif val == 0:
+            while len(trail_lim) < len(assume):
+                p = assume[len(trail_lim)]
+                va = values[p]
+                if va == 1:
+                    trail_lim.append(len(trail))
+                elif va == 0:
                     failed = self._analyze_final(p)
                     self.failed = sorted(
                         (lit >> 1) * (1 if lit & 1 == 0 else -1)
@@ -461,19 +487,18 @@ class MiniSolver:
                 if next_lit == -1:
                     return True  # every decision variable assigned
                 self.decisions += 1
-            self._new_level()
+            trail_lim.append(len(trail))
             self._enqueue(next_lit, None)
 
     # --------------------------------------------------------------- model
 
     def value(self, var: int):
         """Truth value of a variable after a SAT solve (None if unassigned)."""
-        va = self.assign[var]
+        va = self.values[2 * var]
         return None if va < 0 else bool(va)
 
     def model(self):
-        return [bool(self.assign[v]) if self.assign[v] >= 0 else False
-                for v in range(self.nvars + 1)]
+        return [x == 1 for x in self.values[::2]]
 
     def failed_assumptions(self):
         return list(self.failed) if self.failed is not None else None

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,98 @@ def selector_cnf(rng):
     return n, k, clauses
 
 
+SEARCH_FIXTURE = Path(__file__).parent / "fixtures" / "kernel_search.json"
+
+
+def search_trace(solver_cls, kind, seed):
+    """Run one seeded incremental scenario and return, for each solve, the
+    verdict, the failed assumptions, the cumulative conflict, decision and
+    propagation counts and the model (a 0/1 string, SAT only).
+
+    ``kind`` "cnf" grows a random CNF over three rounds; "php" guards each
+    pigeon of a pigeonhole formula by a selector and solves with every
+    pigeon and with all but one; "selector" loads a ``selector_cnf`` with
+    some selectors non-decision, then adds guarded clauses between solves.
+    Like the test solvers, every scenario declares its variables with
+    ``ensure_vars`` before loading clauses that use them.
+    """
+    rng = random.Random(seed)
+    s = solver_cls()
+    trace = []
+
+    def load(clauses):
+        if rng.random() < 0.5:
+            return s.add_clauses(clauses)
+        return all([s.add_clause(cl) for cl in clauses])
+
+    def solve(assumptions):
+        sat = s.solve(assumptions)
+        model = "".join("1" if x else "0" for x in s.model()[1:]) \
+            if sat else None
+        trace.append([sat, s.failed_assumptions(), s.conflicts,
+                      s.decisions, s.propagations, model])
+
+    if kind == "cnf":
+        n = m = 0
+        for _ in range(3):
+            # each round tops the clause/variable ratio up to near the 3-SAT
+            # threshold, so that solves need conflicts
+            n += rng.randint(30, 50)
+            s.ensure_vars(n)
+            clauses = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, n + 1),
+                                            rng.choice((3, 3, 3, 4)))]
+                       for _ in range(int(rng.uniform(3.2, 4.0) * n) - m)]
+            m += len(clauses)
+            load(clauses)
+            for _ in range(3):
+                solve([v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, n + 1),
+                                           rng.randint(0, 6))])
+    elif kind == "php":
+        # one pigeon more than holes, each pigeon's clause guarded by its
+        # selector: refuting every pigeon at once takes restarts
+        holes = rng.randint(5, 6)
+        pigeons = range(holes + 1)
+        sel = holes * (holes + 1)
+        s.ensure_vars(sel + holes + 1)
+        clauses = [[-(sel + p + 1)] + [p * holes + h + 1 for h in range(holes)]
+                   for p in pigeons]
+        clauses += [[-(p * holes + h + 1), -(q * holes + h + 1)]
+                    for h in range(holes) for p in pigeons for q in pigeons
+                    if p < q]
+        rng.shuffle(clauses)
+        load(clauses)
+        every = [sel + p + 1 for p in pigeons]
+        for _ in range(3):
+            solve(every)
+            solve(rng.sample(every, holes))
+    else:
+        n, k, clauses = selector_cnf(rng)
+        s.ensure_vars(n + k)
+        for v in range(n + 1, n + k + 1):
+            if rng.random() < 0.7:
+                s.set_decision_var(v, False)
+        load(clauses)
+        for _ in range(3):
+            for _ in range(2):
+                solve([v for v in range(n + 1, n + k + 1)
+                       if rng.random() < 0.5])
+            load([[-rng.randint(n + 1, n + k)] + random_cnf(rng, n, 1)[0]
+                  for _ in range(rng.randint(1, 3))])
+    return trace
+
+
+SEARCH_SCENARIOS = [(kind, seed) for kind in ("cnf", "php", "selector")
+                    for seed in range(16 if kind != "php" else 4)]
+
+
+def record_search_fixture(solver_cls):
+    """The content of SEARCH_FIXTURE, as ``solver_cls`` searches."""
+    return {f"{kind}-{seed}": search_trace(solver_cls, kind, seed)
+            for kind, seed in SEARCH_SCENARIOS}
+
+
 @pytest.fixture(params=BACKENDS, ids=lambda b: b.__module__.rsplit(".", 1)[-1])
 def solver_cls(request):
     return request.param
@@ -61,6 +155,21 @@ def test_trivial_cases(solver_cls):
     assert not s.solve()
     s = solver_cls()
     assert not s.add_clause([]) or not s.solve()
+
+
+def test_add_clause_creates_every_variable_it_names(solver_cls):
+    # clauses dropped as tautologies or as true at root still declare their
+    # variables, and so do clauses sent to a solver already UNSAT at root
+    s = solver_cls()
+    assert s.add_clause([1, -1, 5])
+    assert s.nvars == 5 and s.value(5) is None
+    assert s.add_clauses([[2], [2, 7], [-3, 3, 9]])
+    assert s.nvars == 9 and s.value(9) is None
+    assert s.solve()
+    assert all(s.value(v) is not None for v in range(1, 10))
+    assert not s.add_clause([-2])
+    assert not s.add_clause([12])
+    assert s.nvars == 12 and s.value(12) is None
 
 
 def test_unit_propagation_chain(solver_cls):
@@ -263,5 +372,26 @@ def test_backends_agree():
             assert a.decisions == b.decisions
 
 
+def test_search_is_unchanged(solver_cls):
+    # The fixture was recorded from the pure kernel before its hot paths were
+    # rewritten; any change to clause literal order, watch-list order or
+    # heap order shows as a different count, core or model.
+    expected = json.loads(SEARCH_FIXTURE.read_text())
+    got = record_search_fixture(solver_cls)
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert got[name] == expected[name], name
+
+
 def test_kernel_selection_reports_backend():
     assert KERNEL in ("python", "cython")
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_satcore.py rewrites SEARCH_FIXTURE
+    # from the pure kernel.  Do so only in a change that means to alter the
+    # search, and say so.
+    traces = record_search_fixture(PySolver)
+    SEARCH_FIXTURE.write_text("{\n" + ",\n".join(
+        f"{json.dumps(name)}: {json.dumps(trace)}"
+        for name, trace in traces.items()) + "\n}\n")
