@@ -253,18 +253,6 @@ def render_observation(obs: Observation) -> str:
     return "".join(e + "\n" for e in obs.sequence)
 
 
-def model_to_json(model: DesModel) -> dict:
-    return {
-        "components": [
-            {"name": c.name, "states": list(c.states), "init": list(c.init),
-             "trans": [list(t) for t in c.trans]}
-            for c in model.components
-        ],
-        "observable": list(model.observable),
-        "faults": list(model.faults),
-    }
-
-
 def random_walk(model: DesModel, rng, max_len: int):
     """A random trace accepted by the model (possibly shorter than asked)."""
     gstate = rng.choice(model.initial_global_states())

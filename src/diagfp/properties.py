@@ -46,9 +46,6 @@ class Property:
         if self.kind not in _KINDS:
             raise DiagError(f"unknown property kind {self.kind!r}")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "anchor": self.anchor.canon()}
-
     def __repr__(self):
         return f"{self.kind}({self.anchor.canon()})"
 

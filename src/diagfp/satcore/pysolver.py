@@ -29,12 +29,9 @@ than the work it wraps.  Loading is done once per batch: ``add_clauses``
 returns to decision level 0 and creates every variable its clauses name
 before loading them, and ``solve`` creates its assumptions' variables once.
 
-This kernel and the compiled one (``_ckernel.pyx``) make the same search:
-both keep each clause's literal order, the order of every watch list and the
-heap order, so on the same calls they return the same verdicts, failed
-assumptions and models and count the same conflicts, decisions and
-propagations.  ``tests/test_satcore.py::test_search_is_unchanged`` pins that
-search.
+``tests/test_satcore.py::test_search_is_unchanged`` pins the search: each
+clause's literal order, the order of every watch list and the heap order
+decide the verdicts, failed assumptions, models and counts it checks.
 """
 
 from __future__ import annotations
@@ -164,8 +161,11 @@ class MiniSolver:
 
         Clauses are only added at decision level 0 (before/between solves):
         the solver first returns there, then creates every variable the
-        clauses name, then loads the clauses in order.
+        clauses name, then loads the clauses in order.  A clause holding
+        literal 0 raises ``ValueError`` before any clause is loaded.
         """
+        if any(0 in lits for lits in clauses):
+            raise ValueError("literal 0 in a clause")
         # backtrack before creating variables: the heap order depends on it
         self._cancel_until(0)
         self.ensure_vars(max(map(abs, chain.from_iterable(clauses)),
@@ -429,7 +429,10 @@ class MiniSolver:
         return -1
 
     def solve(self, assumptions=()) -> bool:
-        """Solve under the given signed assumption literals."""
+        """Solve under a sequence of signed assumption literals; literal 0
+        raises ``ValueError``."""
+        if 0 in assumptions:
+            raise ValueError("literal 0 in the assumptions")
         self.failed = None
         if not self.ok:
             self.failed = []

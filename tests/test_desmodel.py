@@ -3,11 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from diagfp.desmodel import (Component, DesModel, Observation, model_to_json,
-                             parse_model, parse_observation, random_walk,
-                             render_model, render_observation,
-                             trace_hypothesis, trace_in_model,
-                             trace_matches_observation)
+from diagfp.desmodel import (Component, DesModel, Observation, parse_model,
+                             parse_observation, random_walk, render_model,
+                             render_observation, trace_hypothesis,
+                             trace_in_model, trace_matches_observation)
 from diagfp.errors import DiagError, ModelFormatError
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 
@@ -167,9 +166,3 @@ def test_random_walks_stay_in_model():
             for e in _project(walk, comp.alphabet):
                 local = {t for s in local for t in comp.moves(s, e)}
             assert local
-
-
-def test_model_json_mirrors_structure(oneshot):
-    js = model_to_json(oneshot)
-    assert js["faults"] == ["f"]
-    assert js["components"][0]["trans"] == [["q0", "f", "q1"], ["q1", "o1", "q2"]]

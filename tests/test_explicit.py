@@ -168,14 +168,9 @@ def brute_words(model, obs, max_len):
 
 
 def test_oracle_matches_literal_enumeration():
-    from diagfp.hypothesis import min_antichain
-    rng = random.Random(8)
-    done = 0
-    while done < 25:
-        inst = gen_instance(rng)
-        if inst is None:
-            continue
-        model, obs = inst
+    from diagfp.hypothesis import leq, min_antichain
+    done = reached_minimal = 0
+    for model, obs in faulty_instances(8, 40):
         if len(model.events) ** 4 > 5000 or len(obs) > 2:
             continue
         words = brute_words(model, obs, 4)
@@ -186,16 +181,20 @@ def test_oracle_matches_literal_enumeration():
             got = oracle_diagnose(model, obs, space)
             # literal enumeration is truncated at length 4, so the oracle may
             # know extra minimal candidates only reachable by longer traces;
-            # every enumerated candidate must still be covered, and any
-            # enumerated hypothesis equal in length to a found candidate must
-            # appear
+            # every enumerated candidate must still be covered, and a minimal
+            # oracle candidate that some enumerated trace reaches is minimal
+            # among the enumerated ones too
             for h in expected_min:
-                from diagfp.hypothesis import leq
                 assert any(leq(g, h, space) for g in got)
+            reached = set(hyps)
             for g in got:
-                if any(h == g for h in hyps):
-                    assert g in set(hyps)
+                if g in reached:
+                    assert g in expected_min
+                    reached_minimal += 1
         done += 1
+        if done == 25:
+            break
+    assert done == 25 and reached_minimal
 
 
 def test_solve_agrees_with_candidate_enumeration():

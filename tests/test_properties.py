@@ -147,8 +147,3 @@ def test_convex_representation_matches_input_on_universe(space, bound):
 def test_empty_set_representation_is_contradictory():
     got = convex_representation([], SP2, 0)
     assert hypos(got, SP2, 0) == set()
-
-
-def test_property_json():
-    p = Property(NEG_DESC, seq_hyp(["f1"]))
-    assert p.to_json() == {"kind": "neg_desc", "anchor": "[f1]"}
