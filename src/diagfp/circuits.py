@@ -101,9 +101,6 @@ class Circuit:
 class PinObservation:
     assignments: tuple  # (signal, bool) pairs
 
-    def as_dict(self) -> dict:
-        return dict(self.assignments)
-
 
 def parse_circuit(text: str):
     gates, inputs, outputs, obs = [], [], [], []
@@ -226,11 +223,6 @@ class CircuitSolver(AssumptionSolver):
         if not member(hyp, request.props, self.space):
             raise DiagError("circuit witness fails property re-validation")
         return TestOutcome.found(hyp, witness)
-
-
-def circuit_solve_test(circuit: Circuit, obs: PinObservation,
-                       request: TestRequest) -> TestOutcome:
-    return CircuitSolver(circuit, obs).solve(request)
 
 
 def brute_force_diagnosis(circuit: Circuit, obs: PinObservation) -> list:

@@ -63,9 +63,7 @@ class TestOutcome:
 
 @dataclass
 class SolverStats:
-    """Counters every solver keeps; strategies aggregate them into reports."""
+    """A solver's frontend counts, in ``extra`` (the explicit search adds
+    ``visited`` and ``expanded``)."""
 
-    tests: int = 0
-    sat_tests: int = 0
-    unsat_tests: int = 0
     extra: dict = field(default_factory=dict)

@@ -233,39 +233,3 @@ def parse_observation(text: str, model: DesModel) -> Observation:
             raise ModelFormatError(f"event {line!r} is not observable", line=ln)
         events.append(line)
     return Observation(tuple(events))
-
-
-def render_model(model: DesModel) -> str:
-    out = []
-    for comp in model.components:
-        out.append(f"component {comp.name}")
-        out.append("states " + " ".join(comp.states))
-        out.append("init " + " ".join(comp.init))
-        for s, e, t in comp.trans:
-            out.append(f"trans {s} {e} {t}")
-        out.append("end")
-    out.append("observable " + " ".join(model.observable))
-    out.append("faults " + " ".join(model.faults))
-    return "\n".join(out) + "\n"
-
-
-def render_observation(obs: Observation) -> str:
-    return "".join(e + "\n" for e in obs.sequence)
-
-
-def random_walk(model: DesModel, rng, max_len: int):
-    """A random trace accepted by the model (possibly shorter than asked)."""
-    gstate = rng.choice(model.initial_global_states())
-    trace = []
-    for _ in range(max_len):
-        enabled = []
-        for e in model.events:
-            nxt = model.step(gstate, e)
-            if nxt:
-                enabled.append((e, nxt))
-        if not enabled:
-            break
-        e, nxt = rng.choice(enabled)
-        trace.append(e)
-        gstate = rng.choice(nxt)
-    return trace

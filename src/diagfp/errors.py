@@ -11,21 +11,6 @@ class SpaceMismatchError(DiagError):
     """Hypotheses from different space variants were combined."""
 
 
-class UnsupportedProjectionError(DiagError):
-    """Requested abstraction pair is not on the SqHS->MHS->SHS->BHS chain."""
-
-
-class ConvexityViolation(DiagError):
-    """A set handed to the convex-representation builder is not convex."""
-
-    def __init__(self, below, between, above):
-        self.witness = (below, between, above)
-        super().__init__(
-            f"not convex: {below.canon()} < {between.canon()} < {above.canon()} "
-            "with the middle element missing"
-        )
-
-
 class ModelFormatError(DiagError):
     """Model/observation/circuit text failed to parse or validate."""
 

@@ -414,14 +414,8 @@ class ExplicitSolver:
         if request.space != self.space:
             raise SpaceMismatchError(
                 f"request for {request.space} sent to a solver of {self.space}")
-        self.stats.tests += 1
         if self._graph is None:
             self._graph = _product_graph(self.model, self.obs,
                                          self.state_budget)
-        outcome = solve(self.model, self.obs, request, self.state_budget,
-                        self.stats, self._graph)
-        if outcome.is_candidate:
-            self.stats.sat_tests += 1
-        else:
-            self.stats.unsat_tests += 1
-        return outcome
+        return solve(self.model, self.obs, request, self.state_budget,
+                     self.stats, self._graph)

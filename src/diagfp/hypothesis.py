@@ -1,5 +1,5 @@
-"""Hypothesis spaces: values, preference order, children, least common
-descendants and abstraction projections.
+"""Hypothesis spaces: values, preference order, children and least common
+descendants.
 
 Four space variants are supported.  A hypothesis is an immutable value whose
 payload depends on the variant:
@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .errors import (DiagError, ModelFormatError, SpaceMismatchError,
-                     UnsupportedProjectionError)
+from .errors import DiagError, ModelFormatError, SpaceMismatchError
 
 BHS = "bhs"
 SHS = "shs"
@@ -36,9 +35,6 @@ MHS = "mhs"
 SQHS = "sqhs"
 
 KINDS = (BHS, SHS, MHS, SQHS)
-
-# Abstraction chain, most refined first.
-_CHAIN = (SQHS, MHS, SHS, BHS)
 
 # The syntax of canon() and parse_hyp; a fault name holding one of these
 # would make two hypotheses render alike.
@@ -48,6 +44,8 @@ _RESERVED = frozenset(",:[]{}")
 def check_fault_name(name: str, line=None) -> None:
     """Reject an event or gate name that ``canon()`` could not render
     unambiguously as a fault."""
+    if not name:
+        raise ModelFormatError("empty name", line=line)
     if not _RESERVED.isdisjoint(name):
         raise ModelFormatError(
             f"name {name!r} holds one of {''.join(sorted(_RESERVED))}",
@@ -189,6 +187,8 @@ class Space:
             raise DiagError(f"unknown space kind {self.kind!r}")
         if len(set(self.faults)) != len(self.faults):
             raise DiagError("fault alphabet has duplicates")
+        for f in self.faults:
+            check_fault_name(f)
         object.__setattr__(self, "fault_set", frozenset(self.faults))
 
     @property
@@ -335,29 +335,3 @@ def min_antichain(hyps, space: Space) -> list:
         if not any(leq(kept, h, space) for kept in out):
             out.append(h)
     return out
-
-
-def project(h: Hypothesis, from_kind: str, to_kind: str) -> Hypothesis:
-    """Abstraction projection along the SqHS -> MHS -> SHS -> BHS chain."""
-    if from_kind not in _CHAIN or to_kind not in _CHAIN:
-        raise UnsupportedProjectionError(f"{from_kind} -> {to_kind}")
-    i, j = _CHAIN.index(from_kind), _CHAIN.index(to_kind)
-    if i > j:
-        raise UnsupportedProjectionError(
-            f"{from_kind} -> {to_kind} goes against the abstraction chain")
-    if h.kind != from_kind:
-        raise SpaceMismatchError(
-            f"hypothesis is {h.kind}, projection starts at {from_kind}")
-    cur = h
-    for step in range(i, j):
-        src = _CHAIN[step]
-        if src == SQHS:
-            counts = {}
-            for f in cur.data:
-                counts[f] = counts.get(f, 0) + 1
-            cur = multi_hyp(counts)
-        elif src == MHS:
-            cur = set_hyp(f for f, c in cur.data if c > 0)
-        else:  # SHS -> BHS
-            cur = bin_hyp(bool(cur.data))
-    return cur

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConvexityViolation, DiagError
-from .hypothesis import (Hypothesis, Space, children, leq, lt, min_antichain,
-                         order_key)
+from .errors import DiagError
+from .hypothesis import Hypothesis, Space, children, leq, order_key
 
 DESC = "desc"
 ANC = "anc"
@@ -114,51 +113,3 @@ def question_coverage(hyps, space: Space) -> PropertySet:
     """Property set of the hypotheses dominated by no element of ``hyps``."""
     anchors = sorted(set(hyps), key=order_key)
     return PropertySet([Property(NEG_DESC, h) for h in anchors])
-
-
-def convex_representation(h_set, space: Space, universe_bound: int) -> PropertySet:
-    """Property set representing an explicitly enumerated convex set.
-
-    Follows the constructive side of the convexity theorem: exclude the
-    maximal off-set ancestors via neg_anc, and the minimal off-set descendants
-    and unrelated hypotheses via neg_desc.  Only certifies convexity within
-    the enumerated universe (all of SHS; counts/lengths up to
-    ``universe_bound`` for MHS/SqHS).
-    """
-    target = set(h_set)
-    for h in target:
-        space.validate(h)
-    universe = space.enumerate(universe_bound)
-    if not target:
-        h0 = space.h0
-        return PropertySet([Property(DESC, h0), Property(NEG_DESC, h0)])
-
-    for c in universe:
-        if c in target:
-            continue
-        below = next((a for a in target if lt(a, c, space)), None)
-        above = next((b for b in target if lt(c, b, space)), None)
-        if below is not None and above is not None:
-            raise ConvexityViolation(below, c, above)
-
-    anc_side, desc_side, unrelated = [], [], []
-    for c in universe:
-        if c in target:
-            continue
-        is_anc = any(leq(c, h, space) for h in target)
-        is_desc = any(leq(h, c, space) for h in target)
-        if is_anc:
-            anc_side.append(c)
-        elif is_desc:
-            desc_side.append(c)
-        else:
-            unrelated.append(c)
-
-    max_anc = [c for c in anc_side
-               if not any(lt(c, d, space) for d in anc_side)]
-    props = [Property(NEG_ANC, c) for c in sorted(max_anc, key=order_key)]
-    props.extend(Property(NEG_DESC, c)
-                 for c in min_antichain(desc_side, space))
-    props.extend(Property(NEG_DESC, c)
-                 for c in min_antichain(unrelated, space))
-    return PropertySet(props)

@@ -404,7 +404,6 @@ class AssumptionSolver:
         if request.space != self.space:
             raise SpaceMismatchError(
                 f"request for {request.space} sent to a solver of {self.space}")
-        self.stats.tests += 1
         props = tuple(request.props)
         acts = self.activate(props)
         if self.kernel is None:
@@ -416,15 +415,8 @@ class AssumptionSolver:
         self._unmarked.clear()
         kernel.add_clauses(self.cnf.clauses[self._loaded:])
         self._loaded = len(self.cnf.clauses)
-        before = kernel.conflicts
-        sat = kernel.solve(acts)
-        extra = self.stats.extra
-        extra["kernel_conflicts"] = (extra.get("kernel_conflicts", 0)
-                                     + kernel.conflicts - before)
-        if sat:
-            self.stats.sat_tests += 1
+        if kernel.solve(acts):
             return self._candidate(kernel, request)
-        self.stats.unsat_tests += 1
         failed = set(kernel.failed_assumptions())
         return TestOutcome.failed(
             PropertySet(p for p, act in zip(props, acts) if act in failed))
@@ -474,8 +466,6 @@ class SatSolver(AssumptionSolver):
         encode_observation(model, obs, self.params, self.cnf)
         if space.kind == SQHS:
             encode_fault_interleaving(model, len(obs), self.params, self.cnf)
-        self.stats.extra["horizon"] = self.horizon
-        self.stats.extra["steps_per_obs"] = self.params.steps_per_obs
 
     def _encode_property(self, prop: Property, act: int) -> None:
         encode_property(prop, self.space, self.model, self.params,
@@ -489,8 +479,3 @@ class SatSolver(AssumptionSolver):
                 and member(hyp, request.props, self.space)):
             raise EncodingError(f"decoded witness fails re-validation: {trace}")
         return TestOutcome.found(hyp, trace)
-
-
-def sat_solve_test(model: DesModel, obs: Observation, request: TestRequest,
-                   params: EncodingParams | None = None) -> TestOutcome:
-    return SatSolver(model, obs, request.space, params).solve(request)

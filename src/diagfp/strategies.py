@@ -21,7 +21,6 @@ minimality only when its coverage question fails.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -46,18 +45,9 @@ class DiagnosisResult:
     stats: dict = field(default_factory=dict)
 
     def canon(self) -> list:
-        # interned, like the run labels: a caller that keeps the results of
-        # many runs then holds one copy of each rendering
+        # interned: a caller that keeps the results of many runs then holds
+        # one copy of each rendering
         return [sys.intern(h.canon()) for h in self.minimal_candidates]
-
-
-def _result(space, hyps, stats) -> DiagnosisResult:
-    ordered = sorted(set(hyps), key=order_key)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if leq(a, b, space) or leq(b, a, space):
-                raise DiagError("result is not an antichain")
-    return DiagnosisResult(ordered, stats)
 
 
 class _Run:
@@ -72,11 +62,9 @@ class _Run:
         self.strategy = strategy
         self.iteration_cap = iteration_cap
         self.store = store
-        self.t0 = time.perf_counter()
         self.tests = 0
         self.expansions = 0
         self.cache_hits = 0
-        self.conflicts_recorded = 0
 
     def ask(self, props: PropertySet) -> TestOutcome:
         """Send one test; past the cap, raise with the antichain of
@@ -88,17 +76,15 @@ class _Run:
         return self.solver.solve(TestRequest(props, self.space))
 
     def result(self) -> DiagnosisResult:
-        return _result(self.space, min_antichain(self.store, self.space),
-                       self.stats())
+        """The minimal elements of ``store``, in :func:`order_key` order."""
+        return DiagnosisResult(min_antichain(self.store, self.space),
+                               self.stats())
 
     def stats(self) -> dict:
         return {
-            "strategy": self.strategy,
             "tests": self.tests,
             "expansions": self.expansions,
             "cache_hits": self.cache_hits,
-            "conflicts_recorded": self.conflicts_recorded,
-            "wall_time_s": round(time.perf_counter() - self.t0, 6),
         }
 
 
@@ -157,7 +143,7 @@ def run_pfs(solver, space: Space, variant: str = "ec",
         raise DiagError(f"unknown pfs variant {variant!r}")
     result = []
     run = _Run(solver, space,
-               sys.intern("pfs" if variant == "plain" else f"pfs-{variant}"),
+               "pfs" if variant == "plain" else f"pfs-{variant}",
                iteration_cap, result)
     use_essential = variant in ("e", "ec")
     use_conflicts = variant in ("c", "ec")
@@ -187,7 +173,6 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             if not covered.is_candidate:
                 if use_conflicts:
                     conflicts.append(covered.conflict)
-                    run.conflicts_recorded += 1
                 continue
         conflict = None
         if use_conflicts:
@@ -211,40 +196,11 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             conflict = outcome.conflict
             if use_conflicts:
                 conflicts.append(conflict)
-                run.conflicts_recorded += 1
         successors = conflict_successors(h, conflict, space) if use_conflicts \
             else children(h, space)
         for s in successors:
             push(s)
     return run.result()
-
-
-@dataclass
-class Verdict:
-    ok: bool
-    condition: str | None = None
-    witness: object = None
-
-
-def verify_minimal_diagnosis(hyps, solver, space: Space) -> Verdict:
-    """Check the three-condition characterisation of the minimal diagnosis:
-    every element is a candidate, no element dominates another, and the set
-    covers the diagnosis."""
-    items = sorted(set(hyps), key=order_key)
-    for h in items:
-        outcome = solver.solve(
-            TestRequest(question_candidate(h, space), space))
-        if not outcome.is_candidate:
-            return Verdict(False, "candidacy", h)
-    for a in items:
-        for b in items:
-            if a != b and leq(a, b, space):
-                return Verdict(False, "domination", (a, b))
-    outcome = solver.solve(
-        TestRequest(question_coverage(items, space), space))
-    if outcome.is_candidate:
-        return Verdict(False, "coverage", outcome.candidate)
-    return Verdict(True)
 
 
 def run_strategy(name: str, solver, space: Space,

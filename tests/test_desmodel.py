@@ -4,11 +4,12 @@ from pathlib import Path
 import pytest
 
 from diagfp.desmodel import (Component, DesModel, Observation, parse_model,
-                             parse_observation, random_walk, render_model,
-                             render_observation, trace_hypothesis,
+                             parse_observation, trace_hypothesis,
                              trace_in_model, trace_matches_observation)
 from diagfp.errors import DiagError, ModelFormatError
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
+
+from test_explicit import random_walk
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,14 +89,6 @@ def test_observation_rejects_non_observable(oneshot):
     with pytest.raises(ModelFormatError) as err:
         parse_observation("o1\nf\n", oneshot)
     assert err.value.line == 2
-
-
-def test_roundtrip_render_parse(oneshot):
-    text = render_model(oneshot)
-    assert parse_model(text) == oneshot
-    assert render_model(parse_model(text)) == text
-    obs = Observation(("o1", "o1"))
-    assert parse_observation(render_observation(obs), oneshot) == obs
 
 
 def test_trace_in_model(oneshot):

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from diagfp.errors import (DiagError, SpaceMismatchError,
-                           UnsupportedProjectionError)
+from diagfp.errors import DiagError, ModelFormatError, SpaceMismatchError
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, bin_hyp, children,
                                leq, min_antichain, multi_hyp, order_key,
-                               otimes, parse_hyp, project, seq_hyp, set_hyp)
+                               otimes, parse_hyp, seq_hyp, set_hyp)
 
 SP_SHS = Space(SHS, ("f1", "f2", "f3"))
 SP_MHS = Space(MHS, ("a", "b"))
@@ -172,36 +171,6 @@ def test_otimes_sqhs_equals_bruteforce():
         assert otimes(a, b, sp) == min_antichain(common, sp)
 
 
-# ---------------------------------------------------------------- project
-
-def test_project_examples():
-    assert project(multi_hyp({"a": 2, "b": 0}), MHS, SHS) == set_hyp(["a"])
-    assert project(seq_hyp(["f1", "f2", "f1"]), SQHS, MHS) == \
-        multi_hyp({"f1": 2, "f2": 1})
-    assert project(set_hyp([]), SHS, BHS) == bin_hyp(False)
-    assert project(seq_hyp(["f1"]), SQHS, BHS) == bin_hyp(True)
-
-
-def test_project_rejects_off_chain():
-    with pytest.raises(UnsupportedProjectionError):
-        project(set_hyp(["f1"]), SHS, MHS)
-    with pytest.raises(UnsupportedProjectionError):
-        project(set_hyp(["f1"]), SHS, "xyz")
-
-
-def test_project_preserves_preference():
-    rng = random.Random(9)
-    chain = [(SQHS, MHS), (SQHS, SHS), (MHS, SHS), (SHS, BHS), (SQHS, BHS)]
-    spaces = {SQHS: Space(SQHS, ("a", "b")), MHS: Space(MHS, ("a", "b")),
-              SHS: Space(SHS, ("a", "b")), BHS: Space(BHS, ())}
-    for _ in range(1000):
-        src, dst = rng.choice(chain)
-        sp = spaces[src]
-        a, b = rand_hyp(sp, rng), rand_hyp(sp, rng)
-        if leq(a, b, sp):
-            assert leq(project(a, src, dst), project(b, src, dst), spaces[dst])
-
-
 # ---------------------------------------------------------------- antichain
 
 def test_min_antichain_examples():
@@ -212,6 +181,20 @@ def test_min_antichain_examples():
     got = min_antichain([seq_hyp("a"), seq_hyp("ab"), seq_hyp("ba")],
                         Space(SQHS, ("a", "b")))
     assert got == [seq_hyp("a")]
+
+
+@pytest.mark.parametrize("space", [SP_SHS, SP_MHS, SP_SQHS, Space(BHS, ())])
+def test_min_antichain_is_minimal_antichain_of_input(space):
+    rng = random.Random(13)
+    for _ in range(100):
+        hyps = [rand_hyp(space, rng) for _ in range(rng.randrange(12))]
+        got = min_antichain(hyps, space)
+        assert set(got) <= set(hyps)
+        for i, a in enumerate(got):
+            for b in got[i + 1:]:
+                assert not leq(a, b, space) and not leq(b, a, space)
+        for h in hyps:
+            assert any(leq(g, h, space) for g in got)
 
 
 # ---------------------------------------------------------------- rendering
@@ -261,6 +244,13 @@ def test_parse_accepts_spaces_around_entries():
     assert parse_hyp("{ f1 : 2 , f2:1 }", MHS) == multi_hyp({"f1": 2, "f2": 1})
     assert parse_hyp("[ f1 , f2 ]", SQHS) == seq_hyp(["f1", "f2"])
     assert parse_hyp("[ ]", SQHS) == seq_hyp([])
+
+
+@pytest.mark.parametrize("faults", [("a,b", "c", "a", "b,c"), ("a", "")])
+def test_space_rejects_fault_names_canon_cannot_tell_apart(faults):
+    # {a,b | c} and {a | b,c} both render {a,b,c}; {""} renders {} like h0
+    with pytest.raises(ModelFormatError):
+        Space(SHS, faults)
 
 
 def test_order_key_sorts_by_size_then_text():

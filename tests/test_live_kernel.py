@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 
 from diagfp import satbackend
-from diagfp.circuits import (CircuitSolver, brute_force_diagnosis,
-                             circuit_solve_test, parse_circuit)
+from diagfp.circuits import CircuitSolver, brute_force_diagnosis, parse_circuit
+from diagfp.contract import TestRequest
 from diagfp.desmodel import Observation, parse_model
 from diagfp.explicit import oracle_diagnose
 from diagfp.hypothesis import MHS, SHS, SQHS
-from diagfp.properties import member
-from diagfp.satbackend import EncodingParams, SatSolver, sat_solve_test
+from diagfp.properties import member, question_coverage
+from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.satcore.pysolver import MiniSolver as PySolver
 from diagfp.strategies import run_strategy
 
@@ -53,7 +53,6 @@ class RecordingSolver:
     def __init__(self, solver):
         self.solver = solver
         self.space = solver.space
-        self.stats = solver.stats
         self.log = []
 
     def solve(self, request):
@@ -82,7 +81,6 @@ def check_run(solver, strategy, one_shot, expected):
     log = recording.log
     assert any(prev[1].is_candidate and cur[3] > cur[2]
                for prev, cur in zip(log, log[1:]))
-    assert solver.stats.extra["kernel_conflicts"] == solver.kernel.conflicts
 
 
 @pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
@@ -90,7 +88,7 @@ def check_run(solver, strategy, one_shot, expected):
 def test_circuit_live_kernel_matches_one_shot(name, strategy):
     circuit, obs = parse_circuit((CIRCUITS / name).read_text())
     check_run(CircuitSolver(circuit, obs), strategy,
-              lambda request: circuit_solve_test(circuit, obs, request),
+              lambda request: CircuitSolver(circuit, obs).solve(request),
               brute_force_diagnosis(circuit, obs))
 
 
@@ -100,26 +98,18 @@ def test_des_live_kernel_matches_one_shot(kind, strategy):
     model = parse_model(ALARMS)
     space = model.space(kind)
     check_run(SatSolver(model, ALARM_OBS, space, ALARM_PARAMS), strategy,
-              lambda request: sat_solve_test(model, ALARM_OBS, request,
-                                             ALARM_PARAMS),
+              lambda request: SatSolver(model, ALARM_OBS, space,
+                                        ALARM_PARAMS).solve(request),
               oracle_diagnose(model, ALARM_OBS, space))
-
-
-def test_kernel_conflicts_add_each_solves_delta():
-    model = parse_model(ALARMS)
-    space = model.space(SQHS)
-    solver = SatSolver(model, ALARM_OBS, space, ALARM_PARAMS)
-    run_strategy("pfs-ec", solver, space)
-    assert solver.stats.tests > 1
-    assert solver.kernel.conflicts > 0
-    assert solver.stats.extra["kernel_conflicts"] == solver.kernel.conflicts
 
 
 def test_kernel_is_created_by_the_first_test():
     model = parse_model(ALARMS)
-    solver = SatSolver(model, ALARM_OBS, model.space(MHS), ALARM_PARAMS)
+    space = model.space(MHS)
+    solver = SatSolver(model, ALARM_OBS, space, ALARM_PARAMS)
     assert solver.kernel is None
-    assert "kernel_conflicts" not in solver.stats.extra
+    solver.solve(TestRequest(question_coverage([], space), space))
+    assert solver.kernel is not None
 
 
 class BranchLoggingKernel(PySolver):

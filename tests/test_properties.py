@@ -1,11 +1,10 @@
 import pytest
 
-from diagfp.errors import ConvexityViolation
-from diagfp.hypothesis import (MHS, SHS, SQHS, Space, leq, lt, multi_hyp,
+from diagfp.hypothesis import (MHS, SHS, SQHS, Space, leq, multi_hyp,
                                seq_hyp, set_hyp)
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
-                               PropertySet, convex_representation, exhibits,
-                               member, question_candidate, question_coverage,
+                               PropertySet, exhibits, member,
+                               question_candidate, question_coverage,
                                question_minimal)
 
 SP4 = Space(SHS, ("f1", "f2", "f3", "f4"))
@@ -96,54 +95,3 @@ def test_question_coverage_enumerations():
                 SQ2, 2)
     assert got == {seq_hyp([])}
 
-
-# ------------------------------------------------------- convexity builder
-
-def test_convex_representation_derived_example():
-    got = convex_representation([set_hyp(["f1"])], SP2, 1)
-    assert set(got) == {Property(NEG_ANC, set_hyp([])),
-                        Property(NEG_DESC, set_hyp(["f1", "f2"])),
-                        Property(NEG_DESC, set_hyp(["f2"]))}
-    assert hypos(got, SP2, 1) == {set_hyp(["f1"])}
-
-
-def test_convex_representation_full_universe_is_empty():
-    universe = SP2.enumerate(0)
-    assert len(convex_representation(universe, SP2, 0)) == 0
-
-
-def test_convex_representation_rejects_nonconvex():
-    with pytest.raises(ConvexityViolation) as err:
-        convex_representation([set_hyp([]), set_hyp(["f1", "f2"])], SP2, 0)
-    below, mid, above = err.value.witness
-    assert lt(below, mid, SP2) and lt(mid, above, SP2)
-
-
-@pytest.mark.parametrize("space,bound", [
-    (SP2, 1), (Space(MHS, ("a",)), 2), (Space(SQHS, ("a", "b")), 2),
-])
-def test_convex_representation_matches_input_on_universe(space, bound):
-    import random
-    rng = random.Random(13)
-    universe = space.enumerate(bound)
-    for _ in range(40):
-        seed = rng.sample(universe, min(2, len(universe)))
-        # convex closure of the seed within the bounded universe
-        closure = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            for c in universe:
-                if c in closure:
-                    continue
-                if any(leq(a, c, space) for a in closure) and \
-                   any(leq(c, b, space) for b in closure):
-                    closure.add(c)
-                    changed = True
-        got = convex_representation(closure, space, bound)
-        assert hypos(got, space, bound) == closure
-
-
-def test_empty_set_representation_is_contradictory():
-    got = convex_representation([], SP2, 0)
-    assert hypos(got, SP2, 0) == set()

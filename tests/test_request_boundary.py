@@ -61,13 +61,19 @@ def _solvers():
 
 @pytest.mark.parametrize("solver", _solvers(), ids=lambda s: s.name)
 def test_solver_refuses_request_for_another_space(solver):
+    def untouched():
+        # the kernel (SAT) and the visited count (explicit) are made by the
+        # first test a solver runs
+        return getattr(solver, "kernel", None) is None \
+            and "visited" not in solver.stats.extra
+
     other = Space(SHS, solver.space.faults[:-1])
     with pytest.raises(SpaceMismatchError):
         solver.solve(TestRequest(question_coverage([], other), other))
-    assert solver.stats.tests == 0
+    assert untouched()
     own = solver.space
     solver.solve(TestRequest(question_coverage([], own), own))
-    assert solver.stats.tests == 1
+    assert not untouched()
 
 
 @pytest.mark.parametrize("make", [

@@ -4,14 +4,14 @@ from pathlib import Path
 import pytest
 
 from diagfp.contract import TestRequest
-from diagfp.desmodel import (Observation, parse_model, trace_hypothesis,
-                             trace_in_model, trace_matches_observation)
+from diagfp.desmodel import (Observation, parse_model, trace_in_model,
+                             trace_matches_observation)
 from diagfp.explicit import fits_horizon, oracle_candidates, solve as explicit_solve
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
-from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
-                               PropertySet, member, question_candidate,
-                               question_coverage, question_minimal)
-from diagfp.satbackend import Cnf, EncodingParams, SatSolver, sat_solve_test
+from diagfp.properties import (ANC, DESC, NEG_DESC, Property, PropertySet,
+                               member, question_candidate, question_coverage,
+                               question_minimal)
+from diagfp.satbackend import Cnf, EncodingParams, SatSolver
 from diagfp.satcore import MiniSolver
 
 from test_explicit import faulty_instances
@@ -64,9 +64,8 @@ def test_single_state_component_empty_trace():
                         "observable\nfaults u\n")
     params = EncodingParams(steps_per_obs=3)
     space = model.space(SHS)
-    out = sat_solve_test(model, Observation(()),
-                         TestRequest(question_coverage([], space), space),
-                         params)
+    out = SatSolver(model, Observation(()), space, params).solve(
+        TestRequest(question_coverage([], space), space))
     assert out.is_candidate
     assert out.candidate == set_hyp([])
 
@@ -222,7 +221,7 @@ def test_sat_agrees_with_explicit_when_certified():
         if exp.is_candidate and not fits_horizon(model, obs, req,
                                                  params.steps_per_obs):
             continue  # not certified at this bound
-        got = sat_solve_test(model, obs, req, params)
+        got = SatSolver(model, obs, space, params).solve(req)
         assert got.is_candidate == exp.is_candidate, \
             (model, obs.sequence, kind, list(props))
         agreed += 1

@@ -3,21 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from diagfp.contract import SolverStats, TestOutcome, TestRequest
+from diagfp.contract import TestOutcome
 from diagfp.desmodel import Observation, parse_model
 from diagfp.errors import BudgetExhausted, DiagError
 from diagfp.explicit import ExplicitSolver, oracle_diagnose
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, leq, lt,
-                               min_antichain, multi_hyp, order_key, seq_hyp,
-                               set_hyp)
+                               min_antichain, order_key, seq_hyp, set_hyp)
 from diagfp.properties import (DESC, NEG_DESC, Property, PropertySet, member,
                                question_candidate)
 from diagfp.satbackend import EncodingParams, SatSolver
-from diagfp.strategies import (STRATEGIES, DiagnosisResult,
-                               conflict_successors, run_pfs, run_pls,
-                               run_strategy,
-                               terminating_strategies,
-                               verify_minimal_diagnosis)
+from diagfp.strategies import (STRATEGIES, conflict_successors, run_pfs,
+                               run_pls, run_strategy, terminating_strategies)
 
 from test_explicit import faulty_instances
 
@@ -33,19 +29,15 @@ class EnumSolver:
         self.universe = space.enumerate(bound)
         self.candidates = set(candidates)
         self.choice = choice
-        self.stats = SolverStats()
         self.requests = []
 
     def solve(self, request):
-        self.stats.tests += 1
         self.requests.append(request.props)
         matches = [h for h in self.universe
                    if h in self.candidates and
                    member(h, request.props, self.space)]
         if not matches:
-            self.stats.unsat_tests += 1
             return TestOutcome.failed(request.props)
-        self.stats.sat_tests += 1
         matches.sort(key=order_key)
         picked = matches[0] if self.choice == "min" else matches[-1]
         return TestOutcome.found(picked, None)
@@ -57,10 +49,8 @@ class ScriptedSolver:
     def __init__(self, space, answer):
         self.space = space
         self.answer = answer
-        self.stats = SolverStats()
 
     def solve(self, request):
-        self.stats.tests += 1
         return TestOutcome.found(self.answer, None)
 
 
@@ -193,12 +183,12 @@ def test_pls_minimal_vs_adversarial_counterexamples():
     fast = EnumSolver(space, cands, 0, choice="min")
     got = run_pls(fast, space)
     assert got.minimal_candidates == [space.h0]
-    assert fast.stats.tests <= len(space.faults) + 1
+    assert len(fast.requests) <= len(space.faults) + 1
 
     slow = EnumSolver(space, cands, 0, choice="max")
     got = run_pls(slow, space)
     assert got.minimal_candidates == [space.h0]
-    assert slow.stats.tests == len(cands) + 1  # enumerates the whole lattice
+    assert len(slow.requests) == len(cands) + 1  # enumerates the whole lattice
 
 
 def test_pls_r_refines_spurious_fault():
@@ -213,7 +203,6 @@ def test_pls_r_refines_spurious_fault():
         def solve(self, request):
             from diagfp.properties import question_coverage
             if request.props == question_coverage([], self.space):
-                self.stats.tests += 1
                 return TestOutcome.found(set_hyp(["f", "g"]), ("f", "g", "o1"))
             return super().solve(request)
 
@@ -256,9 +245,8 @@ def test_oneshot_all_strategies_all_solvers(oneshot, strategy):
 def test_oneshot_pfs_needs_exactly_two_candidate_tests(oneshot):
     space = oneshot.space(SHS)
     for variant in ("plain", "c"):
-        solver = ExplicitSolver(oneshot, OBS1, space)
-        run_pfs(solver, space, variant)
-        assert solver.stats.tests == 2
+        got = run_pfs(ExplicitSolver(oneshot, OBS1, space), space, variant)
+        assert got.stats["tests"] == 2
 
 
 def test_empty_diagnosis(oneshot):
@@ -283,30 +271,6 @@ def test_plain_pfs_diverges_where_essential_variants_terminate():
     for variant in ("e", "ec"):
         got = run_pfs(ExplicitSolver(model, OBS1, space), space, variant)
         assert got.minimal_candidates == [seq_hyp(["f1"])]
-
-
-# ------------------------------------------------------------ verification
-
-def test_verify_minimal_diagnosis(oneshot):
-    space = oneshot.space(SHS)
-    solver = ExplicitSolver(oneshot, OBS1, space)
-    assert verify_minimal_diagnosis([set_hyp(["f"])], solver, space).ok
-
-    verdict = verify_minimal_diagnosis([], solver, space)
-    assert not verdict.ok and verdict.condition == "coverage"
-    assert verdict.witness == set_hyp(["f"])
-
-    verdict = verify_minimal_diagnosis([set_hyp([]), set_hyp(["f"])],
-                                       solver, space)
-    assert not verdict.ok and verdict.condition == "candidacy"
-
-    model = parse_model(
-        "component c\nstates q0 q1\ninit q0\ntrans q0 f q0\n"
-        "trans q0 o1 q1\ntrans q0 g q0\nend\nobservable o1\nfaults f g\n")
-    sp = model.space(SHS)
-    solver = ExplicitSolver(model, OBS1, sp)
-    verdict = verify_minimal_diagnosis([sp.h0, set_hyp(["f"])], solver, sp)
-    assert not verdict.ok and verdict.condition == "domination"
 
 
 # ----------------------------------------------------- random agreement
