@@ -10,9 +10,9 @@ abnormal gate is unconstrained.  Netlist format, one directive per line
     obs <signal> <0|1>
 
 Diagnosis runs through the same strategy engine as the DES path; a property
-over the gate-set hypotheses is stated over the ``ab`` variables, as the DES
-set encoding states it over fault-occurrence variables, and guarded by
-``satbackend.guard_property``.
+over the gate-set hypotheses is stated over the ``ab`` variables by the rule
+the DES set encoding applies to fault-occurrence variables
+(``satbackend.set_literals``), and guarded by ``satbackend.guard_property``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
 from .hypothesis import SHS, Space, check_fault_name, set_hyp
-from .properties import DESC_KINDS, member
-from .satbackend import AssumptionSolver, Cnf, guard_property
+from .properties import member
+from .satbackend import AssumptionSolver, Cnf, guard_property, set_literals
 from .satcore import MiniSolver
 
 GATE_KINDS = ("and", "or", "not", "xor", "buf")
@@ -208,12 +208,7 @@ class CircuitSolver(AssumptionSolver):
         encode_pins(obs, self.cnf)
 
     def _encode_property(self, prop, act: int) -> None:
-        ab = self._ab
-        anchor = prop.anchor.data
-        if prop.kind in DESC_KINDS:
-            lits = [ab[name] for name in sorted(anchor)]
-        else:
-            lits = [-var for name, var in ab.items() if name not in anchor]
+        lits = set_literals(prop, self.space.faults, self._ab.__getitem__)
         guard_property(self.cnf, prop, act, lits)
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:

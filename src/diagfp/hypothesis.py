@@ -37,7 +37,8 @@ SQHS = "sqhs"
 KINDS = (BHS, SHS, MHS, SQHS)
 
 # The syntax of canon() and parse_hyp; a fault name holding one of these
-# would make two hypotheses render alike.
+# would make two hypotheses render alike.  parse_hyp strips whitespace
+# around entries, so whitespace is refused too.
 _RESERVED = frozenset(",:[]{}")
 
 
@@ -50,6 +51,8 @@ def check_fault_name(name: str, line=None) -> None:
         raise ModelFormatError(
             f"name {name!r} holds one of {''.join(sorted(_RESERVED))}",
             line=line)
+    if any(c.isspace() for c in name):
+        raise ModelFormatError(f"name {name!r} holds whitespace", line=line)
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,9 @@ class Cnf:
 
     A variable that encodings look up again is keyed by the tuple of values
     that define it: ``("e", event, t)`` (event at timestep ``t``),
-    ``("occ", f)`` (``f`` occurs), ``("cnt", f, j, t)`` (at least ``j``
-    occurrences of ``f`` up to ``t``), ``("dh", anchor, i, t)`` and
-    ``("ah", anchor, i, t)`` (the subsequence chains), ``("nofault", t)``,
+    ``("occ", f)`` (``f`` occurs), ``("dh", p, t)`` and ``("ah", p, t)``
+    (the subsequence chains' columns, one per anchor prefix ``p``; MHS
+    thresholds are the desc chains of ``(f,) * j``), ``("nofault", t)``,
     and for circuits ``("sig", signal)`` and ``("ab", gate)``.  Every other
     variable comes from :meth:`new` and is held only by its creator.
     """
@@ -185,66 +185,34 @@ def _occ_var(cnf: Cnf, fault: str, n: int) -> int:
     return occ
 
 
-def _count_ge(cnf: Cnf, fault: str, j: int, n: int) -> int:
-    """Threshold literal: at least ``j`` occurrences of ``fault``.
-
-    Sequential-counter grid r[i][j] = "at least j among the first i steps"
-    for ``j >= 1``, with pinned border r[0][j]=false; column 1 takes
-    r[i][0] as true.
-    """
-    top = ("cnt", fault, j, n)
-    if cnf.has(top):
-        return cnf.var(top)
-
-    def r(i, jj):
-        return cnf.var(("cnt", fault, jj, i))
-
-    # build columns 1..j that are not present yet
-    for jj in range(1, j + 1):
-        if cnf.has(("cnt", fault, jj, n)):
-            continue
-        for i in range(n + 1):
-            r(i, jj)
-        cnf.unit(-r(0, jj))
-        for i in range(1, n + 1):
-            x = cnf.var(("e", fault, i))
-            rij = r(i, jj)
-            prev_same = r(i - 1, jj)
-            if jj == 1:
-                cnf.add([-rij, prev_same, x])
-                cnf.add([-prev_same, rij])
-                cnf.add([-x, rij])
-            else:
-                prev_less = r(i - 1, jj - 1)
-                cnf.add([-rij, prev_same, prev_less])
-                cnf.add([-rij, prev_same, x])
-                cnf.add([-prev_same, rij])
-                cnf.add([-prev_less, -x, rij])
-    return cnf.var(top)
-
-
 def _desc_chain(cnf: Cnf, anchor: tuple, n: int) -> int:
-    """dh[i]@t <-> prefix of the anchor embedded in the fault word up to t."""
-    top = ("dh", anchor, len(anchor), n)
-    if cnf.has(top):
-        return cnf.var(top)
+    """dh[p]@t <-> the prefix ``p`` of the anchor embeds as a subsequence in
+    the fault word up to ``t``; returns dh[anchor]@n for a non-empty anchor.
 
-    def dh(i, t):
-        return cnf.var(("dh", anchor, i, t))
-
-    for t in range(n + 1):
-        cnf.unit(dh(0, t))
+    Columns are keyed by prefix, ``("dh", p, t)``: dh[p]@t reads only the
+    last fault of ``p`` and the columns of ``p`` and ``p[:-1]``, so anchors
+    that share a prefix share its column, and a chain builds only the
+    columns not in the CNF yet.  The empty prefix's column is true and left
+    implicit.  With anchor ``(f,) * j`` this is Sinz's sequential counter
+    (CP 2005), "at least ``j`` occurrences of ``f``": the MHS threshold.
+    """
     for i in range(1, len(anchor) + 1):
-        cnf.unit(-dh(i, 0))
-        fi = anchor[i - 1]
+        pre = anchor[:i]
+        if cnf.has(("dh", pre, n)):
+            continue
+        col = [cnf.var(("dh", pre, t)) for t in range(n + 1)]
+        cnf.unit(-col[0])
         for t in range(1, n + 1):
-            x = cnf.var(("e", fi, t))
-            cur, prev, prev_less = dh(i, t), dh(i, t - 1), dh(i - 1, t - 1)
-            cnf.add([-cur, prev, prev_less])
+            x = cnf.var(("e", pre[-1], t))
+            cur, prev = col[t], col[t - 1]
+            # dh[pre[:-1]]@(t-1); the empty prefix's is true and drops out
+            below = [cnf.var(("dh", pre[:-1], t - 1))] if i > 1 else []
+            if below:
+                cnf.add([-cur, prev] + below)
             cnf.add([-cur, prev, x])
             cnf.add([-prev, cur])
-            cnf.add([-prev_less, -x, cur])
-    return cnf.var(top)
+            cnf.add([-b for b in below] + [-x, cur])
+    return cnf.var(("dh", anchor, n))
 
 
 def _nofault_var(cnf: Cnf, faults: tuple, t: int) -> int:
@@ -260,36 +228,35 @@ def _nofault_var(cnf: Cnf, faults: tuple, t: int) -> int:
 
 
 def _anc_chain(cnf: Cnf, anchor: tuple, faults: tuple, n: int) -> int:
-    """ah[i]@t <-> fault word up to t embeds into the anchor's i-prefix.
+    """ah[p]@t <-> fault word up to t embeds into the prefix ``p`` of the
+    anchor; returns ah[anchor]@n.
 
     Case split on the (at most one) fault event at t:
-      no fault   -> ah[i] persists;
-      fault f    -> ah[i]@t <-> OR_{p<=i, anchor[p-1]=f} ah[p-1]@(t-1).
-    Relies on the at-most-one-fault-per-timestep constraint.
+      no fault   -> ah[p] persists;
+      fault f    -> ah[p]@t <-> OR_{q<=|p|, p[q-1]=f} ah[p[:q-1]]@(t-1).
+    Relies on the at-most-one-fault-per-timestep constraint.  Columns are
+    keyed by prefix, ``("ah", p, t)``, as in :func:`_desc_chain`; the empty
+    prefix's column ("no fault yet") is explicit.
     """
-    top = ("ah", anchor, len(anchor), n)
-    if cnf.has(top):
-        return cnf.var(top)
-
-    def ah(i, t):
-        return cnf.var(("ah", anchor, i, t))
-
     for i in range(len(anchor) + 1):
-        cnf.unit(ah(i, 0))
-    for t in range(1, n + 1):
-        nf = _nofault_var(cnf, faults, t)
-        for i in range(len(anchor) + 1):
-            cur, prev = ah(i, t), ah(i, t - 1)
+        pre = anchor[:i]
+        if cnf.has(("ah", pre, n)):
+            continue
+        col = [cnf.var(("ah", pre, t)) for t in range(n + 1)]
+        cnf.unit(col[0])
+        for t in range(1, n + 1):
+            nf = _nofault_var(cnf, faults, t)
+            cur, prev = col[t], col[t - 1]
             cnf.add([-nf, -prev, cur])
             cnf.add([-nf, prev, -cur])
             for f in faults:
                 x = cnf.var(("e", f, t))
-                sources = [ah(p - 1, t - 1)
-                           for p in range(1, i + 1) if anchor[p - 1] == f]
+                sources = [cnf.var(("ah", pre[:q - 1], t - 1))
+                           for q in range(1, i + 1) if pre[q - 1] == f]
                 cnf.add([-x, -cur] + sources)
                 for src in sources:
                     cnf.add([-x, -src, cur])
-    return cnf.var(top)
+    return cnf.var(("ah", anchor, n))
 
 
 def guard_property(cnf: Cnf, prop: Property, act: int, lits) -> None:
@@ -309,6 +276,16 @@ def guard_property(cnf: Cnf, prop: Property, act: int, lits) -> None:
         cnf.add([-act] + [-lit for lit in lits])
 
 
+def set_literals(prop: Property, faults, lit):
+    """Literals stating desc or anc of an SHS property's anchor, from each
+    fault's occurrence literal ``lit(f)``: ``lit(f)`` for each fault of the
+    sorted anchor (desc), ``-lit(f)`` for each fault outside it (anc)."""
+    anchor = prop.anchor.data
+    if prop.kind in DESC_KINDS:
+        return (lit(f) for f in sorted(anchor))
+    return (-lit(f) for f in faults if f not in anchor)
+
+
 def encode_property(prop: Property, space: Space, model: DesModel,
                     params: EncodingParams, obs_len: int, cnf: Cnf,
                     act: int) -> None:
@@ -319,22 +296,21 @@ def encode_property(prop: Property, space: Space, model: DesModel,
     anchor = prop.anchor
     desc = prop.kind in DESC_KINDS
     if space.kind == SHS:
-        if desc:
-            lits = (_occ_var(cnf, f, n) for f in sorted(anchor.data))
-        else:
-            lits = (-_occ_var(cnf, f, n)
-                    for f in faults if f not in anchor.data)
+        lits = set_literals(prop, faults, lambda f: _occ_var(cnf, f, n))
     elif space.kind == MHS:
         if desc:
-            lits = (_count_ge(cnf, f, anchor.count(f), n)
+            lits = (_desc_chain(cnf, (f,) * anchor.count(f), n)
                     for f in faults if anchor.count(f) >= 1)
         else:
-            lits = (-_count_ge(cnf, f, anchor.count(f) + 1, n)
+            lits = (-_desc_chain(cnf, (f,) * (anchor.count(f) + 1), n)
                     for f in faults)
     elif space.kind == SQHS:
         seq = tuple(anchor.data)
-        lits = (_desc_chain(cnf, seq, n) if desc
-                else _anc_chain(cnf, seq, faults, n),)
+        if not desc:
+            lits = (_anc_chain(cnf, seq, faults, n),)
+        else:
+            # desc of the empty sequence is the empty conjunction
+            lits = (_desc_chain(cnf, seq, n),) if seq else ()
     else:
         raise DiagError(f"sat backend does not handle space {space.kind}")
     guard_property(cnf, prop, act, lits)
@@ -355,7 +331,7 @@ class AssumptionSolver:
 
     One kernel across tests is sound: a property clause binds only while
     its activation literal is assumed; the other clauses tests add define
-    fresh auxiliary variables (occurrence, counter and chain literals), so
+    fresh auxiliary variables (occurrence and chain literals), so
     every assignment of the older variables extends to them; and learnt
     clauses are implied by the clause database.
 

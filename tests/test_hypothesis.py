@@ -246,9 +246,12 @@ def test_parse_accepts_spaces_around_entries():
     assert parse_hyp("[ ]", SQHS) == seq_hyp([])
 
 
-@pytest.mark.parametrize("faults", [("a,b", "c", "a", "b,c"), ("a", "")])
+@pytest.mark.parametrize("faults", [("a,b", "c", "a", "b,c"), ("a", ""),
+                                    (" a", "b"), ("a\tb",)])
 def test_space_rejects_fault_names_canon_cannot_tell_apart(faults):
-    # {a,b | c} and {a | b,c} both render {a,b,c}; {""} renders {} like h0
+    # {a,b | c} and {a | b,c} both render {a,b,c}; {""} renders {} like h0;
+    # parse_hyp reads {" a"} back as {a}, and every text format splits on
+    # whitespace
     with pytest.raises(ModelFormatError):
         Space(SHS, faults)
 

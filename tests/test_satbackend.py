@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 from diagfp.properties import (ANC, DESC, NEG_DESC, Property, PropertySet,
                                member, question_candidate, question_coverage,
                                question_minimal)
-from diagfp.satbackend import Cnf, EncodingParams, SatSolver
+from diagfp.satbackend import (Cnf, EncodingParams, SatSolver, _anc_chain,
+                                _desc_chain)
 from diagfp.satcore import MiniSolver
 
 from test_explicit import faulty_instances
@@ -168,6 +170,62 @@ def test_sqhs_desc_and_anc_chains():
     out = solver.solve(TestRequest(
         PropertySet([Property(ANC, seq_hyp(["f1", "f2"]))]), space))
     assert out.is_candidate
+
+
+def _embeds(anchor, steps):
+    """``anchor`` embeds as a subsequence in a word of ``steps``, one fault
+    set per timestep, each timestep matching at most one anchor position."""
+    i = 0
+    for step in steps:
+        if i < len(anchor) and anchor[i] in step:
+            i += 1
+    return i == len(anchor)
+
+
+def _forced(kernel, assumed, lit, value) -> bool:
+    """Under ``assumed``, the kernel's models all give ``lit`` ``value``."""
+    want, other = (lit, -lit) if value else (-lit, lit)
+    return kernel.solve(assumed + [want]) and not kernel.solve(assumed + [other])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chains_match_brute_force(n):
+    faults = ("a", "b")
+    # (a, a) is an MHS threshold; the later anchors extend earlier ones or
+    # share a prefix with them, so they reuse those columns
+    anchors = [("a", "b"), ("a", "a"), ("a", "b", "a"), ("b",),
+               ("a", "a", "b"), ("b", "b", "a")]
+    cnf = Cnf()
+    ev = {(f, t): cnf.var(("e", f, t))
+          for t in range(1, n + 1) for f in faults}
+    desc = {a: _desc_chain(cnf, a, n) for a in anchors}
+    n_desc = len(cnf.clauses)
+    anc = {a: _anc_chain(cnf, a, faults, n) for a in anchors + [()]}
+    prefixes = {a[:i] for a in anchors for i in range(len(a) + 1)}
+    keys = [k[0] for k in cnf.index]
+    assert keys.count("dh") == (len(prefixes) - 1) * (n + 1)
+    assert keys.count("ah") == len(prefixes) * (n + 1)
+
+    # the anc clauses contradict two faults at one timestep, which the
+    # desc chains (MHS thresholds among them) must still read
+    kernels = []
+    for clauses in (cnf.clauses[:n_desc], cnf.clauses):
+        kernel = MiniSolver()
+        kernel.ensure_vars(cnf.nvars)
+        kernel.add_clauses(clauses)
+        kernels.append(kernel)
+    subsets = [set(), {"a"}, {"b"}, {"a", "b"}]
+    for steps in product(subsets, repeat=n):
+        assumed = [v if f in steps[t - 1] else -v for (f, t), v in ev.items()]
+        for a, top in desc.items():
+            assert _forced(kernels[0], assumed, top, _embeds(a, steps)), \
+                (a, steps)
+        if any(len(step) > 1 for step in steps):
+            continue
+        word = [f for step in steps for f in step]
+        for a, top in anc.items():
+            assert _forced(kernels[1], assumed, top,
+                           _embeds(word, [{f} for f in a])), (a, steps)
 
 
 def test_neg_desc_of_h0_is_contradictory(oneshot):
