@@ -18,6 +18,7 @@ the DES set encoding applies to fault-occurrence variables
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
@@ -76,21 +77,14 @@ class Circuit:
         for s in self.outputs:
             if s not in drivers and s not in self.inputs:
                 raise ModelFormatError(f"output {s} has no driver")
-        # acyclicity via topological elimination
-        remaining = {g.name: set(g.inputs) for g in self.gates}
-        resolved = set(self.inputs)
-        progress = True
-        while remaining and progress:
-            progress = False
-            for name in list(remaining):
-                gate = next(g for g in self.gates if g.name == name)
-                if remaining[name] <= resolved:
-                    resolved.add(gate.output)
-                    del remaining[name]
-                    progress = True
-        if remaining:
+        try:
+            TopologicalSorter({g.output: g.inputs
+                               for g in self.gates}).prepare()
+        except CycleError as exc:
+            cycle = set(exc.args[1])
+            gates = sorted(g.name for g in self.gates if g.output in cycle)
             raise ModelFormatError(
-                f"circuit is cyclic around gates {sorted(remaining)}")
+                f"circuit is cyclic around gates {gates}") from None
         return self
 
     def space(self) -> Space:

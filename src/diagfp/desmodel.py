@@ -21,11 +21,11 @@ Traces use interleaving semantics, one event per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product as iproduct
 
 from .errors import DiagError, ModelFormatError, SpaceMismatchError
-from .hypothesis import (MHS, SHS, SQHS, Hypothesis, Space, check_fault_name,
-                         multi_hyp, seq_hyp, set_hyp)
+from .hypothesis import Hypothesis, Space, check_fault_name, extend
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,8 @@ def trace_in_model(trace, model: DesModel) -> bool:
 
 
 def trace_hypothesis(trace, model: DesModel, space: Space) -> Hypothesis:
-    faults = [e for e in trace if e in model.faults]
-    if space.kind == SHS:
-        return set_hyp(faults)
-    if space.kind == MHS:
-        counts = {}
-        for f in faults:
-            counts[f] = counts.get(f, 0) + 1
-        return multi_hyp(counts)
-    if space.kind == SQHS:
-        return seq_hyp(faults)
-    raise DiagError(f"trace hypothesis undefined for {space.kind}")
+    """The hypothesis of the trace's fault word in ``space``."""
+    return reduce(extend, (e for e in trace if e in model.faults), space.h0)
 
 
 def trace_matches_observation(trace, model: DesModel, obs: Observation) -> bool:

@@ -24,8 +24,7 @@ from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import DiagError, SpaceMismatchError, StateBudgetExceeded
-from .hypothesis import (MHS, SHS, SQHS, Space, leq, min_antichain, multi_hyp,
-                         seq_hyp, set_hyp)
+from .hypothesis import MHS, SHS, SQHS, Space, extend, leq, min_antichain
 from .properties import DESC_KINDS, POSITIVE_KINDS, member
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -283,62 +282,36 @@ def _product_graph(model: DesModel, obs: Observation,
     return [node for node in initial if node in co_reach], succs
 
 
-def _empty_acc(space: Space):
-    if space.kind == SHS:
-        return frozenset()
-    if space.kind == MHS:
-        return (0,) * len(space.faults)
-    return ()
-
-
-def _hyp_of(space: Space, acc):
-    if space.kind == SHS:
-        return set_hyp(acc)
-    if space.kind == MHS:
-        return multi_hyp(dict(zip(space.faults, acc)))
-    return seq_hyp(acc)
-
-
-def _accumulate(space: Space, acc, fault):
-    if space.kind == SHS:
-        return acc | {fault}
-    if space.kind == MHS:
-        i = space.faults.index(fault)
-        return acc[:i] + (acc[i] + 1,) + acc[i + 1:]
-    return acc + (fault,)
-
-
 def _observed_hyps(model: DesModel, obs: Observation, space: Space, graph,
                    bound: int, state_budget: int, admit, expand):
-    """Breadth-first search of (global state, tracker, accumulated
-    hypothesis) triples over ``graph``, to depth ``bound``; yields the
+    """Breadth-first search of (global state, tracker, hypothesis of the
+    fault word so far) triples over ``graph``, to depth ``bound``; yields the
     hypothesis of each new triple that has consumed the whole observation.
 
-    A triple whose accumulation fails ``admit`` is not entered; one whose
+    A triple whose hypothesis fails ``admit`` is not entered, and one whose
     hypothesis fails ``expand`` is not expanded.  ``expand`` runs when the
     triple is popped, after the caller has consumed every earlier yield.
     """
     initial, succs = graph
     end = len(obs)
     faults = frozenset(model.faults)
-    empty_acc = _empty_acc(space)
-    start = [(g, tracker, empty_acc) for g, tracker in initial]
+    start = [(g, tracker, space.h0) for g, tracker in initial]
     seen = set(start)
     queue = deque((node, 0) for node in start)
-    for g, tracker, acc in start:
+    for g, tracker, hyp in start:
         if tracker == end:
-            yield _hyp_of(space, acc)
+            yield hyp
     while queue:
-        (gstate, tracker, acc), depth = queue.popleft()
-        if depth >= bound or not expand(_hyp_of(space, acc)):
+        (gstate, tracker, hyp), depth = queue.popleft()
+        if depth >= bound or not expand(hyp):
             continue
         for e, (gstate2, tracker2) in succs[(gstate, tracker)]:
-            acc2 = acc
+            hyp2 = hyp
             if e in faults:
-                acc2 = _accumulate(space, acc, e)
-                if not admit(acc2):
+                hyp2 = extend(hyp, e)
+                if not admit(hyp2):
                     continue
-            node2 = (gstate2, tracker2, acc2)
+            node2 = (gstate2, tracker2, hyp2)
             if node2 in seen:
                 continue
             seen.add(node2)
@@ -346,7 +319,7 @@ def _observed_hyps(model: DesModel, obs: Observation, space: Space, graph,
                 raise StateBudgetExceeded(
                     f"oracle exceeded {state_budget} states")
             if tracker2 == end:
-                yield _hyp_of(space, acc2)
+                yield hyp2
             queue.append((node2, depth + 1))
 
 
@@ -367,7 +340,7 @@ def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
     found = []
     for hyp in _observed_hyps(
             model, obs, space, graph, len(graph[1]), state_budget,
-            admit=lambda acc: True,
+            admit=lambda hyp: True,
             expand=lambda hyp: not any(leq(c, hyp, space) for c in found)):
         if hyp not in found:
             found.append(hyp)
@@ -386,10 +359,10 @@ def oracle_candidates(model: DesModel, obs: Observation, space: Space,
     # fault-free stretches of a witness can be made loop-free, so a candidate
     # with k fault events has a witness of depth (k+1) * |product| + k
     bound = (max_faults + 1) * (len(graph[1]) + 1)
-    size = {SQHS: len, MHS: sum}.get(space.kind, lambda acc: 0)
+    # an SHS hypothesis does not count repeated faults, so none is cut
     return set(_observed_hyps(
         model, obs, space, graph, bound, state_budget,
-        admit=lambda acc: size(acc) <= max_faults,
+        admit=lambda hyp: space.kind == SHS or hyp.size() <= max_faults,
         expand=lambda hyp: True))
 
 
@@ -402,6 +375,9 @@ class ExplicitSolver:
 
     def __init__(self, model: DesModel, obs: Observation, space: Space,
                  state_budget: int = DEFAULT_STATE_BUDGET):
+        if space.kind not in (SHS, MHS, SQHS):
+            raise DiagError(
+                f"explicit solver does not handle space {space.kind}")
         model.check_space(space)
         self.model = model
         self.obs = obs

@@ -5,15 +5,16 @@ Four space variants are supported.  A hypothesis is an immutable value whose
 payload depends on the variant:
 
 * ``shs``  -- frozenset of fault names (which faults occurred),
-* ``mhs``  -- sorted tuple of (fault, count) pairs, zero counts dropped,
+* ``mhs``  -- sorted tuple of fault names, one entry per occurrence,
 * ``sqhs`` -- tuple of fault names in occurrence order,
 * ``bhs``  -- bool (``True`` = faulty).
 
 Preference (``leq``) is subset / pointwise-at-most / subsequence / implication
-respectively.  All operations are pure; results that are mathematically sets
-are returned as lists sorted by :func:`order_key` so every run is
-reproducible.  The sort order is a tie-break only and carries no preference
-meaning.
+respectively; on sorted words pointwise-at-most is the subsequence order, so
+``mhs`` and ``sqhs`` share it.  All operations are pure; results that are
+mathematically sets are returned as lists sorted by :func:`order_key` so
+every run is reproducible.  The sort order is a tie-break only and carries
+no preference meaning.
 
 The order operations (``leq``, ``children``, ``otimes`` and what builds on
 them) take hypotheses of ``space``.  They compare kinds, because they read
@@ -24,7 +25,9 @@ a solver decodes answers only over its own alphabet.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 from itertools import product as iproduct
 
 from .errors import DiagError, ModelFormatError, SpaceMismatchError
@@ -36,9 +39,9 @@ SQHS = "sqhs"
 
 KINDS = (BHS, SHS, MHS, SQHS)
 
-# The syntax of canon() and parse_hyp; a fault name holding one of these
-# would make two hypotheses render alike.  parse_hyp strips whitespace
-# around entries, so whitespace is refused too.
+# The syntax of canon(); a fault name holding one of these would make two
+# hypotheses render alike.  Every text format splits on whitespace, so
+# whitespace is refused too.
 _RESERVED = frozenset(",:[]{}")
 
 
@@ -67,34 +70,20 @@ class Hypothesis:
         if self.kind == SHS:
             return "{" + ",".join(sorted(self.data)) + "}"
         if self.kind == MHS:
-            return "{" + ",".join(f"{f}:{c}" for f, c in self.data) + "}"
+            return "{" + ",".join(f"{f}:{len(list(run))}"
+                                  for f, run in groupby(self.data)) + "}"
         if self.kind == SQHS:
             return "[" + ",".join(self.data) + "]"
         return "faulty" if self.data else "nominal"
 
     def size(self) -> int:
         """Total number of fault occurrences recorded by the hypothesis."""
-        if self.kind == SHS:
-            return len(self.data)
-        if self.kind == MHS:
-            return sum(c for _, c in self.data)
-        if self.kind == SQHS:
-            return len(self.data)
-        return 1 if self.data else 0
-
-    def faults(self) -> frozenset:
-        if self.kind == SHS:
-            return self.data
-        if self.kind == MHS:
-            return frozenset(f for f, _ in self.data)
-        if self.kind == SQHS:
-            return frozenset(self.data)
-        return frozenset()
+        if self.kind == BHS:
+            return 1 if self.data else 0
+        return len(self.data)
 
     def count(self, fault) -> int:
-        if self.kind == MHS:
-            return dict(self.data).get(fault, 0)
-        if self.kind == SQHS:
+        if self.kind in (MHS, SQHS):
             return self.data.count(fault)
         if self.kind == SHS:
             return 1 if fault in self.data else 0
@@ -109,13 +98,12 @@ def set_hyp(faults) -> Hypothesis:
 
 
 def multi_hyp(counts) -> Hypothesis:
-    items = []
+    word = []
     for f, c in dict(counts).items():
         if c < 0:
             raise DiagError(f"negative count {c} of fault {f!r}")
-        if c:
-            items.append((f, c))
-    return Hypothesis(MHS, tuple(sorted(items)))
+        word.extend([f] * c)
+    return Hypothesis(MHS, tuple(sorted(word)))
 
 
 def seq_hyp(seq) -> Hypothesis:
@@ -124,49 +112,6 @@ def seq_hyp(seq) -> Hypothesis:
 
 def bin_hyp(faulty: bool) -> Hypothesis:
     return Hypothesis(BHS, bool(faulty))
-
-
-def parse_hyp(text: str, kind: str) -> Hypothesis:
-    """Inverse of :meth:`Hypothesis.canon` for the given space variant."""
-    text = text.strip()
-    if kind == BHS:
-        if text in ("nominal", "faulty"):
-            return bin_hyp(text == "faulty")
-        raise DiagError(f"bad bhs hypothesis: {text!r}")
-    if kind == SQHS:
-        if not (text.startswith("[") and text.endswith("]")):
-            raise DiagError(f"bad sqhs hypothesis: {text!r}")
-        return seq_hyp(_entries(text))
-    if not (text.startswith("{") and text.endswith("}")):
-        raise DiagError(f"bad {kind} hypothesis: {text!r}")
-    if kind == SHS:
-        return set_hyp(_entries(text))
-    counts = {}
-    for part in _entries(text):
-        f, sep, c = (x.strip() for x in part.partition(":"))
-        if not sep:
-            raise DiagError(f"bad mhs entry {part!r} in {text!r}")
-        if not f:
-            raise DiagError(f"empty fault name in {text!r}")
-        try:
-            n = int(c)
-        except ValueError:
-            raise DiagError(f"bad count in mhs entry {part!r}") from None
-        if n < 0:
-            raise DiagError(f"negative count in mhs entry {part!r}")
-        counts[f] = counts.get(f, 0) + n
-    return multi_hyp(counts)
-
-
-def _entries(text: str) -> list:
-    """Comma-separated entries between the brackets; none may be empty."""
-    body = text[1:-1].strip()
-    if not body:
-        return []
-    parts = [p.strip() for p in body.split(",")]
-    if not all(parts):
-        raise DiagError(f"empty fault name in {text!r}")
-    return parts
 
 
 def order_key(h: Hypothesis):
@@ -209,7 +154,7 @@ class Space:
         if h.kind != self.kind:
             raise SpaceMismatchError(
                 f"hypothesis of kind {h.kind!r} used in {self.kind!r} space")
-        if not h.faults() <= self.fault_set:
+        if self.kind != BHS and not self.fault_set.issuperset(h.data):
             raise SpaceMismatchError(
                 f"{h.canon()} mentions faults outside the alphabet")
         return h
@@ -244,7 +189,19 @@ class Space:
 
 def _is_subsequence(a: tuple, b: tuple) -> bool:
     it = iter(b)
-    return all(any(x == y for y in it) for x in a)
+    return all(x in it for x in a)
+
+
+def extend(h: Hypothesis, fault) -> Hypothesis:
+    """The hypothesis of ``h``'s fault word followed by one more ``fault``."""
+    if h.kind == SHS:
+        return set_hyp(h.data | {fault})
+    if h.kind == MHS:
+        i = bisect_right(h.data, fault)
+        return Hypothesis(MHS, h.data[:i] + (fault,) + h.data[i:])
+    if h.kind == SQHS:
+        return Hypothesis(SQHS, h.data + (fault,))
+    return bin_hyp(True)
 
 
 def leq(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
@@ -253,10 +210,7 @@ def leq(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
         raise SpaceMismatchError(f"{a!r}, {b!r} in {space.kind!r} space")
     if space.kind == SHS:
         return a.data <= b.data
-    if space.kind == MHS:
-        bc = dict(b.data)
-        return all(c <= bc.get(f, 0) for f, c in a.data)
-    if space.kind == SQHS:
+    if space.kind in (MHS, SQHS):
         return _is_subsequence(a.data, b.data)
     return (not a.data) or b.data
 
@@ -272,12 +226,7 @@ def children(h: Hypothesis, space: Space) -> list:
     if space.kind == SHS:
         out = {set_hyp(h.data | {f}) for f in space.faults if f not in h.data}
     elif space.kind == MHS:
-        counts = dict(h.data)
-        out = set()
-        for f in space.faults:
-            bumped = dict(counts)
-            bumped[f] = bumped.get(f, 0) + 1
-            out.add(multi_hyp(bumped))
+        out = {extend(h, f) for f in space.faults}
     elif space.kind == SQHS:
         seq = h.data
         out = set()
@@ -321,9 +270,9 @@ def otimes(a: Hypothesis, b: Hypothesis, space: Space) -> list:
     if space.kind == SHS:
         return [set_hyp(a.data | b.data)]
     if space.kind == MHS:
-        ac, bc = dict(a.data), dict(b.data)
-        return [multi_hyp({f: max(ac.get(f, 0), bc.get(f, 0))
-                           for f in set(ac) | set(bc)})]
+        ad, bd = a.data, b.data
+        return [multi_hyp({f: max(ad.count(f), bd.count(f))
+                           for f in set(ad + bd)})]
     if space.kind == SQHS:
         merged = [seq_hyp(s) for s in _seq_merge(a.data, b.data, {})]
         return min_antichain(merged, space)

@@ -7,7 +7,7 @@ from diagfp.circuits import (Circuit, CircuitSolver, Gate, PinObservation,
                              parse_circuit)
 from diagfp.contract import TestRequest
 from diagfp.errors import BudgetExhausted, ModelFormatError
-from diagfp.hypothesis import SHS, parse_hyp, set_hyp
+from diagfp.hypothesis import set_hyp
 from diagfp.properties import question_candidate
 from diagfp.satbackend import Cnf
 from diagfp.satcore import MiniSolver
@@ -30,6 +30,12 @@ def test_parse_inverter_chain():
 def test_parse_rejects_cycle():
     with pytest.raises(ModelFormatError):
         parse_circuit("gate g1 buf x y\ngate g2 buf y x\n")
+    # g0 feeds the cycle x -> y -> z -> x but is not on it
+    with pytest.raises(ModelFormatError, match="cyclic") as err:
+        parse_circuit("input a\ngate g0 buf b a\ngate g1 and x b z\n"
+                      "gate g2 buf y x\ngate g3 not z y\n")
+    assert "'g1', 'g2', 'g3'" in str(err.value)
+    assert "g0" not in str(err.value)
 
 
 def test_parse_rejects_double_driver():
@@ -204,9 +210,9 @@ def test_budget_partials_by_strategy():
     circuit, obs = load("adder3_flip.ckt")
     space = circuit.space()
     # brute_force_diagnosis gives this too, but takes over a minute
-    diagnosis = {parse_hyp(c, SHS) for c in (
-        "{g12}", "{g13}", "{g14}", "{g10,g7}", "{g10,g8}", "{g10,g9}",
-        "{g10,g2,g5}", "{g10,g3,g5}", "{g10,g4,g5}", "{g0,g1,g10,g5}")}
+    diagnosis = {set_hyp(c.split()) for c in (
+        "g12", "g13", "g14", "g10 g7", "g10 g8", "g10 g9",
+        "g10 g2 g5", "g10 g3 g5", "g10 g4 g5", "g0 g1 g10 g5")}
     seen_non_minimal, checked = False, set()
     for strategy in ("pls", "pls-r", "pfs-ec"):
         replay = _Replay(CircuitSolver(circuit, obs))

@@ -105,10 +105,21 @@ def test_trace_hypothesis(oneshot):
     assert trace_hypothesis(["f", "o1"], oneshot, sq) == seq_hyp(["f"])
     assert trace_hypothesis(["o1"], oneshot, oneshot.space(SHS)) == set_hyp([])
     model = parse_model(
-        "component c\nstates s\ninit s\ntrans s f1 s\ntrans s f2 s\nend\n"
-        "observable\nfaults f1 f2\n")
+        "component c\nstates s\ninit s\ntrans s f1 s\ntrans s f2 s\n"
+        "trans s f3 s\ntrans s o s\nend\nobservable o\nfaults f1 f2 f3\n")
     got = trace_hypothesis(["f1", "f2", "f1"], model, model.space(MHS))
     assert got == multi_hyp({"f1": 2, "f2": 1})
+    # the set, the counts or the word itself of the trace's fault word
+    rng = random.Random(3)
+    for _ in range(100):
+        trace = [rng.choice(model.events) for _ in range(rng.randrange(8))]
+        word = [e for e in trace if e in model.faults]
+        assert trace_hypothesis(trace, model, model.space(SHS)) == \
+            set_hyp(word)
+        assert trace_hypothesis(trace, model, model.space(MHS)) == \
+            multi_hyp({f: word.count(f) for f in model.faults})
+        assert trace_hypothesis(trace, model, model.space(SQHS)) == \
+            seq_hyp(word)
 
 
 def test_trace_matches_observation(oneshot):

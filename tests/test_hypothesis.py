@@ -1,11 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from diagfp.errors import DiagError, ModelFormatError, SpaceMismatchError
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, bin_hyp, children,
                                leq, min_antichain, multi_hyp, order_key,
-                               otimes, parse_hyp, seq_hyp, set_hyp)
+                               otimes, seq_hyp, set_hyp)
 
 SP_SHS = Space(SHS, ("f1", "f2", "f3"))
 SP_MHS = Space(MHS, ("a", "b"))
@@ -199,18 +200,19 @@ def test_min_antichain_is_minimal_antichain_of_input(space):
 
 # ---------------------------------------------------------------- rendering
 
-def test_canon_and_parse_roundtrip():
+def test_canon_renders_each_kind():
     cases = [
-        (set_hyp(["f2", "f1"]), SHS, "{f1,f2}"),
-        (multi_hyp({"f1": 2, "f2": 1}), MHS, "{f1:2,f2:1}"),
-        (seq_hyp(["f1", "f2", "f1"]), SQHS, "[f1,f2,f1]"),
-        (set_hyp([]), SHS, "{}"),
-        (seq_hyp([]), SQHS, "[]"),
-        (bin_hyp(False), BHS, "nominal"),
+        (set_hyp(["f2", "f1"]), "{f1,f2}"),
+        (multi_hyp({"f2": 1, "f1": 2}), "{f1:2,f2:1}"),
+        (seq_hyp(["f1", "f2", "f1"]), "[f1,f2,f1]"),
+        (set_hyp([]), "{}"),
+        (multi_hyp({}), "{}"),
+        (seq_hyp([]), "[]"),
+        (bin_hyp(False), "nominal"),
+        (bin_hyp(True), "faulty"),
     ]
-    for h, kind, text in cases:
+    for h, text in cases:
         assert h.canon() == text
-        assert parse_hyp(text, kind) == h
 
 
 def test_mhs_drops_zero_counts():
@@ -224,34 +226,11 @@ def test_mhs_rejects_negative_counts():
         multi_hyp({"f": -1})
 
 
-@pytest.mark.parametrize("text,kind", [
-    ("{f:-1}", MHS),
-    ("{f:2,f:-1}", MHS),
-    ("{f:x}", MHS),
-    ("{f}", MHS),
-    ("{a:1,:2}", MHS),
-    ("[a,,b]", SQHS),
-    ("[a,]", SQHS),
-    ("{a,,b}", SHS),
-    ("{,}", SHS),
-])
-def test_parse_rejects_bad_entries(text, kind):
-    with pytest.raises(DiagError):
-        parse_hyp(text, kind)
-
-
-def test_parse_accepts_spaces_around_entries():
-    assert parse_hyp("{ f1 : 2 , f2:1 }", MHS) == multi_hyp({"f1": 2, "f2": 1})
-    assert parse_hyp("[ f1 , f2 ]", SQHS) == seq_hyp(["f1", "f2"])
-    assert parse_hyp("[ ]", SQHS) == seq_hyp([])
-
-
 @pytest.mark.parametrize("faults", [("a,b", "c", "a", "b,c"), ("a", ""),
                                     (" a", "b"), ("a\tb",)])
 def test_space_rejects_fault_names_canon_cannot_tell_apart(faults):
     # {a,b | c} and {a | b,c} both render {a,b,c}; {""} renders {} like h0;
-    # parse_hyp reads {" a"} back as {a}, and every text format splits on
-    # whitespace
+    # every text format splits on whitespace
     with pytest.raises(ModelFormatError):
         Space(SHS, faults)
 
@@ -260,3 +239,28 @@ def test_order_key_sorts_by_size_then_text():
     hyps = [seq_hyp("ba"), seq_hyp("b"), seq_hyp("ab"), seq_hyp("")]
     assert sorted(hyps, key=order_key) == \
         [seq_hyp(""), seq_hyp("b"), seq_hyp("ab"), seq_hyp("ba")]
+
+
+# ------------------------------------------------------- mhs as sorted words
+
+def test_mhs_word_layout_matches_counts():
+    # an MHS hypothesis is its sorted fault word; check every operation
+    # against the multiset as a dict of counts
+    sp = Space(MHS, ("a", "b", "c"))
+    ref = {}
+    for cs in product(range(3), repeat=3):
+        c = dict(zip(sp.faults, cs))
+        ref[multi_hyp(c)] = c
+    hyps = sp.enumerate(2)
+    assert set(hyps) == set(ref) and len(hyps) == 27
+    for h in hyps:
+        c = ref[h]
+        assert h.size() == sum(c.values())
+        assert all(h.count(f) == c[f] for f in sp.faults)
+        assert h.canon() == "{" + ",".join(
+            f"{f}:{n}" for f, n in sorted(c.items()) if n) + "}"
+    for a, b in product(hyps, repeat=2):
+        ca, cb = ref[a], ref[b]
+        assert leq(a, b, sp) == all(ca[f] <= cb[f] for f in sp.faults)
+        assert otimes(a, b, sp) == [
+            multi_hyp({f: max(ca[f], cb[f]) for f in sp.faults})]

@@ -9,9 +9,9 @@ import pytest
 from diagfp.circuits import CircuitSolver, parse_circuit
 from diagfp.contract import TestRequest
 from diagfp.desmodel import parse_model
-from diagfp.errors import SpaceMismatchError
+from diagfp.errors import DiagError, SpaceMismatchError
 from diagfp.explicit import ExplicitSolver, fits_horizon, solve
-from diagfp.hypothesis import MHS, SHS, Space, multi_hyp, set_hyp
+from diagfp.hypothesis import BHS, MHS, SHS, Space, multi_hyp, set_hyp
 from diagfp.properties import (DESC, NEG_DESC, Property, PropertySet,
                                question_coverage)
 from diagfp.satbackend import SatSolver
@@ -76,16 +76,27 @@ def test_solver_refuses_request_for_another_space(solver):
     assert not untouched()
 
 
-@pytest.mark.parametrize("make", [
+DES_SOLVERS = pytest.mark.parametrize("make", [
     lambda model, space: SatSolver(model, ALARM_OBS, space, ALARM_PARAMS),
     lambda model, space: ExplicitSolver(model, ALARM_OBS, space),
 ], ids=["sat", "explicit"])
+
+
+@DES_SOLVERS
 def test_solver_refuses_alphabet_other_than_model_faults(make):
     model = parse_model(ALARMS)
     for faults in (model.faults[:-1], model.faults + ("f9",)):
         with pytest.raises(SpaceMismatchError):
             make(model, Space(MHS, faults))
     make(model, Space(MHS, tuple(reversed(model.faults))))
+
+
+@DES_SOLVERS
+def test_solver_refuses_bhs_space(make):
+    # when it is built, not on its first test
+    model = parse_model(ALARMS)
+    with pytest.raises(DiagError, match="does not handle space bhs"):
+        make(model, Space(BHS, model.faults))
 
 
 @pytest.mark.parametrize("entry", [
