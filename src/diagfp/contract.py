@@ -6,8 +6,8 @@ hypothesis set contain a diagnosis candidate?  Any object with a
     solve(request: TestRequest) -> TestOutcome
 
 method (and a ``space`` attribute) can drive the strategies.  On success the
-outcome carries a witnessed candidate; on failure it carries a conflict: a
-:class:`PropertySet` holding a subset of the requested properties whose
+outcome carries a witnessed candidate; on failure it carries a conflict: the
+tuple of a subset of the requested properties, in request order, whose
 conjunction already rules every candidate out.  The least informative legal
 conflict is the full request.
 
@@ -23,17 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .hypothesis import Hypothesis, Space
-from .properties import PropertySet
 
 
 @dataclass(frozen=True)
 class TestRequest:
     __test__ = False  # not a pytest class
 
-    props: PropertySet
+    props: tuple
     space: Space
 
     def __post_init__(self):
+        # stored before validation reads it, so an iterator is read once
+        object.__setattr__(self, "props", tuple(self.props))
         for p in self.props:
             self.space.validate(p.anchor)
 
@@ -46,7 +47,7 @@ class TestOutcome:
 
     candidate: Hypothesis | None = None
     witness: object = None
-    conflict: PropertySet | None = None
+    conflict: tuple | None = None
 
     @classmethod
     def found(cls, candidate, witness):

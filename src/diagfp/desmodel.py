@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import product as iproduct
 
 from .errors import DiagError, ModelFormatError, SpaceMismatchError
-from .hypothesis import Hypothesis, Space, check_fault_name, extend
+from .hypothesis import BHS, Hypothesis, Space, check_fault_name, extend
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,10 @@ class DesModel:
         return Space(kind, tuple(self.faults))
 
     def check_space(self, space: Space) -> None:
-        """Reject a space whose alphabet is not the model's faults."""
+        """Reject a space that is not a fault-word kind (SHS, MHS, SqHS) or
+        whose alphabet is not the model's faults."""
+        if space.kind == BHS:
+            raise DiagError(f"a DES model does not handle space {space.kind}")
         if space.fault_set != frozenset(self.faults):
             raise SpaceMismatchError(
                 f"alphabet of {space} is not the model's faults")

@@ -24,7 +24,7 @@ from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import DiagError, SpaceMismatchError, StateBudgetExceeded
-from .hypothesis import MHS, SHS, SQHS, Space, extend, leq, min_antichain
+from .hypothesis import MHS, SHS, Space, extend, leq, min_antichain
 from .properties import DESC_KINDS, POSITIVE_KINDS, member
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -127,8 +127,6 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     unobservable events per observation gap, which certifies that a witness
     fits the SAT backend's pinned-timestep shape.
     """
-    if space.kind not in (SHS, MHS, SQHS):
-        raise DiagError(f"explicit solver does not handle space {space.kind}")
     model.check_space(space)
     if graph is None:
         graph = _product_graph(model, obs, state_budget)
@@ -194,15 +192,14 @@ def solve(model: DesModel, obs: Observation, request: TestRequest,
     ``_product_graph`` of ``model`` and ``obs``, built here when None.  The
     witness is re-validated against the model, not the graph."""
     space = request.space
-    props = list(request.props)
-    trace = _search(model, obs, space, props, state_budget, graph,
+    trace = _search(model, obs, space, request.props, state_budget, graph,
                     stats=stats)
     if trace is None:
         return TestOutcome.failed(request.props)
     hyp = trace_hypothesis(trace, model, space)
     if not (trace_in_model(trace, model)
             and trace_matches_observation(trace, model, obs)
-            and member(hyp, props, space)):
+            and member(hyp, request.props, space)):
         raise DiagError("explicit solver produced an invalid witness")
     return TestOutcome.found(hyp, trace)
 
@@ -217,7 +214,7 @@ def fits_horizon(model: DesModel, obs: Observation, request: TestRequest,
     ``steps_per_obs`` after the final observation.
     """
     caps = (steps_per_obs - 1, steps_per_obs)
-    trace = _search(model, obs, request.space, list(request.props),
+    trace = _search(model, obs, request.space, request.props,
                     state_budget, gap_caps=caps)
     return trace is not None
 
@@ -334,8 +331,7 @@ def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
     dominates a discovered candidate cannot contribute a new minimal
     candidate and is not expanded.
     """
-    if space.kind not in (SHS, MHS, SQHS):
-        raise DiagError(f"oracle does not handle space {space.kind}")
+    model.check_space(space)
     graph = _product_graph(model, obs, state_budget)
     found = []
     for hyp in _observed_hyps(
@@ -355,6 +351,7 @@ def oracle_candidates(model: DesModel, obs: Observation, space: Space,
     Complete for that slice: a candidate with k faults has a witness whose
     fault-free segments are loop-free, so length <= (k+|obs|+1)*(states+1).
     """
+    model.check_space(space)
     graph = _product_graph(model, obs, state_budget)
     # fault-free stretches of a witness can be made loop-free, so a candidate
     # with k fault events has a witness of depth (k+1) * |product| + k
@@ -375,9 +372,6 @@ class ExplicitSolver:
 
     def __init__(self, model: DesModel, obs: Observation, space: Space,
                  state_budget: int = DEFAULT_STATE_BUDGET):
-        if space.kind not in (SHS, MHS, SQHS):
-            raise DiagError(
-                f"explicit solver does not handle space {space.kind}")
         model.check_space(space)
         self.model = model
         self.obs = obs

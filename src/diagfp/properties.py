@@ -12,9 +12,10 @@ anchor (``DESC_KINDS``); ``satbackend.guard_property`` adds the negation
 for the SAT frontends, and the explicit search compares the same test with
 ``kind in POSITIVE_KINDS``.
 
-A :class:`PropertySet` denotes the intersection of its members' hypothesis
-sets.  Insertion order is preserved: the SAT backend numbers assumption
-literals by it, which keeps unsat cores reproducible.
+A property set is a tuple of properties and denotes the intersection of its
+members' hypothesis sets.  No builder repeats a property, and a conflict is a
+sub-tuple of its request.  The order is kept: the SAT backend numbers
+assumption literals by it, which keeps unsat cores reproducible.
 """
 
 from __future__ import annotations
@@ -49,33 +50,6 @@ class Property:
         return f"{self.kind}({self.anchor.canon()})"
 
 
-class PropertySet:
-    """Duplicate-free, insertion-ordered conjunction of properties."""
-
-    def __init__(self, props=()):
-        self._props = []
-        seen = set()
-        for p in props:
-            if p not in seen:
-                seen.add(p)
-                self._props.append(p)
-
-    def __iter__(self):
-        return iter(self._props)
-
-    def __len__(self):
-        return len(self._props)
-
-    def __eq__(self, other):
-        return isinstance(other, PropertySet) and set(self._props) == set(other._props)
-
-    def __hash__(self):
-        return hash(frozenset(self._props))
-
-    def __repr__(self):
-        return "{" + ", ".join(map(repr, self._props)) + "}"
-
-
 def exhibits(h: Hypothesis, p: Property, space: Space) -> bool:
     """Does ``h`` exhibit property ``p``?"""
     if p.kind == DESC:
@@ -92,24 +66,23 @@ def member(h: Hypothesis, props, space: Space) -> bool:
     return all(exhibits(h, p, space) for p in props)
 
 
-def question_candidate(h: Hypothesis, space: Space) -> PropertySet:
+def question_candidate(h: Hypothesis, space: Space) -> tuple:
     """Property set whose hypothesis set is exactly ``{h}``.
 
     It is stated through the children of ``h`` rather than as {desc(h),
     anc(h)}: the children-based form produces more general conflicts for the
     conflict-directed strategies.
     """
-    props = [Property(DESC, h)]
-    props.extend(Property(NEG_DESC, c) for c in children(h, space))
-    return PropertySet(props)
+    return (Property(DESC, h),
+            *(Property(NEG_DESC, c) for c in children(h, space)))
 
 
-def question_minimal(d: Hypothesis, space: Space) -> PropertySet:
+def question_minimal(d: Hypothesis, space: Space) -> tuple:
     """Property set of the strict ancestors of candidate ``d``."""
-    return PropertySet([Property(ANC, d), Property(NEG_DESC, d)])
+    return (Property(ANC, d), Property(NEG_DESC, d))
 
 
-def question_coverage(hyps, space: Space) -> PropertySet:
+def question_coverage(hyps, space: Space) -> tuple:
     """Property set of the hypotheses dominated by no element of ``hyps``."""
-    anchors = sorted(set(hyps), key=order_key)
-    return PropertySet([Property(NEG_DESC, h) for h in anchors])
+    return tuple(Property(NEG_DESC, h)
+                 for h in sorted(set(hyps), key=order_key))

@@ -25,8 +25,7 @@ from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import DiagError, EncodingError, SpaceMismatchError
 from .hypothesis import MHS, SHS, SQHS, Space
-from .properties import (DESC_KINDS, POSITIVE_KINDS, Property, PropertySet,
-                         member)
+from .properties import DESC_KINDS, POSITIVE_KINDS, Property, member
 from .satcore import MiniSolver
 
 _PAIRWISE_LIMIT = 8
@@ -304,15 +303,13 @@ def encode_property(prop: Property, space: Space, model: DesModel,
         else:
             lits = (-_desc_chain(cnf, (f,) * (anchor.count(f) + 1), n)
                     for f in faults)
-    elif space.kind == SQHS:
-        seq = tuple(anchor.data)
+    else:
+        seq = anchor.data
         if not desc:
             lits = (_anc_chain(cnf, seq, faults, n),)
         else:
             # desc of the empty sequence is the empty conjunction
             lits = (_desc_chain(cnf, seq, n),) if seq else ()
-    else:
-        raise DiagError(f"sat backend does not handle space {space.kind}")
     guard_property(cnf, prop, act, lits)
 
 
@@ -380,14 +377,14 @@ class AssumptionSolver:
         if request.space != self.space:
             raise SpaceMismatchError(
                 f"request for {request.space} sent to a solver of {self.space}")
-        props = tuple(request.props)
+        props = request.props
         acts = self.activate(props)
         if self.kernel is None:
             self.kernel = MiniSolver()
         kernel = self.kernel
         kernel.ensure_vars(self.cnf.nvars)
         for act in self._unmarked:
-            kernel.set_decision_var(act, False)
+            kernel.mark_non_decision(act)
         self._unmarked.clear()
         kernel.add_clauses(self.cnf.clauses[self._loaded:])
         self._loaded = len(self.cnf.clauses)
@@ -395,9 +392,9 @@ class AssumptionSolver:
             return self._candidate(kernel, request)
         failed = set(kernel.failed_assumptions())
         return TestOutcome.failed(
-            PropertySet(p for p, act in zip(props, acts) if act in failed))
+            tuple(p for p, act in zip(props, acts) if act in failed))
 
-    def check_conflict(self, conflict: PropertySet) -> bool:
+    def check_conflict(self, conflict: tuple) -> bool:
         """Independent check of a conflict: solve the whole CNF in a fresh
         kernel (not the live one, with its learnt clauses) under only the
         conflict's activation literals; True iff UNSAT."""
@@ -430,8 +427,6 @@ class SatSolver(AssumptionSolver):
 
     def __init__(self, model: DesModel, obs: Observation, space: Space,
                  params: EncodingParams | None = None):
-        if space.kind not in (SHS, MHS, SQHS):
-            raise DiagError(f"sat backend does not handle space {space.kind}")
         model.check_space(space)
         super().__init__(Cnf(), space)
         self.model = model

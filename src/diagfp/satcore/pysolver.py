@@ -10,8 +10,8 @@ and learnt clauses, activities and saved phases carry over to the next
 solve.  No clause deletion: workloads here are bounded-size encodings whose
 tests add few clauses.
 
-A variable can be marked non-decision (``set_decision_var(v, False)``, as
-MiniSat's ``setDecisionVar``): the solver never branches on it, so it is
+A variable can be marked non-decision (``mark_non_decision(v)``, as MiniSat's
+``setDecisionVar(v, false)``): the solver never branches on it, so it is
 assigned only by an assumption or by propagation and may stay unassigned in
 a model.  This is meant for selector literals that occur only negatively in
 every clause: such a literal, left unassigned, extends to false and the
@@ -22,12 +22,17 @@ Literals use the DIMACS convention externally (signed non-zero ints) and the
 (``values[lit]``: 1 true, 0 false, -1 unassigned), so testing a literal is
 one index.
 
-Hot-path rule: ``_propagate``, ``_cancel_until``, ``_pick_branch`` and
-``add_clauses`` bind the attributes they use to locals and inline the value
-test, the enqueue and the heap sift, since in Python a method call costs more
-than the work it wraps.  Loading is done once per batch: ``add_clauses``
-returns to decision level 0 and creates every variable its clauses name
-before loading them, and ``solve`` creates its assumptions' variables once.
+Decisions pop an indexed max-heap over variable activities: ``heap`` lists
+variables, and ``heap_pos[v]`` is ``v``'s index in it, or -1 when ``v`` is
+not in it.
+
+Hot-path rule: ``_propagate``, ``_cancel_until``, ``_pick_branch``,
+``_bump_var`` and ``add_clauses`` bind the attributes they use to locals and
+inline the value test, the enqueue and the heap sift, since in Python a
+method call costs more than the work it wraps.  Loading is done once per
+batch: ``add_clauses`` returns to decision level 0 and creates every
+variable its clauses name before loading them, and ``solve`` creates its
+assumptions' variables once.
 
 ``tests/test_satcore.py::test_search_is_unchanged`` pins the search: each
 clause's literal order, the order of every watch list and the heap order
@@ -57,42 +62,6 @@ def _luby(i: int) -> int:
     return 1 << (k - 1)
 
 
-class _VarHeap:
-    """Indexed max-heap over variable activities.  ``pos[v]`` is ``v``'s
-    index in ``heap``, or -1 when ``v`` is not in it."""
-
-    def __init__(self, activity):
-        self.act = activity
-        self.heap = []
-        self.pos = [-1]
-
-    def _up(self, i):
-        heap, pos, act = self.heap, self.pos, self.act
-        v = heap[i]
-        a = act[v]
-        while i > 0:
-            parent = (i - 1) >> 1
-            u = heap[parent]
-            if a <= act[u]:
-                break
-            heap[i] = u
-            pos[u] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def push(self, v):
-        pos = self.pos
-        if pos[v] < 0:
-            pos[v] = len(self.heap)
-            self.heap.append(v)
-            self._up(pos[v])
-
-    def bumped(self, v):
-        if self.pos[v] >= 0:
-            self._up(self.pos[v])
-
-
 class MiniSolver:
     """Incremental CDCL solver; add clauses, solve under assumptions, add
     more clauses and solve again."""
@@ -112,7 +81,8 @@ class MiniSolver:
         self.trail_lim = []
         self.qhead = 0
         self.ok = True
-        self._heap = _VarHeap(self.activity)
+        self.heap = []
+        self.heap_pos = [-1]
         self._bump = _ACT_BUMP
         self.failed = None         # failed assumptions of the last UNSAT solve
         self.conflicts = 0
@@ -138,18 +108,15 @@ class MiniSolver:
         self.watches.extend([[] for _ in range(2 * k)])
         # A new variable has activity 0 and no activity is negative, so it
         # stays the leaf it is appended as: no sift-up is needed.
-        heap = self._heap
-        heap.pos.extend(range(len(heap.heap), len(heap.heap) + k))
-        heap.heap.extend(range(first, n + 1))
+        heap = self.heap
+        self.heap_pos.extend(range(len(heap), len(heap) + k))
+        heap.extend(range(first, n + 1))
 
-    def set_decision_var(self, v: int, flag: bool):
-        """Allow (True) or forbid (False) branching on existing variable
-        ``v``."""
+    def mark_non_decision(self, v: int):
+        """Never branch on existing variable ``v`` again."""
         if not 0 < v <= self.nvars:
             raise IndexError(f"no variable {v}")
-        self.decision[v] = flag
-        if flag and self.values[2 * v] < 0:
-            self._heap.push(v)
+        self.decision[v] = False
 
     def add_clause(self, lits) -> bool:
         """Add a clause of signed DIMACS literals; False once UNSAT at root."""
@@ -218,8 +185,7 @@ class MiniSolver:
             return
         trail, values = self.trail, self.values
         phase, decision = self.phase, self.decision
-        heap = self._heap
-        hlist, hpos, act = heap.heap, heap.pos, heap.act
+        hlist, hpos, act = self.heap, self.heap_pos, self.activity
         bound = trail_lim[target]
         for lit in reversed(trail[bound:]):
             v = lit >> 1
@@ -304,12 +270,29 @@ class MiniSolver:
     # ----------------------------------------------------------- learning
 
     def _bump_var(self, v):
-        self.activity[v] += self._bump
-        if self.activity[v] > _ACT_RESCALE:
+        act = self.activity
+        act[v] += self._bump
+        if act[v] > _ACT_RESCALE:
             for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
+                act[u] *= 1e-100
             self._bump *= 1e-100
-        self._heap.bumped(v)
+        hpos = self.heap_pos
+        i = hpos[v]
+        if i < 0:
+            return
+        # sift v up: its activity only grew
+        hlist = self.heap
+        a = act[v]
+        while i > 0:
+            parent = (i - 1) >> 1
+            u = hlist[parent]
+            if a <= act[u]:
+                break
+            hlist[i] = u
+            hpos[u] = i
+            i = parent
+        hlist[i] = v
+        hpos[v] = i
 
     def _analyze(self, confl):
         """First-UIP conflict analysis: learnt clause + backtrack level."""
@@ -396,8 +379,7 @@ class MiniSolver:
     # --------------------------------------------------------------- solve
 
     def _pick_branch(self):
-        heap = self._heap
-        hlist, hpos, act = heap.heap, heap.pos, heap.act
+        hlist, hpos, act = self.heap, self.heap_pos, self.activity
         values, decision, phase = self.values, self.decision, self.phase
         while hlist:
             # pop the top; non-decision variables are dropped here

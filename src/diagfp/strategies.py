@@ -28,7 +28,7 @@ from .contract import TestOutcome, TestRequest
 from .errors import BudgetExhausted, DiagError
 from .hypothesis import (Hypothesis, Space, children, leq, lt, min_antichain,
                          order_key, otimes)
-from .properties import (NEG_DESC, PropertySet, member, question_candidate,
+from .properties import (NEG_DESC, member, question_candidate,
                          question_coverage, question_minimal)
 
 # The most tests one strategy run may send, in every strategy.
@@ -66,7 +66,7 @@ class _Run:
         self.expansions = 0
         self.cache_hits = 0
 
-    def ask(self, props: PropertySet) -> TestOutcome:
+    def ask(self, props: tuple) -> TestOutcome:
         """Send one test; past the cap, raise with the antichain of
         ``store`` as the partial result."""
         if self.tests >= self.iteration_cap:
@@ -118,7 +118,7 @@ def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
         found.append(delta)
 
 
-def conflict_successors(h: Hypothesis, conflict: PropertySet,
+def conflict_successors(h: Hypothesis, conflict: tuple,
                         space: Space) -> list:
     """Minimal descendants of ``h`` outside the conflict's hypothesis set.
 

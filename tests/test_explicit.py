@@ -13,8 +13,7 @@ from diagfp.errors import StateBudgetExceeded
 from diagfp.explicit import (ExplicitSolver, certified_bound, fits_horizon,
                              oracle_candidates, oracle_diagnose, solve)
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
-from diagfp.properties import (PropertySet, member, question_candidate,
-                               question_coverage)
+from diagfp.properties import member, question_candidate, question_coverage
 from diagfp.strategies import run_strategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,12 +41,12 @@ def test_solve_candidate_failed_trivial_conflict(oneshot):
     req = TestRequest(question_candidate(set_hyp([]), space), space)
     out = solve(oneshot, OBS1, req)
     assert not out.is_candidate
-    assert set(out.conflict) == set(req.props)
+    assert out.conflict == req.props
 
 
 def test_empty_everything(oneshot):
     space = oneshot.space(SHS)
-    out = solve(oneshot, Observation(()), TestRequest(PropertySet(), space))
+    out = solve(oneshot, Observation(()), TestRequest((), space))
     assert out.is_candidate
     assert out.witness == ()
 

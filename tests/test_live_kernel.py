@@ -74,7 +74,9 @@ def check_run(solver, strategy, one_shot, expected):
         if outcome.is_candidate:
             assert member(outcome.candidate, request.props, space)
         else:
-            assert set(outcome.conflict) <= set(request.props)
+            # a sub-tuple of the request, in request order
+            assert outcome.conflict == tuple(
+                p for p in request.props if p in outcome.conflict)
             assert solver.check_conflict(outcome.conflict)
     # the live kernel must have taken new property clauses right after a
     # satisfiable test, while it still held that test's assignment

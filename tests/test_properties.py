@@ -3,9 +3,8 @@ import pytest
 from diagfp.hypothesis import (MHS, SHS, SQHS, Space, leq, multi_hyp,
                                seq_hyp, set_hyp)
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
-                               PropertySet, exhibits, member,
-                               question_candidate, question_coverage,
-                               question_minimal)
+                               exhibits, member, question_candidate,
+                               question_coverage, question_minimal)
 
 SP4 = Space(SHS, ("f1", "f2", "f3", "f4"))
 SP2 = Space(SHS, ("f1", "f2"))
@@ -35,9 +34,9 @@ def test_everything_descends_from_h0():
 
 
 def test_member_examples():
-    assert member(SP4.h0, PropertySet(), SP4)
-    ps = PropertySet([Property(DESC, seq_hyp(["f1"])),
-                      Property(NEG_DESC, seq_hyp(["f1", "f1"]))])
+    assert member(SP4.h0, (), SP4)
+    ps = (Property(DESC, seq_hyp(["f1"])),
+          Property(NEG_DESC, seq_hyp(["f1", "f1"])))
     expected = {h for h in SQ2.enumerate(2)
                 if leq(seq_hyp(["f1"]), h, SQ2)
                 and not leq(seq_hyp(["f1", "f1"]), h, SQ2)}
@@ -47,26 +46,36 @@ def test_member_examples():
     assert not member(set_hyp(["f1"]), [Property(ANC, set_hyp(["f2"]))], SP2)
 
 
-def test_property_set_preserves_insertion_order():
-    a = Property(DESC, set_hyp(["f1"]))
-    b = Property(NEG_DESC, set_hyp(["f2"]))
-    ps = PropertySet([b, a, b])
-    assert list(ps) == [b, a]
-
-
 # ---------------------------------------------------------------- questions
+
+@pytest.mark.parametrize("space", [
+    Space(SHS, ("a", "b", "c")), Space(MHS, ("a", "b")),
+    Space(SQHS, ("a", "b")),
+], ids=lambda space: space.kind)
+def test_question_builders_return_duplicate_free_tuples(space):
+    hyps = list(space.enumerate(2))
+    questions = [question_coverage(hyps, space),
+                 question_coverage(hyps + hyps[::-1], space)]
+    for h in hyps:
+        questions += [question_candidate(h, space),
+                      question_minimal(h, space),
+                      question_coverage([h, h], space)]
+    for props in questions:
+        assert type(props) is tuple
+        assert len(set(props)) == len(props), props
+
 
 def test_question_candidate_structure():
     got = question_candidate(seq_hyp([]), SQ2)
-    assert list(got) == [Property(DESC, seq_hyp([])),
-                         Property(NEG_DESC, seq_hyp(["f1"])),
-                         Property(NEG_DESC, seq_hyp(["f2"]))]
+    assert got == (Property(DESC, seq_hyp([])),
+                   Property(NEG_DESC, seq_hyp(["f1"])),
+                   Property(NEG_DESC, seq_hyp(["f2"])))
     top = Space(SHS, ("f",))
-    assert list(question_candidate(set_hyp(["f"]), top)) == \
-        [Property(DESC, set_hyp(["f"]))]
-    assert list(question_candidate(multi_hyp({"f": 1}), MH1)) == \
-        [Property(DESC, multi_hyp({"f": 1})),
-         Property(NEG_DESC, multi_hyp({"f": 2}))]
+    assert question_candidate(set_hyp(["f"]), top) == \
+        (Property(DESC, set_hyp(["f"])),)
+    assert question_candidate(multi_hyp({"f": 1}), MH1) == \
+        (Property(DESC, multi_hyp({"f": 1})),
+         Property(NEG_DESC, multi_hyp({"f": 2})))
 
 
 @pytest.mark.parametrize("space,bound", [

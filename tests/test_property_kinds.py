@@ -16,7 +16,7 @@ from diagfp.contract import TestRequest
 from diagfp.explicit import fits_horizon, oracle_candidates, solve
 from diagfp.hypothesis import MHS, SHS, SQHS, set_hyp
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
-                               PropertySet, exhibits)
+                               exhibits)
 from diagfp.satbackend import Cnf, EncodingParams, SatSolver
 from diagfp.satcore import MiniSolver
 
@@ -56,7 +56,7 @@ def test_des_solvers_agree_on_each_property_kind(kind):
         sat = SatSolver(model, obs, space, params)
         for anchor, pkind in product(anchors, KINDS):
             prop = Property(pkind, anchor)
-            req = TestRequest(PropertySet([prop]), space)
+            req = TestRequest((prop,), space)
             expected = {h for h in cands if exhibits(h, prop, space)}
             exp = solve(model, obs, req)
             seen[pkind][0 if exp.is_candidate else 1] += 1
@@ -115,7 +115,7 @@ def test_circuit_solver_matches_brute_force_on_each_property_kind(name):
     solver = CircuitSolver(circuit, obs)   # one live kernel for every test
     for anchor, pkind in product(hyps, KINDS):
         prop = Property(pkind, anchor)
-        out = solver.solve(TestRequest(PropertySet([prop]), space))
+        out = solver.solve(TestRequest((prop,), space))
         expected = {h for h in cands if exhibits(h, prop, space)}
         assert out.is_candidate == bool(expected), prop
         if out.is_candidate:

@@ -10,10 +10,10 @@ from diagfp.circuits import CircuitSolver, parse_circuit
 from diagfp.contract import TestRequest
 from diagfp.desmodel import parse_model
 from diagfp.errors import DiagError, SpaceMismatchError
-from diagfp.explicit import ExplicitSolver, fits_horizon, solve
+from diagfp.explicit import (ExplicitSolver, fits_horizon, oracle_candidates,
+                             oracle_diagnose, solve)
 from diagfp.hypothesis import BHS, MHS, SHS, Space, multi_hyp, set_hyp
-from diagfp.properties import (DESC, NEG_DESC, Property, PropertySet,
-                               question_coverage)
+from diagfp.properties import DESC, NEG_DESC, Property, question_coverage
 from diagfp.satbackend import SatSolver
 from diagfp.strategies import run_strategy
 
@@ -43,12 +43,14 @@ def test_validate_runs_once_per_request_anchor(strategy, monkeypatch):
 
 def test_request_rejects_anchor_outside_its_space():
     space = Space(SHS, ("a", "b"))
-    TestRequest(PropertySet([Property(DESC, set_hyp(["a"]))]), space)
+    props = (Property(DESC, set_hyp(["a"])), Property(NEG_DESC, set_hyp(["b"])))
+    # an iterator is stored as a tuple before its anchors are validated
+    assert TestRequest(iter(props), space).props == props
     with pytest.raises(SpaceMismatchError):
-        TestRequest(PropertySet([Property(NEG_DESC, set_hyp(["a"])),
-                                 Property(DESC, set_hyp(["c"]))]), space)
+        TestRequest((Property(NEG_DESC, set_hyp(["a"])),
+                     Property(DESC, set_hyp(["c"]))), space)
     with pytest.raises(SpaceMismatchError):
-        TestRequest(PropertySet([Property(DESC, multi_hyp({"a": 1}))]), space)
+        TestRequest((Property(DESC, multi_hyp({"a": 1})),), space)
 
 
 def _solvers():
@@ -79,7 +81,9 @@ def test_solver_refuses_request_for_another_space(solver):
 DES_SOLVERS = pytest.mark.parametrize("make", [
     lambda model, space: SatSolver(model, ALARM_OBS, space, ALARM_PARAMS),
     lambda model, space: ExplicitSolver(model, ALARM_OBS, space),
-], ids=["sat", "explicit"])
+    lambda model, space: oracle_diagnose(model, ALARM_OBS, space),
+    lambda model, space: oracle_candidates(model, ALARM_OBS, space, 1),
+], ids=["sat", "explicit", "oracle_diagnose", "oracle_candidates"])
 
 
 @DES_SOLVERS

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -9,11 +9,11 @@ from diagfp.desmodel import (Observation, parse_model, trace_in_model,
                              trace_matches_observation)
 from diagfp.explicit import fits_horizon, oracle_candidates, solve as explicit_solve
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
-from diagfp.properties import (ANC, DESC, NEG_DESC, Property, PropertySet,
-                               member, question_candidate, question_coverage,
+from diagfp.properties import (ANC, DESC, NEG_DESC, Property, member,
+                               question_candidate, question_coverage,
                                question_minimal)
-from diagfp.satbackend import (Cnf, EncodingParams, SatSolver, _anc_chain,
-                                _desc_chain)
+from diagfp.satbackend import (_PAIRWISE_LIMIT, Cnf, EncodingParams,
+                                SatSolver, _anc_chain, _desc_chain)
 from diagfp.satcore import MiniSolver
 
 from test_explicit import faulty_instances
@@ -91,7 +91,7 @@ def test_observation_units(oneshot):
 def test_shs_desc_guarded_clause_shape(oneshot):
     space = oneshot.space(SHS)
     params = EncodingParams(steps_per_obs=1)
-    req = TestRequest(PropertySet([Property(DESC, set_hyp(["f"]))]), space)
+    req = TestRequest((Property(DESC, set_hyp(["f"])),), space)
     solver = SatSolver(oneshot, OBS1, space, params)
     act, = solver.activate(req.props)
     cnf = solver.cnf
@@ -141,7 +141,7 @@ def test_counts_encoding_via_requests():
         assert out.candidate == multi_hyp({"f": k})
     # more occurrences than fit before the pinned observation
     out = solver.solve(TestRequest(
-        PropertySet([Property(DESC, multi_hyp({"f": 20}))]), space))
+        (Property(DESC, multi_hyp({"f": 20})),), space))
     assert not out.is_candidate
 
 
@@ -165,10 +165,10 @@ def test_sqhs_desc_and_anc_chains():
     assert out.is_candidate
     # anc: only sequences embedding into [f2,f1,f2] allowed; [f1,f2] is not
     out = solver.solve(TestRequest(
-        PropertySet([Property(ANC, seq_hyp(["f1"]))]), space))
+        (Property(ANC, seq_hyp(["f1"])),), space))
     assert not out.is_candidate
     out = solver.solve(TestRequest(
-        PropertySet([Property(ANC, seq_hyp(["f1", "f2"]))]), space))
+        (Property(ANC, seq_hyp(["f1", "f2"])),), space))
     assert out.is_candidate
 
 
@@ -228,13 +228,31 @@ def test_chains_match_brute_force(n):
                            _embeds(word, [{f} for f in a])), (a, steps)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("exactly", [False, True], ids=["amo", "exactly"])
+def test_at_most_one_and_exactly_one(n, exactly):
+    # pairwise up to _PAIRWISE_LIMIT literals, the ladder beyond
+    cnf = Cnf()
+    lits = [cnf.new() for _ in range(n)]
+    (cnf.exactly_one if exactly else cnf.at_most_one)(lits)
+    assert (cnf.nvars > n) == (n > _PAIRWISE_LIMIT)
+    kernel = MiniSolver()
+    kernel.ensure_vars(cnf.nvars)
+    kernel.add_clauses(cnf.clauses)
+    for x in lits:
+        assert kernel.solve([x] + [-y for y in lits if y != x])
+    for x, y in combinations(lits, 2):
+        assert not kernel.solve([x, y])
+    assert kernel.solve([-x for x in lits]) is not exactly
+
+
 def test_neg_desc_of_h0_is_contradictory(oneshot):
     space = oneshot.space(SHS)
     solver = SatSolver(oneshot, OBS1, space, EncodingParams(2))
     out = solver.solve(TestRequest(
-        PropertySet([Property(NEG_DESC, set_hyp([]))]), space))
+        (Property(NEG_DESC, set_hyp([])),), space))
     assert not out.is_candidate
-    assert list(out.conflict) == [Property(NEG_DESC, set_hyp([]))]
+    assert out.conflict == (Property(NEG_DESC, set_hyp([])),)
 
 
 def test_conflicts_resolve_unsat_and_exclude_no_candidate():

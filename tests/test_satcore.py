@@ -115,7 +115,7 @@ def search_trace(solver_cls, kind, seed):
         s.ensure_vars(n + k)
         for v in range(n + 1, n + k + 1):
             if rng.random() < 0.7:
-                s.set_decision_var(v, False)
+                s.mark_non_decision(v)
         load(clauses)
         for _ in range(3):
             for _ in range(2):
@@ -302,7 +302,7 @@ def test_non_decision_selectors_stay_sound(solver_cls):
         non_decision = {v for v in range(n + 1, n + k + 1)
                         if rng.random() < 0.7}
         for v in non_decision:
-            s.set_decision_var(v, False)
+            s.mark_non_decision(v)
         ok = s.add_clauses(clauses)
         for _ in range(4):
             assumptions = [v for v in range(n + 1, n + k + 1)
@@ -334,20 +334,17 @@ def test_non_decision_selectors_stay_sound(solver_cls):
                 assert fresh.solve(failed) is False
 
 
-def test_non_decision_var_is_branched_on_again(solver_cls):
+def test_non_decision_var_is_never_branched_on(solver_cls):
     s = solver_cls()
     s.ensure_vars(2)
     s.add_clause([2])
-    s.set_decision_var(1, False)
+    s.mark_non_decision(1)
     assert s.solve()
     assert s.value(1) is None and s.decisions == 0
     assert s.solve()  # popped and dropped by the first solve; still off
     assert s.value(1) is None and s.decisions == 0
-    s.set_decision_var(1, True)
-    assert s.solve()
-    assert s.value(1) is not None and s.decisions == 1
     with pytest.raises(IndexError):
-        s.set_decision_var(3, False)
+        s.mark_non_decision(3)
 
 
 def test_search_is_unchanged(solver_cls):

@@ -9,7 +9,7 @@ from diagfp.errors import BudgetExhausted, DiagError
 from diagfp.explicit import ExplicitSolver, oracle_diagnose
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, leq, lt,
                                min_antichain, order_key, seq_hyp, set_hyp)
-from diagfp.properties import (DESC, NEG_DESC, Property, PropertySet, member,
+from diagfp.properties import (DESC, NEG_DESC, Property, member,
                                question_candidate)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.strategies import (STRATEGIES, conflict_successors, run_pfs,
@@ -77,8 +77,8 @@ def test_run_strategy_rejects_unknown_names():
 
 def test_conflict_successors_example_discards_f3():
     sp = Space(SQHS, ("f1", "f2", "f3"))
-    c = PropertySet((Property(NEG_DESC, seq_hyp(["f1"])),
-                     Property(NEG_DESC, seq_hyp(["f2"]))))
+    c = (Property(NEG_DESC, seq_hyp(["f1"])),
+         Property(NEG_DESC, seq_hyp(["f2"])))
     got = conflict_successors(sp.h0, c, sp)
     assert set(got) == {seq_hyp(["f1"]), seq_hyp(["f2"])}
 
@@ -88,7 +88,7 @@ def test_conflict_successors_example_skips_depth_one():
     # fewer than two faults is a candidate
     sp = Space(SQHS, ("f1", "f2", "f3"))
     two_fault = [seq_hyp([a, b]) for a in sp.faults for b in sp.faults]
-    c = PropertySet(Property(NEG_DESC, h) for h in two_fault)
+    c = tuple(Property(NEG_DESC, h) for h in two_fault)
     got = conflict_successors(sp.h0, c, sp)
     assert set(got) == set(two_fault)
     assert len(got) == 9
@@ -104,14 +104,14 @@ def test_trivial_conflict_reduces_to_children():
 
 def test_conflict_successors_requires_membership():
     sp = Space(SHS, ("f1", "f2"))
-    c = PropertySet((Property(NEG_DESC, set_hyp(["f1"])),))
+    c = (Property(NEG_DESC, set_hyp(["f1"])),)
     with pytest.raises(DiagError):
         conflict_successors(set_hyp(["f1"]), c, sp)  # h exhibits desc(f1)
 
 
 def test_empty_neg_desc_conflict_kills_cone():
     sp = Space(SHS, ("f1",))
-    c = PropertySet((Property(DESC, set_hyp([])),))
+    c = (Property(DESC, set_hyp([])),)
     assert conflict_successors(sp.h0, c, sp) == []
 
 
