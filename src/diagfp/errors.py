@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 
 class DiagError(Exception):
     """Base class for all package errors."""
@@ -27,9 +29,9 @@ class StateBudgetExceeded(DiagError):
 
 class BudgetExhausted(DiagError):
     """A strategy hit its test cap (``iteration_cap``); carries the partial
-    result."""
+    result (a ``DiagnosisResult``) and the run's read-only stats mapping."""
 
-    def __init__(self, message, partial, stats):
+    def __init__(self, message, partial, stats: Mapping):
         self.partial = partial
         self.stats = stats
         super().__init__(message)

@@ -8,9 +8,13 @@ saturated counts / per-anchor subsequence monitors).  A goal state has
 consumed the whole observation and satisfies every requested property.  The
 graph keeps only live edges, those into nodes from which the observation can
 still complete, and only live initial nodes: nothing reachable from a dead
-node is a goal, so the witness found is unchanged.  Exhaustion yields the
-trivial conflict (the full request), which is the least informative legal
-conflict.
+node is a goal, so the witness found is unchanged.  The search also
+enters no node that violates a monotone property (``neg_desc`` or ``anc``):
+a fault summary only grows along a trace, so no goal lies beyond it.
+Exhaustion yields as conflict the properties that cut the search: the first
+violated monotone property of each pruned node and the first failing
+property of each node that consumed the observation, after the
+conflict-based DES diagnosis of Grastien, Haslum & Thiébaux (KR 2012).
 
 The same machinery provides the brute-force oracle for minimal diagnoses and
 the horizon-fit certificate used to compare against the bounded SAT backend.
@@ -35,10 +39,17 @@ DEFAULT_STATE_BUDGET = 5_000_000
 class _Summary:
     """Tracks just enough about past fault events to decide the properties.
 
-    Each property is kept as ``(is_desc, positive, arg)``: ``accepts``
-    decides desc or anc of the anchor from the summary and compares the
-    answer with ``positive``.  ``arg`` is the anchor's fault set (SHS), its
-    count of each fault (MHS) or its length (SqHS).
+    Each property is kept as ``(is_desc, positive, arg)``: the summary
+    decides desc or anc of the anchor, and the property holds when that
+    answer equals ``positive``.  ``arg`` is the anchor's fault set (SHS),
+    its count of each fault (MHS) or its length (SqHS).
+
+    A summary only grows along a trace: SHS sets grow, MHS counts grow and
+    saturate at ``caps``, and per SqHS anchor the desc embedding index rises
+    while an anc position that turns -1 stays -1.  So once desc of an anchor
+    holds it holds for good, and once anc fails it fails for good: a
+    ``NEG_DESC`` or ``ANC`` property (``monotone``) that a summary violates
+    stays violated on every extension of its trace.
     """
 
     def __init__(self, space: Space, props):
@@ -56,6 +67,8 @@ class _Summary:
             args = [len(anchor) for anchor in self.anchors]
         self.checks = [(p.kind in DESC_KINDS, p.kind in POSITIVE_KINDS,
                         arg) for p, arg in zip(props, args)]
+        self.monotone = [i for i, (is_desc, positive, _)
+                         in enumerate(self.checks) if is_desc != positive]
 
     def initial(self):
         if self.space.kind == SHS:
@@ -88,40 +101,49 @@ class _Summary:
             out.append((didx, apos))
         return tuple(out)
 
-    def accepts(self, summary) -> bool:
+    def first_failure(self, summary, indices=None):
+        """Index of the first property, among ``indices`` (default: all),
+        that ``summary`` fails; None when it satisfies them all."""
         kind = self.space.kind
-        if kind == SHS:
-            for is_desc, positive, anchor in self.checks:
-                if (anchor <= summary if is_desc
-                        else summary <= anchor) != positive:
-                    return False
-        elif kind == MHS:
-            for is_desc, positive, need in self.checks:
+        if indices is None:
+            indices = range(len(self.checks))
+        for i in indices:
+            is_desc, positive, arg = self.checks[i]
+            if kind == SHS:
+                holds = arg <= summary if is_desc else summary <= arg
+            elif kind == MHS:
                 if is_desc:
-                    holds = all(c >= n for c, n in zip(summary, need))
+                    holds = all(c >= n for c, n in zip(summary, arg))
                 else:
-                    holds = all(c <= n for c, n in zip(summary, need))
-                if holds != positive:
-                    return False
-        else:
-            for (didx, apos), (is_desc, positive, size) in zip(summary,
-                                                               self.checks):
-                if (didx == size if is_desc else apos >= 0) != positive:
-                    return False
-        return True
+                    holds = all(c <= n for c, n in zip(summary, arg))
+            else:
+                didx, apos = summary[i]
+                holds = didx == arg if is_desc else apos >= 0
+            if holds != positive:
+                return i
+        return None
 
 
 # ------------------------------------------------------------------ search
 
 def _search(model: DesModel, obs: Observation, space: Space, props,
             state_budget: int, graph=None, gap_caps=None,
-            stats: SolverStats | None = None):
+            stats: SolverStats | None = None, conflict: set | None = None):
     """Core BFS over ``graph`` (built here when None); returns a witness
     trace or None.
 
     A node is ``((global state, tracker), summary, gap)``.  The graph holds
-    live edges only; the live nodes keep the BFS order and parents they have
-    in the whole product, hence the witness.
+    live edges only, and the search enters no node whose summary violates a
+    monotone property (see :class:`_Summary`): no goal lies beyond either.
+    The nodes it enters keep the BFS order and parents they have in the
+    whole product, hence the witness.  Only fault edges change the summary,
+    so only they are checked, once per distinct summary.
+
+    When the search exhausts, ``conflict`` (if given) receives the index of
+    every property that cut it: each pruned node's first violated monotone
+    property, and each observation-complete node's first failing property.
+    A search on those properties alone tracks their part of each summary
+    only, and prunes and rejects the same nodes, so it finds no goal either.
 
     ``gap_caps`` = (per-gap cap, trailing cap) restricts the number of
     unobservable events per observation gap, which certifies that a witness
@@ -134,15 +156,33 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     summary = _Summary(space, props)
     end = len(obs)
     faults = frozenset(model.faults)
+    if conflict is None:
+        conflict = set()
+    # summary -> first violated monotone property, and summary -> first
+    # failing property (None: none fails)
+    violated, failing = {}, {}
 
-    start_nodes = [(node, summary.initial(), 0) for node in initial]
+    def first_cut(memo, summ, indices=None):
+        """Decide ``summ`` once per memo; record what cuts it."""
+        if summ not in memo:
+            memo[summ] = cut = summary.first_failure(summ, indices)
+            if cut is not None:
+                conflict.add(cut)
+        return memo[summ]
+
+    def enters(summ):
+        return first_cut(violated, summ, summary.monotone) is None
+
+    def is_goal(node):
+        return node[0][1] == end and first_cut(failing, node[1]) is None
+
+    start = summary.initial()
+    start_nodes = ([(node, start, 0) for node in initial]
+                   if enters(start) else [])
     parent = {node: None for node in start_nodes}
     queue = deque(start_nodes)
     visited = len(parent)
     expanded = 0
-
-    def is_goal(node):
-        return node[0][1] == end and summary.accepts(node[1])
 
     goal = next((node for node in start_nodes if is_goal(node)), None)
     while queue and goal is None:
@@ -157,7 +197,11 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
                 gap2 = gap + 1
                 if gap2 > gap_caps[0 if tracker < end else 1]:
                     continue
-            summ2 = summary.after(summ, e) if e in faults else summ
+            summ2 = summ
+            if e in faults:
+                summ2 = summary.after(summ, e)
+                if not enters(summ2):
+                    continue
             node2 = (pnode2, summ2, gap2)
             if node2 in parent:
                 continue
@@ -190,12 +234,16 @@ def solve(model: DesModel, obs: Observation, request: TestRequest,
           stats: SolverStats | None = None, graph=None) -> TestOutcome:
     """Decide a property-represented test exactly; ``graph`` is the
     ``_product_graph`` of ``model`` and ``obs``, built here when None.  The
-    witness is re-validated against the model, not the graph."""
+    witness is re-validated against the model, not the graph.  A failed
+    test's conflict is the sub-tuple of the request, in request order, of
+    the properties that cut the search (see :func:`_search`)."""
     space = request.space
+    cut = set()
     trace = _search(model, obs, space, request.props, state_budget, graph,
-                    stats=stats)
+                    stats=stats, conflict=cut)
     if trace is None:
-        return TestOutcome.failed(request.props)
+        return TestOutcome.failed(tuple(p for i, p in enumerate(request.props)
+                                        if i in cut))
     hyp = trace_hypothesis(trace, model, space)
     if not (trace_in_model(trace, model)
             and trace_matches_observation(trace, model, obs)
@@ -346,15 +394,17 @@ def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
 def oracle_candidates(model: DesModel, obs: Observation, space: Space,
                       max_faults: int,
                       state_budget: int = DEFAULT_STATE_BUDGET) -> set:
-    """All diagnosis candidates with at most ``max_faults`` fault events.
+    """All diagnosis candidates with a witness of at most ``max_faults``
+    fault events.
 
-    Complete for that slice: a candidate with k faults has a witness whose
-    fault-free segments are loop-free, so length <= (k+|obs|+1)*(states+1).
+    Complete for that slice: the fault-free stretches of such a witness can
+    be made loop-free in the (global state, tracker) product, which already
+    counts the observation, so with k fault events it has depth at most
+    (k+1) * |product| + k, and the search goes to depth
+    ``(max_faults + 1) * (|product| + 1)``.
     """
     model.check_space(space)
     graph = _product_graph(model, obs, state_budget)
-    # fault-free stretches of a witness can be made loop-free, so a candidate
-    # with k fault events has a witness of depth (k+1) * |product| + k
     bound = (max_faults + 1) * (len(graph[1]) + 1)
     # an SHS hypothesis does not count repeated faults, so none is cut
     return set(_observed_hyps(

@@ -21,8 +21,11 @@ minimality only when its coverage question fails.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heappop, heappush
+from types import MappingProxyType
 
 from .contract import TestOutcome, TestRequest
 from .errors import BudgetExhausted, DiagError
@@ -42,7 +45,7 @@ STRATEGIES = ("pls", "pls-r", "pfs", "pfs-e", "pfs-c", "pfs-ec")
 @dataclass
 class DiagnosisResult:
     minimal_candidates: list
-    stats: dict = field(default_factory=dict)
+    stats: Mapping = field(default_factory=dict)
 
     def canon(self) -> list:
         # interned: a caller that keeps the results of many runs then holds
@@ -80,12 +83,17 @@ class _Run:
         return DiagnosisResult(min_antichain(self.store, self.space),
                                self.stats())
 
-    def stats(self) -> dict:
-        return {
-            "tests": self.tests,
-            "expansions": self.expansions,
-            "cache_hits": self.cache_hits,
-        }
+    def stats(self) -> Mapping:
+        return _shared_stats(self.tests, self.expansions, self.cache_hits)
+
+
+@lru_cache(maxsize=4096)
+def _shared_stats(tests: int, expansions: int, cache_hits: int) -> Mapping:
+    """A read-only ``{"tests", "expansions", "cache_hits"}`` mapping, one
+    per distinct triple: a caller that keeps the results of many runs then
+    holds one copy of each."""
+    return MappingProxyType({"tests": tests, "expansions": expansions,
+                             "cache_hits": cache_hits})
 
 
 def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,

@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagfp import explicit
 from diagfp.contract import TestRequest
@@ -12,8 +14,10 @@ from diagfp.desmodel import (Observation, parse_model, parse_observation,
 from diagfp.errors import StateBudgetExceeded
 from diagfp.explicit import (ExplicitSolver, certified_bound, fits_horizon,
                              oracle_candidates, oracle_diagnose, solve)
-from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
-from diagfp.properties import member, question_candidate, question_coverage
+from diagfp.hypothesis import (MHS, SHS, SQHS, extend, multi_hyp, seq_hyp,
+                               set_hyp)
+from diagfp.properties import (ANC, NEG_DESC, Property, member,
+                               question_candidate, question_coverage)
 from diagfp.strategies import run_strategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,12 +40,22 @@ def test_solve_candidate_found(oneshot):
     assert out.witness == ("f", "o1")
 
 
+def check_conflict(model, obs, request, conflict):
+    """``conflict`` is a sub-tuple of the request, in request order, and a
+    one-shot solve on it alone fails."""
+    assert conflict == tuple(p for p in request.props if p in conflict)
+    alone = TestRequest(conflict, request.space)
+    assert not solve(model, obs, alone).is_candidate
+
+
 def test_solve_candidate_failed_trivial_conflict(oneshot):
     space = oneshot.space(SHS)
     req = TestRequest(question_candidate(set_hyp([]), space), space)
     out = solve(oneshot, OBS1, req)
     assert not out.is_candidate
-    assert out.conflict == req.props
+    # desc({}) holds for every hypothesis, so only neg_desc({f}) cuts
+    assert out.conflict == (Property(NEG_DESC, set_hyp(["f"])),)
+    check_conflict(oneshot, OBS1, req, out.conflict)
 
 
 def test_empty_everything(oneshot):
@@ -153,10 +167,11 @@ def gen_instance(rng):
 
 def faulty_instances(seed, count):
     """``count`` random instances whose SHS diagnosis is not ``[{}]``, from
-    at most 40 draws per instance: most draws of ``gen_instance`` (about 15
-    in 16) need no fault to explain their observation."""
+    at most 200 draws per instance: most draws of ``gen_instance`` (about 15
+    in 16) need no fault to explain their observation, so even one instance
+    falls short of 200 draws with odds near 1 in 400,000."""
     rng = random.Random(seed)
-    max_draws = 40 * count
+    max_draws = 200 * count
     for _ in range(max_draws):
         inst = gen_instance(rng)
         if inst is None:
@@ -332,6 +347,8 @@ def test_cached_graph_answers_like_one_shot_solves(monkeypatch, name, kind,
     for request, outcome in recording.log:
         # candidate, witness and conflict all equal a fresh one-shot solve
         assert outcome == solve(model, obs, request)
+        if not outcome.is_candidate:
+            check_conflict(model, obs, request, outcome.conflict)
 
 
 DEAD_END = """
@@ -372,6 +389,43 @@ def test_search_skips_branches_that_cannot_complete_the_observation():
     space = dead.space(SHS)
     request = TestRequest(question_candidate(set_hyp(["f"]), space), space)
     assert solve(dead, OBS1, request).witness == ("f", "o1")
+
+
+@pytest.mark.parametrize("kind", [SHS, MHS, SQHS])
+@pytest.mark.parametrize("question", ["candidate", "anc"])
+def test_search_prunes_nodes_that_violate_a_monotone_property(kind,
+                                                              question):
+    # o1 needs the fault f; candidacy of the empty hypothesis (through
+    # neg_desc of f) and anc of g both rule f out, so the search enters the
+    # start node alone and the conflict names only the cutting property
+    model = parse_model(DEAD_END.format(g_from="sink"))
+    space = model.space(kind)
+    if question == "candidate":
+        props = question_candidate(space.h0, space)
+        cut = Property(NEG_DESC, extend(space.h0, "f"))
+    else:
+        props = (Property(ANC, extend(space.h0, "g")),)
+        cut = props[0]
+    solver = ExplicitSolver(model, OBS1, space)
+    out = solver.solve(TestRequest(props, space))
+    assert out.conflict == (cut,)
+    assert solver.stats.extra == {"visited": 1, "expanded": 1}
+
+
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_strategies_on_random_models_equal_the_oracle(seed):
+    model, obs = next(faulty_instances(seed, 1))
+    for kind in (SHS, MHS, SQHS):
+        space = model.space(kind)
+        expected = oracle_diagnose(model, obs, space)
+        for strategy in ("pfs-ec", "pls-r"):
+            recording = Recording(ExplicitSolver(model, obs, space))
+            got = run_strategy(strategy, recording, space)
+            assert got.minimal_candidates == expected
+            for request, outcome in recording.log:
+                if not outcome.is_candidate:
+                    check_conflict(model, obs, request, outcome.conflict)
 
 
 def test_tiny_state_budget_stops_the_graph_build():
