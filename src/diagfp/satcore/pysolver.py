@@ -4,11 +4,26 @@ Minisat-style engine: two-watched-literal propagation, first-UIP clause
 learning, activity-ordered decisions with phase saving, Luby restarts.
 Solving under assumptions yields, on UNSAT, a subset of the assumptions
 sufficient for unsatisfiability (``failed_assumptions``); re-solving under
-only that subset stays UNSAT.  The solver is incremental: clauses may be
-added between solves (``add_clause`` first returns to decision level 0),
-and learnt clauses, activities and saved phases carry over to the next
-solve.  No clause deletion: workloads here are bounded-size encodings whose
-tests add few clauses.
+only that subset stays UNSAT.
+
+All assumptions share one decision level, level 1 (after Hickey & Bacchus,
+"Speeding up assumption-based SAT", SAT 2019): ``solve`` enqueues every
+unassigned assumption on it and propagates once.  An assumption already
+false there fails through ``_analyze_final``: it and the assumptions that
+imply its negation (a complementary pair fails with both literals; one
+false at root fails alone).  A conflict at level 1 ends the solve: the
+failed set is what ``_analyze_conflict_final`` reaches by walking back from
+the conflicting clause through the reasons to the assumptions.  Conflicts
+above level 1 learn a clause and backjump; a backjump to level 0, or a
+restart, opens the assumption level again.  ``conflicts`` counts every
+conflict, at root, at the assumption level and above it; ``decisions``
+counts branching decisions only, not assumptions.
+
+The solver is incremental: clauses may be added between solves
+(``add_clause`` first returns to decision level 0), and learnt clauses,
+activities and saved phases carry over to the next solve.  No clause
+deletion: workloads here are bounded-size encodings whose tests add few
+clauses.
 
 A variable can be marked non-decision (``mark_non_decision(v)``, as MiniSat's
 ``setDecisionVar(v, false)``): the solver never branches on it, so it is
@@ -120,17 +135,19 @@ class MiniSolver:
 
     def add_clause(self, lits) -> bool:
         """Add a clause of signed DIMACS literals; False once UNSAT at root."""
-        return self.add_clauses((lits,))
+        return self.add_clauses((tuple(lits),))
 
     def add_clauses(self, clauses) -> bool:
-        """Add a sequence of clauses of signed DIMACS literals; False once
-        UNSAT at root.
+        """Add an iterable of clauses, each a sequence of signed DIMACS
+        literals; False once UNSAT at root.
 
         Clauses are only added at decision level 0 (before/between solves):
         the solver first returns there, then creates every variable the
         clauses name, then loads the clauses in order.  A clause holding
         literal 0 raises ``ValueError`` before any clause is loaded.
         """
+        # read once: the checks below and the load each walk the clauses
+        clauses = tuple(clauses)
         if any(0 in lits for lits in clauses):
             raise ValueError("literal 0 in a clause")
         # backtrack before creating variables: the heap order depends on it
@@ -354,26 +371,37 @@ class MiniSolver:
 
     def _analyze_final(self, p: int) -> set:
         """Assumption literals (internal) whose conjunction is refuted, given
-        the falsified assumption literal ``p``."""
-        out = {p}
-        if not self.trail_lim:
-            return out
-        seen = self._seen
-        seen[p >> 1] = 1
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[i]
+        the falsified assumption literal ``p``: ``p`` and the assumptions
+        that imply its negation."""
+        return self._assumptions_behind((p,), {p})
+
+    def _analyze_conflict_final(self, confl) -> set:
+        """Assumption literals (internal) whose conjunction is refuted, given
+        a clause falsified at the assumption level."""
+        return self._assumptions_behind(self.clauses[confl], set())
+
+    def _assumptions_behind(self, lits, out: set) -> set:
+        """Add to ``out`` the assumptions that, through the reasons on the
+        trail, falsify every literal of ``lits`` above level 0; the
+        assumption level is open."""
+        seen, level, reason = self._seen, self.level, self.reason
+        trail, clauses = self.trail, self.clauses
+        for q in lits:
+            if level[q >> 1] > 0:
+                seen[q >> 1] = 1
+        for i in range(len(trail) - 1, self.trail_lim[0] - 1, -1):
+            lit = trail[i]
             v = lit >> 1
             if seen[v]:
-                r = self.reason[v]
+                r = reason[v]
                 if r is None:
                     out.add(lit)
                 else:
-                    for q in self.clauses[r]:
+                    for q in clauses[r]:
                         qv = q >> 1
-                        if qv != v and self.level[qv] > 0:
+                        if qv != v and level[qv] > 0:
                             seen[qv] = 1
                 seen[v] = 0
-        seen[p >> 1] = 0
         return out
 
     # --------------------------------------------------------------- solve
@@ -411,8 +439,9 @@ class MiniSolver:
         return -1
 
     def solve(self, assumptions=()) -> bool:
-        """Solve under a sequence of signed assumption literals; literal 0
+        """Solve under an iterable of signed assumption literals; literal 0
         raises ``ValueError``."""
+        assumptions = tuple(assumptions)
         if 0 in assumptions:
             raise ValueError("literal 0 in the assumptions")
         self.failed = None
@@ -440,6 +469,10 @@ class MiniSolver:
                     self.ok = False
                     self.failed = []
                     return False
+                if assume and len(trail_lim) == 1:
+                    # the assumptions alone propagate to a conflict
+                    self._fail(self._analyze_conflict_final(confl))
+                    return False
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 self._record_learnt(learnt)
@@ -451,29 +484,30 @@ class MiniSolver:
                 conflicts_here = 0
                 self._cancel_until(0)
                 continue
-            next_lit = -1
-            while len(trail_lim) < len(assume):
-                p = assume[len(trail_lim)]
-                va = values[p]
-                if va == 1:
-                    trail_lim.append(len(trail))
-                elif va == 0:
-                    failed = self._analyze_final(p)
-                    self.failed = sorted(
-                        (lit >> 1) * (1 if lit & 1 == 0 else -1)
-                        for lit in failed)
-                    self._cancel_until(0)
-                    return False
-                else:
-                    next_lit = p
-                    break
+            if assume and not trail_lim:
+                # (re)open the assumption level and propagate it at once
+                trail_lim.append(len(trail))
+                for p in assume:
+                    va = values[p]
+                    if va == 0:
+                        self._fail(self._analyze_final(p))
+                        return False
+                    if va < 0:
+                        self._enqueue(p, None)
+                continue
+            next_lit = self._pick_branch()
             if next_lit == -1:
-                next_lit = self._pick_branch()
-                if next_lit == -1:
-                    return True  # every decision variable assigned
-                self.decisions += 1
+                return True  # every decision variable assigned
+            self.decisions += 1
             trail_lim.append(len(trail))
             self._enqueue(next_lit, None)
+
+    def _fail(self, failed: set):
+        """Keep ``failed`` (internal literals) as the failed assumptions and
+        return to level 0."""
+        self.failed = sorted((lit >> 1) * (1 if lit & 1 == 0 else -1)
+                             for lit in failed)
+        self._cancel_until(0)
 
     # --------------------------------------------------------------- model
 

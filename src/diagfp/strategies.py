@@ -7,7 +7,11 @@ Preferred-first (PFS) pops the best untested hypothesis, tests its candidacy
 and expands its children on failure; the `e` variant prunes hypotheses whose
 removal keeps the open+result set covering, and the `c` variant replaces
 children by conflict-directed successors.  All four PFS variants share one
-loop.
+loop.  The `e` variant keeps its coverage question as open and result
+change: the ``neg_desc`` property of each hypothesis they hold is built
+once, sorted in at its push by the same :func:`order_key` the heap uses,
+and every pop sends the tuple :func:`question_coverage` would build from
+open + result.
 
 Every test a strategy sends goes through :meth:`_Run.ask`, which holds the
 run's budget: ``iteration_cap`` tests, counted by the run itself.  A
@@ -21,6 +25,7 @@ minimality only when its coverage question fails.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,7 +36,7 @@ from .contract import TestOutcome, TestRequest
 from .errors import BudgetExhausted, DiagError
 from .hypothesis import (Hypothesis, Space, children, leq, lt, min_antichain,
                          order_key, otimes)
-from .properties import (NEG_DESC, member, question_candidate,
+from .properties import (NEG_DESC, Property, member, question_candidate,
                          question_coverage, question_minimal)
 
 # The most tests one strategy run may send, in every strategy.
@@ -159,25 +164,52 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     open_heap = []
     open_set = set()
     conflicts = []
+    # The coverage question over open_set + result, as question_coverage
+    # builds it: the order keys of the distinct hypotheses held, sorted,
+    # their neg_desc properties at the same indices, and how many of
+    # open_set and result hold each one.
+    cover_keys, cover, held = [], [], {}
+
+    def hold(h, key, prop=None):
+        n = held.get(h, 0)
+        held[h] = n + 1
+        if not n:
+            i = bisect_left(cover_keys, key)
+            cover_keys.insert(i, key)
+            cover.insert(i, prop or Property(NEG_DESC, h))
+
+    def release(h, key):
+        """Drop one hold of ``h``; return its property once none is left."""
+        n = held.pop(h)
+        if n > 1:
+            held[h] = n - 1
+            return None
+        i = bisect_left(cover_keys, key)
+        del cover_keys[i]
+        return cover.pop(i)
 
     def push(h):
         if h not in open_set:
             open_set.add(h)
-            heappush(open_heap, (order_key(h), h))
+            key = order_key(h)
+            heappush(open_heap, (key, h))
+            if use_essential:
+                hold(h, key)
 
     push(space.h0)
     while open_heap:
         run.expansions += 1
-        _, h = heappop(open_heap)
+        key, h = heappop(open_heap)
         open_set.remove(h)
+        if use_essential:
+            prop = release(h, key)
         # No open hypothesis is strictly preferred to h: in every space a
         # strictly preferred hypothesis is strictly smaller, and the heap
         # pops by (size, canon), so it would have been popped first.
         if any(leq(g, h, space) for g in result):
             continue
         if use_essential:
-            covered = run.ask(question_coverage(list(open_set) + result,
-                                                space))
+            covered = run.ask(tuple(cover))
             if not covered.is_candidate:
                 if use_conflicts:
                     conflicts.append(covered.conflict)
@@ -200,6 +232,8 @@ def run_pfs(solver, space: Space, variant: str = "ec",
                     raise DiagError(
                         f"candidate {h.canon()} is comparable to a result")
                 result.append(h)
+                if use_essential:
+                    hold(h, key, prop)
                 continue
             conflict = outcome.conflict
             if use_conflicts:

@@ -260,6 +260,96 @@ def test_failed_assumptions_are_sound(solver_cls):
         rounds += 1
 
 
+def test_failed_assumptions_are_sound_on_a_live_solver(solver_cls):
+    # One solver per CNF across several solves, clauses (units among them)
+    # added between solves, assumptions with duplicates, complementary
+    # pairs and literals false at root.
+    units = []
+
+    class UnitLogging(solver_cls):
+        def _record_learnt(self, learnt):
+            if len(learnt) == 1:
+                units.append(learnt[0])
+            super()._record_learnt(learnt)
+
+    rng = random.Random(13)
+    for round_ in range(40):
+        # near the 3-SAT threshold, so that solves learn clauses
+        nvars = rng.randint(30, 50)
+
+        def three_cnf(m):
+            return [[v if rng.random() < 0.5 else -v
+                     for v in rng.sample(range(1, nvars + 1), 3)]
+                    for _ in range(m)]
+        clauses = three_cnf(int(rng.uniform(3.5, 4.2) * nvars))
+        s = UnitLogging()
+        ok = s.add_clauses(clauses)
+        for _ in range(5):
+            more = three_cnf(rng.randint(1, 3))
+            if rng.random() < 0.3:
+                more.append([rng.choice((1, -1)) * rng.randint(1, nvars)])
+            clauses += more
+            ok = s.add_clauses(more) and ok
+            assumptions = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, nvars + 1),
+                                               rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                assumptions.append(rng.choice(assumptions))
+            if rng.random() < 0.2:
+                assumptions.append(-rng.choice(assumptions))
+            rng.shuffle(assumptions)
+            if s.solve(assumptions):
+                for a in assumptions:
+                    assert s.value(abs(a)) == (a > 0)
+                for cl in clauses:
+                    assert any(s.value(abs(l)) == (l > 0) for l in cl), \
+                        (round_, clauses, cl)
+                continue
+            failed = s.failed_assumptions()
+            assert set(failed) <= set(assumptions)
+            if ok:
+                fresh = solver_cls()
+                fresh.add_clauses(clauses)
+                assert fresh.solve(failed) is False, (round_, clauses, failed)
+            else:
+                assert failed == []
+    assert units  # learnt units did send solves back to level 0
+
+
+def test_assumption_level_edge_cases(solver_cls):
+    s = solver_cls()
+    s.add_clauses([[-1, 2], [-1, -2], [3]])
+    conflicts = s.conflicts
+    # the assumptions propagate to a conflict: it counts, and the failed
+    # set holds only the assumptions behind it
+    assert not s.solve([4, 1, 4])
+    assert s.conflicts == conflicts + 1
+    assert s.failed_assumptions() == [1]
+    # a complementary pair fails with both literals
+    assert not s.solve([5, -4, 4])
+    assert s.failed_assumptions() == [-4, 4]
+    # an assumption false at root fails alone
+    assert not s.solve([4, 5, -3, -5])
+    assert s.failed_assumptions() == [-3]
+    assert s.solve([-1, -1, 4])
+    assert s.value(1) is False and s.value(4) is True
+
+
+def test_solve_reads_generator_assumptions_once(solver_cls):
+    s = solver_cls()
+    s.add_clause([1])
+    assert s.solve(x for x in [-1]) is False
+    assert s.failed_assumptions() == [-1]
+
+
+def test_add_clauses_reads_a_generator_once(solver_cls):
+    s = solver_cls()
+    assert s.add_clauses(c for c in [[1, 2]])
+    assert s.nvars == 2 and s.clauses == [[2, 4]]
+    assert s.add_clause(x for x in [-1])
+    assert s.solve() and s.value(2) is True
+
+
 def test_core_is_selective_when_possible(solver_cls):
     # x1 is forced true; assumption -x1 must be in any core, x2 need not be
     s = solver_cls()
@@ -348,9 +438,10 @@ def test_non_decision_var_is_never_branched_on(solver_cls):
 
 
 def test_search_is_unchanged(solver_cls):
-    # The fixture was recorded from the pure kernel before its hot paths were
-    # rewritten; any change to clause literal order, watch-list order or
-    # heap order shows as a different count, core or model.
+    # The fixture was last recorded when the assumptions moved onto one
+    # decision level; any change to clause literal order, watch-list order,
+    # heap order or assumption handling shows as a different count, core or
+    # model.
     expected = json.loads(SEARCH_FIXTURE.read_text())
     got = record_search_fixture(solver_cls)
     assert got.keys() == expected.keys()

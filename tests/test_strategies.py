@@ -1,10 +1,11 @@
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from diagfp.contract import TestOutcome
-from diagfp.desmodel import Observation, parse_model
+from diagfp.desmodel import Observation, parse_model, parse_observation
 from diagfp.errors import BudgetExhausted, DiagError
 from diagfp.explicit import ExplicitSolver, oracle_diagnose
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, leq, lt,
@@ -15,7 +16,7 @@ from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.strategies import (STRATEGIES, conflict_successors, run_pfs,
                                run_pls, run_strategy, terminating_strategies)
 
-from test_explicit import faulty_instances
+from test_explicit import Recording, faulty_instances
 
 FIXTURES = Path(__file__).parent / "fixtures"
 OBS1 = Observation(("o1",))
@@ -294,3 +295,30 @@ def test_pfs_conflicts_do_not_change_results():
         base = run_pfs(ExplicitSolver(model, obs, space), space, "plain")
         with_c = run_pfs(ExplicitSolver(model, obs, space), space, "c")
         assert base.minimal_candidates == with_c.minimal_candidates
+
+
+# ------------------------------------------------------- pinned requests
+
+REQUESTS_FIXTURE = FIXTURES / "pfs_e_requests.json"
+
+
+def request_log(case: dict, strategy: str) -> list:
+    """Every request ``strategy`` sends on a fixture case through an
+    ``ExplicitSolver``, each as the reprs of its properties."""
+    model = parse_model(case["model"])
+    obs = parse_observation(case["obs"], model)
+    space = model.space(case["space"])
+    recording = Recording(ExplicitSolver(model, obs, space))
+    run_strategy(strategy, recording, space)
+    return [[repr(p) for p in request.props] for request, _ in recording.log]
+
+
+@pytest.mark.parametrize("strategy", ["pfs-e", "pfs-ec"])
+def test_pfs_e_requests_are_unchanged(strategy):
+    # Recorded while PFS-e rebuilt its coverage question from open + result
+    # on every pop; the question it keeps incrementally must send the same
+    # requests, coverage tuples included, in content and in order.  The
+    # cases are alarm chains of benchmarks/families.py (alarm_chain_text),
+    # on which pfs-e and pfs-ec send the same requests.
+    for case in json.loads(REQUESTS_FIXTURE.read_text()):
+        assert request_log(case, strategy) == case["requests"], case["name"]
