@@ -11,7 +11,9 @@ loop.  The `e` variant keeps its coverage question as open and result
 change: the ``neg_desc`` property of each hypothesis they hold is built
 once, sorted in at its push by the same :func:`order_key` the heap uses,
 and every pop sends the tuple :func:`question_coverage` would build from
-open + result.
+open + result.  It also keeps every candidate a coverage test returns, and
+stores a popped hypothesis found among them without testing it again (see
+:func:`run_pfs`).
 
 Every test a strategy sends goes through :meth:`_Run.ask`, which holds the
 run's budget: ``iteration_cap`` tests, counted by the run itself.  A
@@ -152,6 +154,30 @@ def conflict_successors(h: Hypothesis, conflict: tuple,
 
 def run_pfs(solver, space: Space, variant: str = "ec",
             iteration_cap: int = DEFAULT_ITERATION_CAP) -> DiagnosisResult:
+    """Preferred-first search: pop the best open hypothesis ``h``, drop it
+    if a result element is ``leq`` to it, else test its candidacy; store a
+    candidate, and push the successors of a refuted ``h``.
+
+    The four variants:
+
+    * ``"plain"`` pushes the children of a refuted ``h``;
+    * ``"c"`` pushes its conflict successors instead and caches every
+      conflict, so an ``h`` a cached conflict covers is refuted untested;
+    * ``"e"`` first asks the essential-coverage question over open + result
+      minus ``h``, and drops ``h`` when no candidate escapes the rest;
+    * ``"ec"`` does both, and caches the coverage conflicts too.
+
+    Under ``e`` and ``ec`` the candidate each successful coverage test
+    returns joins ``witnessed``.  A popped ``h`` that is in ``witnessed``
+    (before its coverage test, or once its own test returned it) is stored
+    with no further test.  Both skipped tests would succeed: no open
+    hypothesis is strictly preferred to ``h`` and no result element is
+    ``leq`` to it, so ``h`` itself meets the coverage question; and a
+    witnessed ``h`` is a candidate, its witness re-validated by the solver,
+    so it meets its candidacy question.  Skipping them leaves open, result
+    and the conflict cache as the two tests would; only the solver's learnt
+    state differs.
+    """
     if variant not in PFS_VARIANTS:
         raise DiagError(f"unknown pfs variant {variant!r}")
     result = []
@@ -164,6 +190,8 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     open_heap = []
     open_set = set()
     conflicts = []
+    # every candidate a coverage test returned
+    witnessed = set()
     # The coverage question over open_set + result, as question_coverage
     # builds it: the order keys of the distinct hypotheses held, sorted,
     # their neg_desc properties at the same indices, and how many of
@@ -196,24 +224,34 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             if use_essential:
                 hold(h, key)
 
+    def store(h, key, prop):
+        if any(leq(g, h, space) or leq(h, g, space) for g in result):
+            raise DiagError(f"candidate {h.canon()} is comparable to a result")
+        result.append(h)
+        if use_essential:
+            hold(h, key, prop)
+
     push(space.h0)
     while open_heap:
         run.expansions += 1
         key, h = heappop(open_heap)
         open_set.remove(h)
-        if use_essential:
-            prop = release(h, key)
+        prop = release(h, key) if use_essential else None
         # No open hypothesis is strictly preferred to h: in every space a
         # strictly preferred hypothesis is strictly smaller, and the heap
         # pops by (size, canon), so it would have been popped first.
         if any(leq(g, h, space) for g in result):
             continue
-        if use_essential:
+        if use_essential and h not in witnessed:
             covered = run.ask(tuple(cover))
             if not covered.is_candidate:
                 if use_conflicts:
                     conflicts.append(covered.conflict)
                 continue
+            witnessed.add(covered.candidate)
+        if h in witnessed:
+            store(h, key, prop)
+            continue
         conflict = None
         if use_conflicts:
             for c in conflicts:
@@ -228,12 +266,7 @@ def run_pfs(solver, space: Space, variant: str = "ec",
                     raise DiagError(
                         f"candidacy test of {h.canon()} answered with "
                         f"{outcome.candidate.canon()}")
-                if any(leq(g, h, space) or leq(h, g, space) for g in result):
-                    raise DiagError(
-                        f"candidate {h.canon()} is comparable to a result")
-                result.append(h)
-                if use_essential:
-                    hold(h, key, prop)
+                store(h, key, prop)
                 continue
             conflict = outcome.conflict
             if use_conflicts:

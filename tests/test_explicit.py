@@ -419,7 +419,7 @@ def test_strategies_on_random_models_equal_the_oracle(seed):
     for kind in (SHS, MHS, SQHS):
         space = model.space(kind)
         expected = oracle_diagnose(model, obs, space)
-        for strategy in ("pfs-ec", "pls-r"):
+        for strategy in ("pfs-e", "pfs-ec", "pls-r"):
             recording = Recording(ExplicitSolver(model, obs, space))
             got = run_strategy(strategy, recording, space)
             assert got.minimal_candidates == expected

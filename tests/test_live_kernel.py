@@ -9,12 +9,16 @@ from diagfp import satbackend
 from diagfp.circuits import CircuitSolver, brute_force_diagnosis, parse_circuit
 from diagfp.contract import TestRequest
 from diagfp.desmodel import Observation, parse_model
-from diagfp.explicit import oracle_diagnose
-from diagfp.hypothesis import MHS, SHS, SQHS
-from diagfp.properties import member, question_coverage
+from diagfp.explicit import ExplicitSolver, oracle_diagnose
+from diagfp.hypothesis import MHS, SHS, SQHS, Space, seq_hyp
+from diagfp.properties import (DESC, member, question_candidate,
+                               question_coverage)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.satcore.pysolver import MiniSolver as PySolver
 from diagfp.strategies import run_strategy
+
+from test_explicit import Recording
+from test_strategies import EnumSolver
 
 CIRCUITS = Path(__file__).parent / "fixtures" / "circuits"
 
@@ -165,3 +169,52 @@ def test_activation_literals_occur_only_negatively(strategy):
         assert acts
         assert not any(lit in acts for clause in solver.cnf.clauses
                        for lit in clause)
+
+
+def pfs_e_cases():
+    """The fixture circuits, the alarm model on the SAT backend (MHS, SqHS)
+    and on the explicit one (SHS, MHS, SqHS), and an enumerated SqHS
+    candidate set, each with its exact diagnosis."""
+    for name in ("inv3.ckt", "and1.ckt", "adder_slice.ckt"):
+        circuit, obs = parse_circuit((CIRCUITS / name).read_text())
+        yield (lambda c=circuit, o=obs: CircuitSolver(c, o),
+               brute_force_diagnosis(circuit, obs))
+    model = parse_model(ALARMS)
+    for kind in (MHS, SQHS):
+        space = model.space(kind)
+        yield (lambda s=space: SatSolver(model, ALARM_OBS, s, ALARM_PARAMS),
+               oracle_diagnose(model, ALARM_OBS, space))
+    for kind in (SHS, MHS, SQHS):
+        space = model.space(kind)
+        yield (lambda s=space: ExplicitSolver(model, ALARM_OBS, s),
+               oracle_diagnose(model, ALARM_OBS, space))
+    # Answering with its largest candidate, the solver witnesses [b,a] on
+    # the first test.  [b,a] is pushed as a child of [a] and popped after
+    # [b] is stored, so only the result check may drop it.
+    space = Space(SQHS, ("a", "b"))
+    cands = [seq_hyp("aa"), seq_hyp("ba"), seq_hyp("b")]
+    yield (lambda: EnumSolver(space, cands, 2, choice="max"),
+           [seq_hyp("b"), seq_hyp("aa")])
+
+
+@pytest.mark.parametrize("strategy", ["pfs-e", "pfs-ec"])
+def test_pfs_e_never_asks_what_it_was_told(strategy):
+    # a hypothesis that an earlier test returned as a candidate is stored
+    # without a candidacy test, and the diagnosis stays exact
+    untested = 0
+    for make, expected in pfs_e_cases():
+        recording = Recording(make())
+        got = run_strategy(strategy, recording, recording.space)
+        assert got.minimal_candidates == expected
+        returned, asked = set(), set()
+        for request, outcome in recording.log:
+            props = request.props
+            if props and props[0].kind == DESC and props == \
+                    question_candidate(props[0].anchor, recording.space):
+                h = props[0].anchor
+                assert h not in returned, h.canon()
+                asked.add(h)
+            if outcome.is_candidate:
+                returned.add(outcome.candidate)
+        untested += len(set(expected) - asked)
+    assert untested  # some candidate was stored without a candidacy test
