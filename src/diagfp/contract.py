@@ -16,31 +16,44 @@ alphabet is checked: building a :class:`TestRequest` validates every
 property anchor against its space, and a solver refuses a request for any
 space but its own.  The order operations underneath (``leq``, ``children``,
 ``otimes``, ``exhibits``) then only compare kinds.
+
+:class:`TestRequest` and :class:`TestOutcome` are named tuples, as are the
+hypotheses and properties they carry: equality, hash and construction run
+in C, and their fields are read-only.  The request is still the one place
+anchors are validated, each once per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .hypothesis import Hypothesis, Space
 
 
-@dataclass(frozen=True)
-class TestRequest:
-    __test__ = False  # not a pytest class
-
+class _RequestFields(NamedTuple):
     props: tuple
     space: Space
 
-    def __post_init__(self):
-        # stored before validation reads it, so an iterator is read once
-        object.__setattr__(self, "props", tuple(self.props))
-        for p in self.props:
-            self.space.validate(p.anchor)
+
+class TestRequest(_RequestFields):
+    __test__ = False  # not a pytest class
+    __slots__ = ()
+
+    def __new__(cls, props, space: Space):
+        # a tuple first, so an iterator is read once
+        props = tuple(props)
+        for p in props:
+            space.validate(p.anchor)
+        return tuple.__new__(cls, (props, space))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: check what it builds too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     """Either Candidate(hypothesis, witness) or Failed(conflict)."""
 
     __test__ = False  # not a pytest class
@@ -51,11 +64,11 @@ class TestOutcome:
 
     @classmethod
     def found(cls, candidate, witness):
-        return cls(candidate=candidate, witness=witness)
+        return tuple.__new__(cls, (candidate, witness, None))
 
     @classmethod
     def failed(cls, conflict):
-        return cls(conflict=conflict)
+        return tuple.__new__(cls, (None, None, conflict))
 
     @property
     def is_candidate(self) -> bool:

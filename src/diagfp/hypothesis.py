@@ -21,6 +21,11 @@ them) take hypotheses of ``space``.  They compare kinds, because they read
 ``h.data`` in the layout of ``space.kind``, but not the fault alphabet: that
 is checked once, when a :class:`~diagfp.contract.TestRequest` is built, and
 a solver decodes answers only over its own alphabet.
+
+A :class:`Hypothesis` is a named tuple ``(kind, data)``: its equality and
+hash are the tuple's, computed in C, and equal to what ``(kind, data)``
+gives, so every set and dict of hypotheses iterates in the same order.  Its
+fields are read-only; its ``count`` counts faults, not tuple elements.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .errors import DiagError, ModelFormatError, SpaceMismatchError
 
@@ -58,8 +64,7 @@ def check_fault_name(name: str, line=None) -> None:
         raise ModelFormatError(f"name {name!r} holds whitespace", line=line)
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     """A point of one hypothesis space; compare only within one space."""
 
     kind: str
@@ -83,6 +88,7 @@ class Hypothesis:
         return len(self.data)
 
     def count(self, fault) -> int:
+        """Occurrences of ``fault`` (this shadows ``tuple.count``)."""
         if self.kind in (MHS, SQHS):
             return self.data.count(fault)
         if self.kind == SHS:

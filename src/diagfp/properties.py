@@ -16,11 +16,16 @@ A property set is a tuple of properties and denotes the intersection of its
 members' hypothesis sets.  No builder repeats a property, and a conflict is a
 sub-tuple of its request.  The order is kept: the SAT backend numbers
 assumption literals by it, which keeps unsat cores reproducible.
+
+A :class:`Property` is a named tuple ``(kind, anchor)``: its equality and
+hash are the tuple's, computed in C, so a lookup in a solver's
+property-to-literal dict or in a strategy's set runs no Python code.
+Building one checks its kind; its fields are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DiagError
 from .hypothesis import Hypothesis, Space, children, leq, order_key
@@ -37,14 +42,23 @@ DESC_KINDS = frozenset((DESC, NEG_DESC))
 POSITIVE_KINDS = frozenset((DESC, ANC))
 
 
-@dataclass(frozen=True)
-class Property:
+class _PropertyFields(NamedTuple):
     kind: str
     anchor: Hypothesis
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DiagError(f"unknown property kind {self.kind!r}")
+
+class Property(_PropertyFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, anchor: Hypothesis):
+        if kind not in _KINDS:
+            raise DiagError(f"unknown property kind {kind!r}")
+        return tuple.__new__(cls, (kind, anchor))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: check what it builds too
+        return cls(*iterable)
 
     def __repr__(self):
         return f"{self.kind}({self.anchor.canon()})"
