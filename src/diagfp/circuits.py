@@ -186,7 +186,14 @@ def _xor_clauses(cnf: Cnf, ab: int, out: int, a: int, b: int) -> None:
 
 class CircuitSolver(AssumptionSolver):
     """Test-solver contract over a circuit and pin observation, on the live
-    kernel of :class:`AssumptionSolver`."""
+    kernel of :class:`AssumptionSolver`.
+
+    The kernel decides ``-ab[g]`` first for every gate, in gate order, so
+    the gates abnormal in a model form a subset-minimal candidate among
+    those the request admits: every circuit answer is a minimal candidate of
+    the requested set.  A coverage question admits a downward-closed set of
+    candidates, so its answer is a minimal diagnosis element.
+    """
 
     name = "circuit-sat"
 
@@ -199,6 +206,7 @@ class CircuitSolver(AssumptionSolver):
         self._ab = {g.name: self.cnf.var(("ab", g.name))
                     for g in circuit.gates}
         self._sig = {s: self.cnf.var(("sig", s)) for s in circuit.signals}
+        self.preferred = tuple(-ab for ab in self._ab.values())
         encode_pins(obs, self.cnf)
 
     def _encode_property(self, prop, act: int) -> None:

@@ -342,6 +342,11 @@ class AssumptionSolver:
     so it keeps only such guards), so an unassigned one extends to false and
     the model satisfies every clause.  No frontend reads the value of an
     activation literal.
+
+    A frontend may set ``preferred``, signed literals that every kernel it
+    creates decides first, in order (``MiniSolver.prefer``).  A model's set
+    of false preferred literals is then subset-minimal among the models of
+    the CNF under the request's activation literals.
     """
 
     def __init__(self, cnf: Cnf, space: Space):
@@ -349,6 +354,7 @@ class AssumptionSolver:
         self.space = space
         self.stats = SolverStats()
         self.kernel = None
+        self.preferred = ()    # literals each kernel decides first
         self._acts = {}        # Property -> activation literal
         self._unmarked = []    # activation literals not yet non-decision
         self._loaded = 0       # clauses of cnf already in the kernel
@@ -380,7 +386,7 @@ class AssumptionSolver:
         props = request.props
         acts = self.activate(props)
         if self.kernel is None:
-            self.kernel = MiniSolver()
+            self.kernel = self._new_kernel()
         kernel = self.kernel
         kernel.ensure_vars(self.cnf.nvars)
         for act in self._unmarked:
@@ -399,10 +405,17 @@ class AssumptionSolver:
         kernel (not the live one, with its learnt clauses) under only the
         conflict's activation literals; True iff UNSAT."""
         acts = self.activate(conflict)
-        kernel = MiniSolver()
-        kernel.ensure_vars(self.cnf.nvars)
+        kernel = self._new_kernel()
         kernel.add_clauses(self.cnf.clauses)
         return not kernel.solve(acts)
+
+    def _new_kernel(self) -> MiniSolver:
+        """A kernel holding every variable of ``cnf``, lowest index tried
+        first, that decides ``preferred`` first."""
+        kernel = MiniSolver()
+        kernel.ensure_vars(self.cnf.nvars)
+        kernel.prefer(self.preferred)
+        return kernel
 
 
 def decode_trace(model: DesModel, values, cnf: Cnf, n: int) -> tuple:

@@ -1,7 +1,8 @@
 """Pure-Python CDCL solver with assumption support.
 
 Minisat-style engine: two-watched-literal propagation, first-UIP clause
-learning, activity-ordered decisions with phase saving, Luby restarts.
+learning, preferred literals decided first, then a move-to-front queue with
+phase saving, Luby restarts.
 Solving under assumptions yields, on UNSAT, a subset of the assumptions
 sufficient for unsatisfiability (``failed_assumptions``); re-solving under
 only that subset stays UNSAT.
@@ -21,14 +22,15 @@ counts branching decisions only, not assumptions.
 
 The solver is incremental: clauses may be added between solves
 (``add_clause`` first returns to decision level 0), and learnt clauses,
-activities and saved phases carry over to the next solve.  No clause
+the decision queue and saved phases carry over to the next solve.  No clause
 deletion: workloads here are bounded-size encodings whose tests add few
 clauses.
 
 A variable can be marked non-decision (``mark_non_decision(v)``, as MiniSat's
-``setDecisionVar(v, false)``): the solver never branches on it, so it is
-assigned only by an assumption or by propagation and may stay unassigned in
-a model.  This is meant for selector literals that occur only negatively in
+``setDecisionVar(v, false)``): it leaves the decision queue and the solver
+never branches on it, not even as a preferred literal, so it is assigned
+only by an assumption or by propagation and may stay unassigned in a
+model.  This is meant for selector literals that occur only negatively in
 every clause: such a literal, left unassigned, extends to false and the
 model still satisfies every clause.
 
@@ -37,20 +39,44 @@ Literals use the DIMACS convention externally (signed non-zero ints) and the
 (``values[lit]``: 1 true, 0 false, -1 unassigned), so testing a literal is
 one index.
 
-Decisions pop an indexed max-heap over variable activities: ``heap`` lists
-variables, and ``heap_pos[v]`` is ``v``'s index in it, or -1 when ``v`` is
-not in it.
+Decisions.  ``prefer(lits)`` gives the solver a list of preferred literals.
+``_pick_branch`` first decides the first unassigned preferred literal of a
+decision variable, in the given order and with the given polarity; only
+when all of them are assigned does it take a queue decision.  So on the
+trail every preferred literal is assigned below the first queue decision,
+and one that is false is implied, through clauses the original ones imply,
+by the assumptions and the preferred decisions before it in the list.
+Hence a model's set F of false preferred literals is subset-minimal among
+the models of the clauses plus the assumptions: a model false on a strict
+subset of F makes every preferred literal outside F true, and with it every
+preferred decision; the first literal of F, in list order, that it makes
+true is implied false by true ones, a contradiction (preferred decisions
+first, after Giunchiglia & Maratea, "Solving optimization problems with
+DLL", ECAI 2006).
+
+Every other decision comes from a VMTF queue (variable move-to-front;
+Biere & Fröhlich, "Evaluating CDCL variable scoring schemes", SAT 2015).
+The queue is a doubly linked list of the decision variables through
+``prev`` and ``next`` (0 ends it), newest at ``last``; ``stamp[v]`` rises
+towards ``last`` and is 0 exactly when ``v`` is not queued.  Conflict
+analysis moves every variable it meets to ``last`` with a new stamp.  The
+invariant is that every queued variable newer than ``search`` is assigned:
+``_pick_branch`` walks from ``search`` towards older variables to the first
+unassigned one, ``_cancel_until`` moves ``search`` to the newest variable it
+unassigns, and ``ensure_vars`` appends new variables in one batch, highest
+index first, so the lowest new index is tried first.  Each of these is O(1)
+per variable.
 
 Hot-path rule: ``_propagate``, ``_cancel_until``, ``_pick_branch``,
 ``_bump_var`` and ``add_clauses`` bind the attributes they use to locals and
-inline the value test, the enqueue and the heap sift, since in Python a
+inline the value test, the enqueue and the queue links, since in Python a
 method call costs more than the work it wraps.  Loading is done once per
 batch: ``add_clauses`` returns to decision level 0 and creates every
 variable its clauses name before loading them, and ``solve`` creates its
 assumptions' variables once.
 
 ``tests/test_satcore.py::test_search_is_unchanged`` pins the search: each
-clause's literal order, the order of every watch list and the heap order
+clause's literal order, the order of every watch list and the queue order
 decide the verdicts, failed assumptions, models and counts it checks.
 """
 
@@ -59,9 +85,6 @@ from __future__ import annotations
 from itertools import chain
 
 _RESTART_BASE = 100
-_ACT_BUMP = 1.0
-_ACT_DECAY = 1.0 / 0.95
-_ACT_RESCALE = 1e100
 
 
 def _luby(i: int) -> int:
@@ -89,16 +112,20 @@ class MiniSolver:
         self.level = [0]
         self.reason = [None]       # clause index or None
         self.phase = [0]
-        self.decision = [False]    # per var: may the solver branch on it
-        self.activity = [0.0]
         self._seen = bytearray(1)
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
         self.ok = True
-        self.heap = []
-        self.heap_pos = [-1]
-        self._bump = _ACT_BUMP
+        # the decision queue (see the module docstring); variable 0 is none
+        self.prev = [0]
+        self.next = [0]
+        self.stamp = [0]           # per var: 0 when not queued
+        self.last = 0
+        self.search = 0
+        self.bumps = 0             # the newest stamp given
+        self.preferred = []        # internal literals, decided first
+        self._pref_i = 0           # preferred[:_pref_i] need no decision
         self.failed = None         # failed assumptions of the last UNSAT solve
         self.conflicts = 0
         self.decisions = 0
@@ -117,21 +144,50 @@ class MiniSolver:
         self.level.extend([0] * k)
         self.reason.extend([None] * k)
         self.phase.extend([0] * k)
-        self.decision.extend([True] * k)
-        self.activity.extend([0.0] * k)
         self._seen.extend(bytes(k))
         self.watches.extend([[] for _ in range(2 * k)])
-        # A new variable has activity 0 and no activity is negative, so it
-        # stays the leaf it is appended as: no sift-up is needed.
-        heap = self.heap
-        self.heap_pos.extend(range(len(heap), len(heap) + k))
-        heap.extend(range(first, n + 1))
+        # queue n, n-1, ..., first after the old last: first is the newest
+        last, bumps = self.last, self.bumps
+        self.prev.extend(range(first + 1, n + 1))
+        self.prev.append(last)
+        self.next.append(0)
+        self.next.extend(range(first, n))
+        if last:
+            self.next[last] = n
+        self.stamp.extend(range(bumps + k, bumps, -1))
+        self.bumps = bumps + k
+        self.last = self.search = first
 
     def mark_non_decision(self, v: int):
-        """Never branch on existing variable ``v`` again."""
+        """Never branch on existing variable ``v`` again: take it off the
+        decision queue."""
         if not 0 < v <= self.nvars:
             raise IndexError(f"no variable {v}")
-        self.decision[v] = False
+        stamp = self.stamp
+        if not stamp[v]:
+            return
+        prev, nxt = self.prev, self.next
+        p, n = prev[v], nxt[v]
+        if p:
+            nxt[p] = n
+        if n:
+            prev[n] = p
+        else:
+            self.last = p
+        if self.search == v:
+            self.search = p or n
+        prev[v] = nxt[v] = stamp[v] = 0
+
+    def prefer(self, lits):
+        """Decide these signed literals first, in this order, whenever they
+        are unassigned (see the module docstring); replaces the previous
+        list.  Literal 0 raises ``ValueError``; the variables are created."""
+        lits = tuple(lits)
+        if 0 in lits:
+            raise ValueError("literal 0 in the preferred literals")
+        self.ensure_vars(max(map(abs, lits), default=0))
+        self.preferred = [2 * sl if sl > 0 else 1 - 2 * sl for sl in lits]
+        self._pref_i = 0
 
     def add_clause(self, lits) -> bool:
         """Add a clause of signed DIMACS literals; False once UNSAT at root."""
@@ -150,7 +206,7 @@ class MiniSolver:
         clauses = tuple(clauses)
         if any(0 in lits for lits in clauses):
             raise ValueError("literal 0 in a clause")
-        # backtrack before creating variables: the heap order depends on it
+        # backtrack before creating variables: the queue order depends on it
         self._cancel_until(0)
         self.ensure_vars(max(map(abs, chain.from_iterable(clauses)),
                              default=0))
@@ -201,28 +257,18 @@ class MiniSolver:
         if len(trail_lim) <= target:
             return
         trail, values = self.trail, self.values
-        phase, decision = self.phase, self.decision
-        hlist, hpos, act = self.heap, self.heap_pos, self.activity
+        phase, stamp = self.phase, self.stamp
+        search = self.search
+        newest = stamp[search]
         bound = trail_lim[target]
         for lit in reversed(trail[bound:]):
             v = lit >> 1
             phase[v] = (lit & 1) ^ 1
             values[lit] = values[lit ^ 1] = -1
-            if decision[v] and hpos[v] < 0:
-                # push v: sift a new leaf up
-                a = act[v]
-                i = len(hlist)
-                hlist.append(v)
-                while i > 0:
-                    parent = (i - 1) >> 1
-                    u = hlist[parent]
-                    if a <= act[u]:
-                        break
-                    hlist[i] = u
-                    hpos[u] = i
-                    i = parent
-                hlist[i] = v
-                hpos[v] = i
+            if stamp[v] > newest:
+                search, newest = v, stamp[v]
+        self.search = search
+        self._pref_i = 0
         del trail[bound:]
         del trail_lim[target:]
         self.qhead = bound
@@ -287,29 +333,29 @@ class MiniSolver:
     # ----------------------------------------------------------- learning
 
     def _bump_var(self, v):
-        act = self.activity
-        act[v] += self._bump
-        if act[v] > _ACT_RESCALE:
-            for u in range(1, self.nvars + 1):
-                act[u] *= 1e-100
-            self._bump *= 1e-100
-        hpos = self.heap_pos
-        i = hpos[v]
-        if i < 0:
+        """Move queued variable ``v`` to ``last`` with a new stamp."""
+        stamp = self.stamp
+        if not stamp[v]:
             return
-        # sift v up: its activity only grew
-        hlist = self.heap
-        a = act[v]
-        while i > 0:
-            parent = (i - 1) >> 1
-            u = hlist[parent]
-            if a <= act[u]:
-                break
-            hlist[i] = u
-            hpos[u] = i
-            i = parent
-        hlist[i] = v
-        hpos[v] = i
+        nxt = self.next
+        n = nxt[v]
+        if n:
+            prev = self.prev
+            p = prev[v]
+            if p:
+                nxt[p] = n
+            prev[n] = p
+            if self.search == v:
+                self.search = p or n
+            last = self.last
+            nxt[last] = v
+            prev[v] = last
+            nxt[v] = 0
+            self.last = v
+        self.bumps += 1
+        stamp[v] = self.bumps
+        if self.values[2 * v] < 0:
+            self.search = v
 
     def _analyze(self, confl):
         """First-UIP conflict analysis: learnt clause + backtrack level."""
@@ -407,36 +453,29 @@ class MiniSolver:
     # --------------------------------------------------------------- solve
 
     def _pick_branch(self):
-        hlist, hpos, act = self.heap, self.heap_pos, self.activity
-        values, decision, phase = self.values, self.decision, self.phase
-        while hlist:
-            # pop the top; non-decision variables are dropped here
-            top = hlist[0]
-            hpos[top] = -1
-            v = hlist.pop()
-            n = len(hlist)
-            if n:
-                # sift the last leaf down from the root
-                a = act[v]
-                i = 0
-                while True:
-                    child = 2 * i + 1
-                    if child >= n:
-                        break
-                    right = child + 1
-                    if right < n and act[hlist[right]] > act[hlist[child]]:
-                        child = right
-                    u = hlist[child]
-                    if act[u] <= a:
-                        break
-                    hlist[i] = u
-                    hpos[u] = i
-                    i = child
-                hlist[i] = v
-                hpos[v] = i
-            if values[2 * top] < 0 and decision[top]:
-                return 2 * top + (0 if phase[top] == 1 else 1)
-        return -1
+        """The next decision literal, or -1 when every decision variable is
+        assigned: the first unassigned preferred literal of a decision
+        variable, else the newest unassigned variable of the queue in its
+        saved phase."""
+        values, stamp = self.values, self.stamp
+        preferred = self.preferred
+        i = self._pref_i
+        n = len(preferred)
+        while i < n:
+            lit = preferred[i]
+            if values[lit] < 0 and stamp[lit >> 1]:
+                self._pref_i = i
+                return lit
+            i += 1
+        self._pref_i = n
+        prev = self.prev
+        v = self.search
+        while v and values[2 * v] >= 0:
+            v = prev[v]
+        self.search = v
+        if not v:
+            return -1
+        return 2 * v + (0 if self.phase[v] == 1 else 1)
 
     def solve(self, assumptions=()) -> bool:
         """Solve under an iterable of signed assumption literals; literal 0
@@ -476,7 +515,6 @@ class MiniSolver:
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 self._record_learnt(learnt)
-                self._bump *= _ACT_DECAY
                 continue
             if conflicts_here >= conflict_budget:
                 restart_round += 1

@@ -21,7 +21,11 @@ budget-exhausted run carries its partial output in the BudgetExhausted
 error.  Every element PFS and PLS+r ever store in their result sets is a
 minimal candidate, so their partials are subsets of the minimal diagnosis.
 A PLS partial holds candidates, not necessarily minimal ones: PLS learns
-minimality only when its coverage question fails.
+minimality only when its coverage question fails.  A solver whose every
+answer is a minimal candidate of the requested set, as ``CircuitSolver``'s
+is, makes each PLS answer a minimal diagnosis element, so its partials too
+are subsets of the diagnosis, and a full run takes one test per element
+plus the coverage test that fails.
 """
 
 from __future__ import annotations

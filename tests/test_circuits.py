@@ -1,3 +1,5 @@
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,11 +9,13 @@ from diagfp.circuits import (Circuit, CircuitSolver, Gate, PinObservation,
                              parse_circuit)
 from diagfp.contract import TestRequest
 from diagfp.errors import BudgetExhausted, ModelFormatError
-from diagfp.hypothesis import set_hyp
-from diagfp.properties import question_candidate
+from diagfp.hypothesis import leq, lt, set_hyp
+from diagfp.properties import member, question_candidate, question_coverage
 from diagfp.satbackend import Cnf
 from diagfp.satcore import MiniSolver
 from diagfp.strategies import run_pfs, run_strategy, STRATEGIES
+
+from test_strategies import EnumSolver
 
 FIXTURES = Path(__file__).parent / "fixtures" / "circuits"
 
@@ -204,16 +208,18 @@ class _Replay:
 
 
 def test_budget_partials_by_strategy():
-    # PLS partials hold candidates that need not be minimal (cap 42 returns
-    # {g10,g12} while {g12} is minimal); PLS+r and PFS partials are subsets
-    # of the minimal diagnosis
+    # Every circuit answer is a minimal candidate of the requested set
+    # (CircuitSolver decides its -ab literals first), so the partials of
+    # PLS, PLS+r and PFS are all subsets of the minimal diagnosis here.  A
+    # PLS partial need not be minimal in general: PLS learns minimality only
+    # when its coverage question fails, so a solver that answers with its
+    # largest candidate leaves non-minimal candidates in it.
     circuit, obs = load("adder3_flip.ckt")
     space = circuit.space()
     # brute_force_diagnosis gives this too, but takes over a minute
     diagnosis = {set_hyp(c.split()) for c in (
         "g12", "g13", "g14", "g10 g7", "g10 g8", "g10 g9",
         "g10 g2 g5", "g10 g3 g5", "g10 g4 g5", "g0 g1 g10 g5")}
-    seen_non_minimal, checked = False, set()
     for strategy in ("pls", "pls-r", "pfs-ec"):
         replay = _Replay(CircuitSolver(circuit, obs))
         assert set(run_strategy(strategy, replay, space).minimal_candidates) \
@@ -225,12 +231,68 @@ def test_budget_partials_by_strategy():
                 continue
             except BudgetExhausted as exc:
                 partial = exc.partial.minimal_candidates
-            if strategy != "pls":
-                assert set(partial) <= diagnosis, (strategy, cap)
-                continue
-            for hyp in set(partial) - checked:
-                req = TestRequest(question_candidate(hyp, space), space)
-                assert CircuitSolver(circuit, obs).solve(req).is_candidate
-                checked.add(hyp)
-            seen_non_minimal |= not set(partial) <= diagnosis
+            assert set(partial) <= diagnosis, (strategy, cap)
+    circuit, obs = load("inv3.ckt")
+    space = circuit.space()
+    diagnosis = brute_force_diagnosis(circuit, obs)
+    candidates = [h for h in space.enumerate(0)
+                  if any(leq(d, h, space) for d in diagnosis)]
+    seen_non_minimal = False
+    for cap in range(1, 6):
+        with pytest.raises(BudgetExhausted) as exc:
+            run_strategy("pls", EnumSolver(space, candidates, choice="max"),
+                         space, iteration_cap=cap)
+        partial = set(exc.value.partial.minimal_candidates)
+        assert partial <= set(candidates)
+        seen_non_minimal |= not partial <= set(diagnosis)
     assert seen_non_minimal
+
+
+ADDER8 = "adder8_flip2.ckt"
+# pls at the parent of the change that made circuit answers minimal
+ADDER8_DIAGNOSIS = json.loads(
+    (FIXTURES / "adder8_flip2.json").read_text())["diagnosis"]
+
+
+def test_pls_on_the_8_bit_adder_tests_each_candidate_once():
+    # 80 tests: one per minimal candidate, and the coverage test that fails
+    circuit, obs = load(ADDER8)
+    got = run_strategy("pls", CircuitSolver(circuit, obs), circuit.space())
+    assert got.canon() == ADDER8_DIAGNOSIS
+    assert got.stats["tests"] == len(ADDER8_DIAGNOSIS) + 1
+
+
+@pytest.mark.parametrize("strategy", ["pls-r", "pfs-ec"])
+def test_strategies_agree_on_the_8_bit_adder(strategy):
+    circuit, obs = load(ADDER8)
+    got = run_strategy(strategy, CircuitSolver(circuit, obs), circuit.space())
+    assert got.canon() == ADDER8_DIAGNOSIS
+
+
+@pytest.mark.parametrize("name", ["inv3.ckt", "and1.ckt", "adder_slice.ckt"])
+def test_coverage_answers_are_minimal_candidates(name):
+    # random coverage questions to one live solver: no strict subset of an
+    # answer is a candidate inside the question (the weak-fault candidates
+    # are the supersets of the diagnosis).  Before each, a candidacy test of
+    # a random hypothesis leaves the saved phases of its gates abnormal.
+    circuit, obs = load(name)
+    space = circuit.space()
+    diagnosis = brute_force_diagnosis(circuit, obs)
+    universe = space.enumerate(0)
+    solver = CircuitSolver(circuit, obs)
+    rng = random.Random(name)
+    answers = 0
+    for _ in range(30):
+        solver.solve(TestRequest(
+            question_candidate(rng.choice(universe), space), space))
+        props = question_coverage(
+            rng.sample(universe, rng.randint(0, len(universe) // 2)), space)
+        out = solver.solve(TestRequest(props, space))
+        if not out.is_candidate:
+            continue
+        answers += 1
+        answer = out.candidate
+        assert not any(lt(h, answer, space) and member(h, props, space)
+                       and any(leq(d, h, space) for d in diagnosis)
+                       for h in universe), (props, answer)
+    assert answers

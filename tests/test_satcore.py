@@ -44,6 +44,54 @@ def selector_cnf(rng):
     return n, k, clauses
 
 
+def check_queue(s, non_decision):
+    """The decision queue's invariants: it links exactly the variables not
+    in ``non_decision``, ``prev`` and ``next`` agree, stamps rise towards
+    ``last``, and every variable newer than ``search`` is assigned."""
+    queue, newer = [], 0
+    v = s.last
+    while v:
+        assert s.next[v] == newer, v
+        queue.append(v)
+        newer, v = v, s.prev[v]
+    assert sorted(queue) == [v for v in range(1, s.nvars + 1)
+                             if v not in non_decision]
+    assert all(s.stamp[v] == 0 for v in non_decision)
+    stamps = [s.stamp[v] for v in queue]
+    assert all(a > b for a, b in zip(stamps, stamps[1:])), stamps
+    ahead = queue[:queue.index(s.search)] if s.search else queue
+    assert all(s.value(v) is not None for v in ahead)
+
+
+class CheckedSolver(MiniSolver):
+    """Runs ``check_queue`` after every public call."""
+
+    def __init__(self):
+        super().__init__()
+        self.non_decision = set()
+
+    def _checked(self, result):
+        check_queue(self, self.non_decision)
+        return result
+
+    def ensure_vars(self, n):
+        return self._checked(super().ensure_vars(n))
+
+    def mark_non_decision(self, v):
+        super().mark_non_decision(v)
+        self.non_decision.add(v)
+        check_queue(self, self.non_decision)
+
+    def prefer(self, lits):
+        return self._checked(super().prefer(lits))
+
+    def add_clauses(self, clauses):
+        return self._checked(super().add_clauses(clauses))
+
+    def solve(self, assumptions=()):
+        return self._checked(super().solve(assumptions))
+
+
 SEARCH_FIXTURE = Path(__file__).parent / "fixtures" / "kernel_search.json"
 
 
@@ -55,9 +103,13 @@ def search_trace(solver_cls, kind, seed):
     ``kind`` "cnf" grows a random CNF over three rounds; "php" guards each
     pigeon of a pigeonhole formula by a selector and solves with every
     pigeon and with all but one; "selector" loads a ``selector_cnf`` with
-    some selectors non-decision, then adds guarded clauses between solves.
-    Like the test solvers, every scenario declares its variables with
-    ``ensure_vars`` before loading clauses that use them.
+    some selectors non-decision, then adds guarded clauses between solves;
+    "prefer" loads a random CNF near the 3-SAT threshold with non-decision
+    selectors guarding some clauses, prefers a random list of literals, and
+    solves under selectors and literals, adding clauses and replacing the
+    preferred list between rounds.  Like the test solvers, every scenario
+    declares its variables with ``ensure_vars`` before loading clauses that
+    use them.
     """
     rng = random.Random(seed)
     s = solver_cls()
@@ -110,6 +162,30 @@ def search_trace(solver_cls, kind, seed):
         for _ in range(3):
             solve(every)
             solve(rng.sample(every, holes))
+    elif kind == "prefer":
+        n, k = rng.randint(20, 40), rng.randint(2, 5)
+        s.ensure_vars(n + k)
+        for v in range(n + 1, n + k + 1):
+            s.mark_non_decision(v)
+
+        def guarded(m):
+            # 3-clauses, about a third of them guarded by a selector
+            return [([-rng.randint(n + 1, n + k)] if rng.random() < 0.3
+                     else []) +
+                    [v if rng.random() < 0.5 else -v
+                     for v in rng.sample(range(1, n + 1), 3)]
+                    for _ in range(m)]
+        load(guarded(int(rng.uniform(3.6, 4.4) * n)))
+        for _ in range(3):
+            s.prefer(rng.choice((1, -1)) * v
+                     for v in rng.sample(range(1, n + 1), rng.randint(1, n)))
+            for _ in range(2):
+                solve([v for v in range(n + 1, n + k + 1)
+                       if rng.random() < 0.5] +
+                      [rng.choice((1, -1)) * v
+                       for v in rng.sample(range(1, n + 1),
+                                           rng.randint(0, 3))])
+            load(guarded(rng.randint(1, 4)))
     else:
         n, k, clauses = selector_cnf(rng)
         s.ensure_vars(n + k)
@@ -126,7 +202,8 @@ def search_trace(solver_cls, kind, seed):
     return trace
 
 
-SEARCH_SCENARIOS = [(kind, seed) for kind in ("cnf", "php", "selector")
+SEARCH_SCENARIOS = [(kind, seed)
+                    for kind in ("cnf", "php", "selector", "prefer")
                     for seed in range(16 if kind != "php" else 4)]
 
 
@@ -431,17 +508,108 @@ def test_non_decision_var_is_never_branched_on(solver_cls):
     s.mark_non_decision(1)
     assert s.solve()
     assert s.value(1) is None and s.decisions == 0
-    assert s.solve()  # popped and dropped by the first solve; still off
+    assert s.solve()  # off the decision queue for good
     assert s.value(1) is None and s.decisions == 0
     with pytest.raises(IndexError):
         s.mark_non_decision(3)
 
 
+def test_preferred_literal_zero_is_rejected(solver_cls):
+    s = solver_cls()
+    s.prefer([-2])
+    with pytest.raises(ValueError):
+        s.prefer([1, 0])
+    assert s.nvars == 2 and s.preferred == [5]    # the old list stays
+    assert s.solve() and s.value(2) is False
+
+
+def test_preferred_literals_are_decided_first(solver_cls):
+    s = solver_cls()
+    s.add_clause([1, 2, 3])
+    s.prefer([-1, -2])    # x3 is implied
+    assert s.solve() and [s.value(v) for v in (1, 2, 3)] == [False, False,
+                                                             True]
+    s.prefer([2, -1])     # x2 satisfies the clause
+    assert s.solve() and s.value(2) is True and s.value(1) is False
+    # a preferred literal of a non-decision variable is not decided
+    s.mark_non_decision(2)
+    s.add_clause([3])
+    assert s.solve() and s.value(2) is None and s.value(1) is False
+
+
+def test_false_preferred_literals_are_minimal():
+    # Random CNFs over base variables 1..n with guarded clauses behind
+    # selectors, most of them non-decision, and a random preferred list over
+    # the base variables.  Each SAT solve must leave a subset-minimal set of
+    # false preferred literals among all models of the clauses plus the
+    # assumptions; an unassumed selector can always be false, so those
+    # models are, on the base variables, the assignments that satisfy the
+    # unguarded clauses, the clauses of assumed selectors and the base
+    # assumptions.  The queue is checked after every call.
+    rng = random.Random(21)
+    solves = 0
+    for round_ in range(150):
+        n, k = rng.randint(1, 12), rng.randint(0, 3)
+        clauses = random_cnf(rng, n, rng.randint(1, 2 * n))
+        s = CheckedSolver()
+        s.ensure_vars(n + k)
+        for v in range(n + 1, n + k + 1):
+            if rng.random() < 0.7:
+                s.mark_non_decision(v)
+        preferred = [v if rng.random() < 0.5 else -v
+                     for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+        s.prefer(preferred)
+
+        def guarded(m):
+            return [[-rng.randint(n + 1, n + k)] + cl
+                    for cl in random_cnf(rng, n, m)] if k else []
+        clauses += guarded(rng.randint(0, 2 * k))
+        ok = s.add_clauses(clauses)
+        for _ in range(4):
+            assumptions = [v for v in range(n + 1, n + k + 1)
+                           if rng.random() < 0.5]
+            assumptions += [v if rng.random() < 0.5 else -v
+                            for v in rng.sample(range(1, n + 1),
+                                                rng.randint(0, min(2, n)))]
+            # a guarded clause starts with its negated selector
+            active = [[lit for lit in cl if abs(lit) <= n]
+                      for cl in clauses + [[a] for a in assumptions if a <= n]
+                      if -cl[0] <= n or -cl[0] in assumptions]
+            masks = [(sum(1 << (l - 1) for l in cl if l > 0),
+                      sum(1 << (-l - 1) for l in cl if l < 0))
+                     for cl in active]
+            models = [m for m in range(1 << n)
+                      if all(m & pos or ~m & neg for pos, neg in masks)]
+            got = s.solve(assumptions) if ok else False
+            assert got == bool(models), (round_, clauses, assumptions)
+            if got:
+                solves += 1
+
+                def false_set(is_true):
+                    return sum(1 << i for i, p in enumerate(preferred)
+                               if is_true(abs(p)) != (p > 0))
+                mine = false_set(s.value)
+                assert not any(
+                    f & ~mine == 0 and f != mine
+                    for f in (false_set(lambda v: bool(m >> (v - 1) & 1))
+                              for m in models)), (round_, clauses, assumptions)
+            more = random_cnf(rng, n, rng.randint(0, 1)) + guarded(
+                rng.randint(0, 2))
+            clauses += more
+            ok = s.add_clauses(more) and ok
+    assert solves > 200
+
+
+def test_queue_stays_intact_through_the_search_scenarios():
+    for kind, seed in SEARCH_SCENARIOS:
+        search_trace(CheckedSolver, kind, seed)
+
+
 def test_search_is_unchanged(solver_cls):
-    # The fixture was last recorded when the assumptions moved onto one
-    # decision level; any change to clause literal order, watch-list order,
-    # heap order or assumption handling shows as a different count, core or
-    # model.
+    # The fixture was last recorded when decisions moved from the activity
+    # heap to preferred literals and the VMTF queue; any change to clause
+    # literal order, watch-list order, queue order, preferred decisions or
+    # assumption handling shows as a different count, core or model.
     expected = json.loads(SEARCH_FIXTURE.read_text())
     got = record_search_fixture(solver_cls)
     assert got.keys() == expected.keys()
