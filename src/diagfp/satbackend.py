@@ -1,13 +1,19 @@
 """Bounded-reachability SAT test solver for DES.
 
 A behaviour of parallel length ``n`` is encoded with one block of variables
-per timestep: an event variable per event, and a component-state and a
-transition variable per component, constrained so that every solution
-decodes to a path of the model.  The i-th observed event is pinned at
-timestep ``steps_per_obs * i``; all other observable events are negated
-everywhere.  The horizon is ``steps_per_obs * (|obs| + 1)``, leaving room for
-unobservable behaviour after the final observation (and ``steps_per_obs``
-steps when the observation is empty).
+per timestep, constrained so that every solution decodes to a path of the
+model that matches the observation.  The i-th observed event is pinned at
+timestep ``steps_per_obs * i``; no other observable event occurs.  The
+horizon is ``steps_per_obs * (|obs| + 1)``, leaving room for unobservable
+behaviour after the final observation (and ``steps_per_obs`` steps when the
+observation is empty).
+
+The block of a timestep holds only what can still happen there
+(:func:`encode_run`): an event variable for each event the observation
+allows that the components can take from a state reachable one step
+earlier, a transition variable for each such move, and a state variable
+for each reachable local state.  An event without a variable is false at
+that timestep, and every reader treats it so (:func:`event_var`).
 
 Each requested property is encoded behind its own assumption literal, so a
 failed solve yields a conflict as the kernel's failed-assumption subset;
@@ -36,8 +42,10 @@ class EncodingParams:
     steps_per_obs: int = 7
 
     def __post_init__(self):
-        if self.steps_per_obs < 1:
-            raise DiagError("steps_per_obs must be >= 1")
+        k = self.steps_per_obs
+        # bool is an int subclass: True would pass as 1
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise DiagError(f"steps_per_obs must be an int >= 1, got {k!r}")
 
     def horizon(self, obs_len: int) -> int:
         return self.steps_per_obs * (obs_len + 1)
@@ -47,12 +55,15 @@ class Cnf:
     """Clause store; variables are numbered 1, 2, ... in creation order.
 
     A variable that encodings look up again is keyed by the tuple of values
-    that define it: ``("e", event, t)`` (event at timestep ``t``),
-    ``("occ", f)`` (``f`` occurs), ``("dh", p, t)`` and ``("ah", p, t)``
-    (the subsequence chains' columns, one per anchor prefix ``p``; MHS
-    thresholds are the desc chains of ``(f,) * j``), ``("nofault", t)``,
-    and for circuits ``("sig", signal)`` and ``("ab", gate)``.  Every other
-    variable comes from :meth:`new` and is held only by its creator.
+    that define it: ``("e", event, t)`` (event at timestep ``t``; only
+    :func:`encode_run` creates one, and an absent key means the event is
+    false there), ``("occ", f)`` (``f`` occurs), ``("dh", p, t)`` and
+    ``("ah", p, t)`` (the subsequence chains' columns, one per anchor prefix
+    ``p``; MHS thresholds are the desc chains of ``(f,) * j``; a column that
+    cannot change at ``t`` maps its key to the variable of ``t - 1``),
+    ``("nofault", t)``, and for circuits ``("sig", signal)`` and
+    ``("ab", gate)``.  Every other variable (states and transitions among
+    them) comes from :meth:`new` and is held only by its creator.
     """
 
     def __init__(self):
@@ -104,69 +115,114 @@ class Cnf:
 
 # ------------------------------------------------------------------- model
 
-def encode_model(model: DesModel, obs_len: int, params: EncodingParams,
-                 cnf: Cnf) -> None:
-    n = params.horizon(obs_len)
-    sv = {}
-    ev = {}
-    tv = {}
-    for e in model.events:
-        for t in range(1, n + 1):
-            ev[e, t] = cnf.var(("e", e, t))
-    for comp in model.components:
-        for s in comp.states:
-            for t in range(n + 1):
-                sv[comp.name, s, t] = cnf.new()
-        for i in range(len(comp.trans)):
-            for t in range(1, n + 1):
-                tv[comp.name, i, t] = cnf.new()
-
-    for comp in model.components:
-        by_target = {s: [] for s in comp.states}
-        by_event = {}
-        for i, (src, e, dst) in enumerate(comp.trans):
-            by_target[dst].append(i)
-            by_event.setdefault(e, []).append(i)
-        for t in range(1, n + 1):
-            for i, (src, e, dst) in enumerate(comp.trans):
-                tr = tv[comp.name, i, t]
-                cnf.add([-tr, sv[comp.name, dst, t]])
-                cnf.add([-tr, sv[comp.name, src, t - 1]])
-                cnf.add([-tr, ev[e, t]])
-            for s in comp.states:
-                # frame: a state newly reached needs a transition into it
-                cnf.add([-sv[comp.name, s, t], sv[comp.name, s, t - 1]]
-                        + [tv[comp.name, i, t] for i in by_target[s]])
-            for e, idxes in by_event.items():
-                cnf.add([-ev[e, t]] + [tv[comp.name, i, t] for i in idxes])
-            cnf.at_most_one([ev[e, t] for e in by_event])
-        for t in range(n + 1):
-            cnf.exactly_one([sv[comp.name, s, t] for s in comp.states])
-        cnf.add([sv[comp.name, s, 0] for s in comp.init])
+def event_var(cnf: Cnf, event: str, t: int):
+    """The variable of ``event`` at timestep ``t``, or None where the
+    encoding has none: the event cannot occur there, so it is false."""
+    return cnf.index.get(("e", event, t))
 
 
-def encode_observation(model: DesModel, obs: Observation,
-                       params: EncodingParams, cnf: Cnf) -> None:
+def _event_vars(cnf: Cnf, events, t: int) -> list:
+    """The variables of those ``events`` that exist at timestep ``t``."""
+    return [v for e in events if (v := event_var(cnf, e, t)) is not None]
+
+
+def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
+               cnf: Cnf) -> list:
+    """Encode the runs of ``model`` over the horizon that the observation
+    allows, keeping only what can still happen.
+
+    A forward pass over the timesteps keeps, at timestep ``t``:
+
+    * the events the observation allows there (every unobservable event,
+      plus the designated observed event, which becomes a unit) that every
+      component with the event in its alphabet can take from a local state
+      reachable at ``t - 1``; at a designated step, no event that shares a
+      component with the designated one;
+    * the transitions labelled with those events, from reachable states;
+    * the local states those transitions reach, plus the states of ``t - 1``
+      for a component that may stay, one without the designated event in its
+      alphabet.
+
+    Every variable left out is false in every model of the full encoding,
+    so the two are equisatisfiable.  When a designated event cannot occur,
+    the CNF gets the empty clause and the pass stops.  Returns the decode
+    table: ``(var, event)`` for every event variable, in timestep order and,
+    within a timestep, in registry order.
+    """
     n = params.horizon(len(obs))
     k = params.steps_per_obs
+    observable = frozenset(model.observable)
+    comps = model.components
+    # per component: event -> its transitions as (src, dst)
+    by_event = [{} for _ in comps]
+    for moves, comp in zip(by_event, comps):
+        for src, e, dst in comp.trans:
+            moves.setdefault(e, []).append((src, dst))
+    # per event: the indices of the components with it in their alphabet
+    owners = {e: [c for c, moves in enumerate(by_event) if e in moves]
+              for e in model.events}
+    # per component: local state -> its variable at t - 1
+    prev = [{s: cnf.new() for s in comp.states if s in comp.init}
+            for comp in comps]
+    for states in prev:
+        cnf.exactly_one(states.values())
+    table = []
     for t in range(1, n + 1):
-        designated = obs.sequence[t // k - 1] if (t % k == 0
-                                                  and t // k <= len(obs)) else None
-        for e in model.observable:
-            lit = cnf.var(("e", e, t))
-            cnf.unit(lit if e == designated else -lit)
+        i, r = divmod(t, k)
+        designated = obs.sequence[i - 1] if r == 0 and i <= len(obs) else None
+        busy = owners[designated] if designated else ()
+        ev = {}
+        for e in model.events:
+            if e == designated or (
+                    e not in observable
+                    and not any(c in busy for c in owners[e])):
+                if all(any(src in prev[c] for src, _ in by_event[c][e])
+                       for c in owners[e]):
+                    ev[e] = cnf.var(("e", e, t))
+                    table.append((ev[e], e))
+        if designated:
+            if designated not in ev:
+                cnf.add([])     # the observed event cannot occur here
+                return table
+            cnf.unit(ev[designated])
+        for c, comp in enumerate(comps):
+            was = prev[c]
+            stay = c not in busy
+            moves = [(src, e, dst) for e, pairs in by_event[c].items()
+                     if e in ev for src, dst in pairs if src in was]
+            reach = {dst for _, _, dst in moves}
+            if stay:
+                reach.update(was)
+            now = {s: cnf.new() for s in comp.states if s in reach}
+            into = {s: [] for s in now}
+            taken = {}
+            for src, e, dst in moves:
+                tr = cnf.new()
+                cnf.add([-tr, now[dst]])
+                cnf.add([-tr, was[src]])
+                cnf.add([-tr, ev[e]])
+                into[dst].append(tr)
+                taken.setdefault(e, []).append(tr)
+            for s, sv in now.items():
+                # frame: a state newly reached needs a transition into it
+                keep = [was[s]] if stay and s in was else []
+                cnf.add([-sv] + keep + into[s])
+            for e, trs in taken.items():
+                cnf.add([-ev[e]] + trs)
+            cnf.at_most_one([ev[e] for e in taken])
+            cnf.exactly_one(now.values())
+            prev[c] = now
+    return table
 
 
-def encode_fault_interleaving(model: DesModel, obs_len: int,
-                              params: EncodingParams, cnf: Cnf) -> None:
+def encode_fault_interleaving(model: DesModel, n: int, cnf: Cnf) -> None:
     """At most one fault event per timestep.
 
     Required whenever fault order matters (SqHS): the sequence encodings read
     the timestep order, and the decoded linearisation must not invent one.
     """
-    n = params.horizon(obs_len)
     for t in range(1, n + 1):
-        cnf.at_most_one([cnf.var(("e", f, t)) for f in model.faults])
+        cnf.at_most_one(_event_vars(cnf, model.faults, t))
 
 
 # -------------------------------------------------------------- properties
@@ -177,7 +233,8 @@ def _occ_var(cnf: Cnf, fault: str, n: int) -> int:
     if cnf.has(key):
         return cnf.var(key)
     occ = cnf.var(key)
-    lits = [cnf.var(("e", fault, t)) for t in range(1, n + 1)]
+    lits = [v for t in range(1, n + 1)
+            if (v := event_var(cnf, fault, t)) is not None]
     cnf.add([-occ] + lits)
     for lit in lits:
         cnf.add([-lit, occ])
@@ -192,18 +249,23 @@ def _desc_chain(cnf: Cnf, anchor: tuple, n: int) -> int:
     last fault of ``p`` and the columns of ``p`` and ``p[:-1]``, so anchors
     that share a prefix share its column, and a chain builds only the
     columns not in the CNF yet.  The empty prefix's column is true and left
-    implicit.  With anchor ``(f,) * j`` this is Sinz's sequential counter
-    (CP 2005), "at least ``j`` occurrences of ``f``": the MHS threshold.
+    implicit.  Where the last fault of ``p`` has no variable, the column
+    keeps its value and its key names the variable of ``t - 1``.  With
+    anchor ``(f,) * j`` this is Sinz's sequential counter (CP 2005), "at
+    least ``j`` occurrences of ``f``": the MHS threshold.
     """
     for i in range(1, len(anchor) + 1):
         pre = anchor[:i]
         if cnf.has(("dh", pre, n)):
             continue
-        col = [cnf.var(("dh", pre, t)) for t in range(n + 1)]
-        cnf.unit(-col[0])
+        prev = cnf.var(("dh", pre, 0))
+        cnf.unit(-prev)
         for t in range(1, n + 1):
-            x = cnf.var(("e", pre[-1], t))
-            cur, prev = col[t], col[t - 1]
+            x = event_var(cnf, pre[-1], t)
+            if x is None:
+                cnf.index[("dh", pre, t)] = prev
+                continue
+            cur = cnf.var(("dh", pre, t))
             # dh[pre[:-1]]@(t-1); the empty prefix's is true and drops out
             below = [cnf.var(("dh", pre[:-1], t - 1))] if i > 1 else []
             if below:
@@ -211,6 +273,7 @@ def _desc_chain(cnf: Cnf, anchor: tuple, n: int) -> int:
             cnf.add([-cur, prev, x])
             cnf.add([-prev, cur])
             cnf.add([-b for b in below] + [-x, cur])
+            prev = cur
     return cnf.var(("dh", anchor, n))
 
 
@@ -219,7 +282,7 @@ def _nofault_var(cnf: Cnf, faults: tuple, t: int) -> int:
     if cnf.has(key):
         return cnf.var(key)
     nf = cnf.var(key)
-    lits = [cnf.var(("e", f, t)) for f in faults]
+    lits = _event_vars(cnf, faults, t)
     for lit in lits:
         cnf.add([-nf, -lit])
     cnf.add([nf] + lits)
@@ -234,27 +297,33 @@ def _anc_chain(cnf: Cnf, anchor: tuple, faults: tuple, n: int) -> int:
       no fault   -> ah[p] persists;
       fault f    -> ah[p]@t <-> OR_{q<=|p|, p[q-1]=f} ah[p[:q-1]]@(t-1).
     Relies on the at-most-one-fault-per-timestep constraint.  Columns are
-    keyed by prefix, ``("ah", p, t)``, as in :func:`_desc_chain`; the empty
-    prefix's column ("no fault yet") is explicit.
+    keyed by prefix, ``("ah", p, t)``, as in :func:`_desc_chain`, and keep
+    their value where no fault has a variable; the empty prefix's column
+    ("no fault yet") is explicit.
     """
     for i in range(len(anchor) + 1):
         pre = anchor[:i]
         if cnf.has(("ah", pre, n)):
             continue
-        col = [cnf.var(("ah", pre, t)) for t in range(n + 1)]
-        cnf.unit(col[0])
+        prev = cnf.var(("ah", pre, 0))
+        cnf.unit(prev)
         for t in range(1, n + 1):
+            xs = [(f, x) for f in faults
+                  if (x := event_var(cnf, f, t)) is not None]
+            if not xs:
+                cnf.index[("ah", pre, t)] = prev
+                continue
             nf = _nofault_var(cnf, faults, t)
-            cur, prev = col[t], col[t - 1]
+            cur = cnf.var(("ah", pre, t))
             cnf.add([-nf, -prev, cur])
             cnf.add([-nf, prev, -cur])
-            for f in faults:
-                x = cnf.var(("e", f, t))
+            for f, x in xs:
                 sources = [cnf.var(("ah", pre[:q - 1], t - 1))
                            for q in range(1, i + 1) if pre[q - 1] == f]
                 cnf.add([-x, -cur] + sources)
                 for src in sources:
                     cnf.add([-x, -src, cur])
+            prev = cur
     return cnf.var(("ah", anchor, n))
 
 
@@ -418,20 +487,18 @@ class AssumptionSolver:
         return kernel
 
 
-def decode_trace(model: DesModel, values, cnf: Cnf, n: int) -> tuple:
-    """Collect true events per timestep, linearised in registry order."""
-    trace = []
-    for t in range(1, n + 1):
-        for e in model.events:
-            if values(cnf.var(("e", e, t))):
-                trace.append(e)
-    return tuple(trace)
+def decode_trace(events, value) -> tuple:
+    """The true events of a model, read with ``value(var)`` from the decode
+    table ``events`` of :func:`encode_run`: linearised in timestep order
+    and, within a timestep, in registry order."""
+    return tuple(e for var, e in events if value(var))
 
 
 class SatSolver(AssumptionSolver):
     """Test solver backed by the bounded SAT encoding.
 
-    The model/observation block is encoded once, by the constructor; each
+    The model/observation block is encoded once, by the constructor, which
+    keeps the decode table of :func:`encode_run` as ``event_vars``; each
     property is encoded behind its activation literal on first use, and
     every test runs on the one live kernel of :class:`AssumptionSolver`.
     """
@@ -446,17 +513,16 @@ class SatSolver(AssumptionSolver):
         self.obs = obs
         self.params = params or EncodingParams()
         self.horizon = self.params.horizon(len(obs))
-        encode_model(model, len(obs), self.params, self.cnf)
-        encode_observation(model, obs, self.params, self.cnf)
+        self.event_vars = encode_run(model, obs, self.params, self.cnf)
         if space.kind == SQHS:
-            encode_fault_interleaving(model, len(obs), self.params, self.cnf)
+            encode_fault_interleaving(model, self.horizon, self.cnf)
 
     def _encode_property(self, prop: Property, act: int) -> None:
         encode_property(prop, self.space, self.model, self.params,
                         len(self.obs), self.cnf, act)
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
-        trace = decode_trace(self.model, kernel.value, self.cnf, self.horizon)
+        trace = decode_trace(self.event_vars, kernel.value)
         hyp = trace_hypothesis(trace, self.model, self.space)
         if not (trace_in_model(trace, self.model)
                 and trace_matches_observation(trace, self.model, self.obs)

@@ -7,14 +7,17 @@ import pytest
 from diagfp.contract import TestRequest
 from diagfp.desmodel import (Observation, parse_model, trace_in_model,
                              trace_matches_observation)
+from diagfp.errors import DiagError
 from diagfp.explicit import fits_horizon, oracle_candidates, solve as explicit_solve
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 from diagfp.properties import (ANC, DESC, NEG_DESC, Property, member,
                                question_candidate, question_coverage,
                                question_minimal)
 from diagfp.satbackend import (_PAIRWISE_LIMIT, Cnf, EncodingParams,
-                                SatSolver, _anc_chain, _desc_chain)
+                                SatSolver, _anc_chain, _desc_chain,
+                                encode_run, event_var)
 from diagfp.satcore import MiniSolver
+from diagfp.strategies import run_strategy
 
 from test_explicit import faulty_instances
 
@@ -45,20 +48,25 @@ def all_solutions(cnf, project_vars):
 def test_encode_model_solutions_are_model_paths(oneshot):
     params = EncodingParams(steps_per_obs=2)
     cnf = Cnf()
-    from diagfp.satbackend import encode_model, encode_observation
-    encode_model(oneshot, 1, params, cnf)
-    encode_observation(oneshot, OBS1, params, cnf)
+    events = encode_run(oneshot, OBS1, params, cnf)
     n = params.horizon(1)
-    event_vars = [cnf.var(("e", e, t)) for t in range(1, n + 1)
-                  for e in oneshot.events]
-    for sol in all_solutions(cnf, event_vars):
+    # the decode table lists every event variable, in timestep order and
+    # registry order within a timestep
+    assert events == [(event_var(cnf, e, t), e) for t in range(1, n + 1)
+                      for e in oneshot.events
+                      if event_var(cnf, e, t) is not None]
+    traces = set()
+    for sol in all_solutions(cnf, [v for v, _ in events]):
         trace = []
         for t in range(1, n + 1):
             for e in oneshot.events:
-                if sol[cnf.var(("e", e, t))]:
+                v = event_var(cnf, e, t)
+                if v is not None and sol[v]:
                     trace.append(e)
         assert trace_in_model(trace, oneshot)
         assert trace_matches_observation(trace, oneshot, OBS1)
+        traces.add(tuple(trace))
+    assert traces == {("f", "o1")}
 
 
 def test_single_state_component_empty_trace():
@@ -75,33 +83,35 @@ def test_single_state_component_empty_trace():
 def test_observation_units(oneshot):
     params = EncodingParams(steps_per_obs=2)
     cnf = Cnf()
-    from diagfp.satbackend import encode_observation
-    # pre-register event vars as encode_model would
-    for e in oneshot.events:
-        for t in range(1, params.horizon(1) + 1):
-            cnf.var(("e", e, t))
-    encode_observation(oneshot, OBS1, params, cnf)
+    encode_run(oneshot, OBS1, params, cnf)
     units = {tuple(c) for c in cnf.clauses if len(c) == 1}
-    o1 = lambda t: cnf.var(("e", "o1", t))
+    o1 = lambda t: event_var(cnf, "o1", t)
     assert (o1(2),) in units          # pinned at steps_per_obs * 1
-    assert (-o1(1),) in units
-    assert (-o1(3),) in units and (-o1(4),) in units  # trailing slots silent
+    # an observable event has no variable, so is false, at every other step
+    assert o1(1) is None
+    assert o1(3) is None and o1(4) is None  # trailing slots silent
 
 
 def test_shs_desc_guarded_clause_shape(oneshot):
     space = oneshot.space(SHS)
-    params = EncodingParams(steps_per_obs=1)
     req = TestRequest((Property(DESC, set_hyp(["f"])),), space)
-    solver = SatSolver(oneshot, OBS1, space, params)
-    act, = solver.activate(req.props)
-    cnf = solver.cnf
-    n = params.horizon(1)
-    # desc({f}) is the guarded occurrence literal of f, which is defined
-    # as the disjunction of f over the timesteps
-    occ = cnf.var(("occ", "f"))
-    assert [-act, occ] in cnf.clauses
-    assert [-occ] + [cnf.var(("e", "f", t)) for t in range(1, n + 1)] \
-        in cnf.clauses
+    # steps_per_obs=1 cannot reach the observation, so f has no variable;
+    # with 2, f has one at the first timestep only
+    for steps, f_steps in ((1, []), (2, [1])):
+        params = EncodingParams(steps_per_obs=steps)
+        solver = SatSolver(oneshot, OBS1, space, params)
+        act, = solver.activate(req.props)
+        cnf = solver.cnf
+        n = params.horizon(1)
+        fs = [event_var(cnf, "f", t) for t in range(1, n + 1)]
+        assert [t for t, v in enumerate(fs, 1) if v is not None] == f_steps
+        # desc({f}) is the guarded occurrence literal of f, which is defined
+        # as the disjunction of f over the timesteps
+        occ = cnf.var(("occ", "f"))
+        assert [-act, occ] in cnf.clauses
+        assert [-occ] + [v for v in fs if v is not None] in cnf.clauses
+        for v in fs:
+            assert v is None or [-v, occ] in cnf.clauses
 
 
 def test_sat_candidate_and_conflict(oneshot):
@@ -316,4 +326,51 @@ def test_request_cnf_deterministic(oneshot):
     assert s1.cnf.nvars == s2.cnf.nvars
     assert s1.cnf.clauses == s2.cnf.clauses
     assert a1 == a2
-    assert ("e", "f", 1) in s1.cnf.index
+    assert event_var(s1.cnf, "f", 1) is not None
+
+
+def _event_keys(cnf) -> set:
+    return {key for key in cnf.index if key[0] == "e"}
+
+
+def test_property_encoding_creates_no_event_variable():
+    # only the model encoding makes event variables: a property encoding
+    # that made one for an event the model leaves out would let that event
+    # occur outside every path of the model
+    for model, obs in faulty_instances(23, 8):
+        for kind in (SHS, MHS, SQHS):
+            space = model.space(kind)
+            for strategy in ("pfs-ec", "pls"):
+                solver = SatSolver(model, obs, space, EncodingParams(3))
+                built = _event_keys(solver.cnf)
+                run_strategy(strategy, solver, space)
+                assert _event_keys(solver.cnf) == built, \
+                    (model, obs.sequence, kind, strategy)
+
+
+def test_unreachable_observation_fails_every_request(oneshot):
+    # o1 needs f first, but steps_per_obs=1 pins it at the first timestep;
+    # the diagnosis of so short a horizon is incomplete, so it is not pinned
+    params = EncodingParams(steps_per_obs=1)
+    for kind in (SHS, MHS, SQHS):
+        space = oneshot.space(kind)
+        solver = SatSolver(oneshot, OBS1, space, params)
+        questions = [question_coverage([], space)]
+        for hyp in space.enumerate(2):
+            questions += [question_candidate(hyp, space),
+                          question_coverage([hyp], space)]
+        for props in questions:
+            out = solver.solve(TestRequest(props, space))
+            assert not out.is_candidate, (kind, props)
+            assert solver.check_conflict(out.conflict), (kind, props)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, -1, 2.0, "3", None])
+def test_encoding_params_reject_anything_but_a_positive_int(bad):
+    with pytest.raises(DiagError):
+        EncodingParams(bad)
+
+
+def test_encoding_params_accept_a_positive_int():
+    assert EncodingParams(1).horizon(2) == 3
+    assert EncodingParams(steps_per_obs=4).steps_per_obs == 4
