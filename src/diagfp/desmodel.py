@@ -35,6 +35,8 @@ class Component:
     init: tuple
     trans: tuple  # (from_state, event, to_state)
     alphabet: frozenset = field(init=False, repr=False, compare=False)
+    # (state, event) -> the targets of its transitions, in ``trans`` order
+    table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the SAT encoding would list a repeated state twice in its
@@ -43,11 +45,15 @@ class Component:
             if s in self.states[:i]:
                 raise ModelFormatError(
                     f"component {self.name}: duplicate state {s!r}")
-        object.__setattr__(self, "alphabet",
-                           frozenset(e for _, e, _ in self.trans))
+        table = {}
+        for s, e, t in self.trans:
+            table[s, e] = table.get((s, e), ()) + (t,)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "alphabet", frozenset(e for _, e in table))
 
-    def moves(self, state, event):
-        return [t for s, e, t in self.trans if s == state and e == event]
+    def moves(self, state, event) -> tuple:
+        """The targets of the ``event`` transitions from ``state``."""
+        return self.table.get((state, event), ())
 
 
 @dataclass(frozen=True)
@@ -98,27 +104,42 @@ class DesModel:
             raise SpaceMismatchError(
                 f"alphabet of {space} is not the model's faults")
 
+    def check_observation(self, obs: Observation) -> None:
+        """Reject an observation with an event that is not one of the
+        model's observable events; the error names the first such event."""
+        for e in obs.sequence:
+            if e not in self.observable:
+                raise ModelFormatError(
+                    f"observed event {e!r} is not an observable event "
+                    f"of the model")
+
     def initial_global_states(self):
         return [tuple(combo) for combo in
                 iproduct(*(c.init for c in self.components))]
 
     def step(self, gstate: tuple, event: str):
-        """All global states reachable from ``gstate`` by ``event``."""
+        """All global states reachable from ``gstate`` by ``event``: every
+        component with the event in its alphabet takes one of its moves, in
+        ``trans`` order, and the others stay put."""
         choices = []
         for comp, local in zip(self.components, gstate):
             if event in comp.alphabet:
-                targets = comp.moves(local, event)
-                if not targets:
+                targets = comp.table.get((local, event))
+                if targets is None:
                     return []
                 choices.append(targets)
             else:
-                choices.append([local])
-        return [tuple(combo) for combo in iproduct(*choices)]
+                choices.append((local,))
+        return list(iproduct(*choices))
 
 
 @dataclass(frozen=True)
 class Observation:
     sequence: tuple
+
+    def __post_init__(self):
+        # a list would never equal the tuple a trace projects to
+        object.__setattr__(self, "sequence", tuple(self.sequence))
 
     def __len__(self):
         return len(self.sequence)

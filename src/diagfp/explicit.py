@@ -1,28 +1,36 @@
 """Exact test solver by explicit-state breadth-first search.
 
-The (global state, observation tracker) product graph of the observed model
-is built once per ``ExplicitSolver``, on its first test, and shared by all
-its tests; the oracle builds the same graph.  A test searches that graph
-times a per-space summary of the fault behaviour seen so far (fault set /
-saturated counts / per-anchor subsequence monitors).  A goal state has
-consumed the whole observation and satisfies every requested property.  The
-graph keeps only live edges, those into nodes from which the observation can
-still complete, and only live initial nodes: nothing reachable from a dead
-node is a goal, so the witness found is unchanged.  The search also
-enters no node that violates a monotone property (``neg_desc`` or ``anc``):
-a fault summary only grows along a trace, so no goal lies beyond it.
-Exhaustion yields as conflict the properties that cut the search: the first
-violated monotone property of each pruned node and the first failing
-property of each node that consumed the observation, after the
+The product graph of the observed model has a node per (global state,
+observation tracker) pair reachable from an initial state.  It is built once
+per ``ExplicitSolver``, on its first test, and shared by all its tests; the
+oracles build the same graph.  Its nodes are numbered in BFS order, and each
+keeps only its live edges, as ``(event, target id, is_fault)``: those into
+nodes from which the observation can still complete.  Only live initial
+nodes are kept too.  Nothing reachable from a dead node is a goal, so the
+witness found is unchanged.
+
+A test searches that graph times a per-space summary of the fault behaviour
+seen so far (fault set / saturated counts / per-anchor subsequence monitors).
+Each test numbers the summaries it meets and memoises, per summary and fault
+event, the summary that follows, or that the one that follows violates a
+monotone property (``neg_desc`` or ``anc``).  A summary only grows along a
+trace, so no goal lies beyond such a violation, and the search does not go
+there.  A search node is one integer made of its graph node, summary and
+observation gap.  A goal has consumed the whole observation and satisfies
+every requested property; that check is made once per summary.  Exhaustion
+yields as conflict the properties that cut the search: the first violated
+monotone property of each pruned summary and the first failing property of
+each summary met at a node that consumed the observation, after the
 conflict-based DES diagnosis of Grastien, Haslum & Thiébaux (KR 2012).
 
-The same machinery provides the brute-force oracle for minimal diagnoses and
-the horizon-fit certificate used to compare against the bounded SAT backend.
+The same graph serves the brute-force oracle for minimal diagnoses and the
+horizon-fit certificate used to compare against the bounded SAT backend.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
@@ -34,10 +42,29 @@ from .properties import DESC_KINDS, POSITIVE_KINDS, member
 DEFAULT_STATE_BUDGET = 5_000_000
 
 
+def _check_count(name: str, value) -> None:
+    # bool is an int subclass: True would pass as 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DiagError(f"{name} must be an int >= 1, got {value!r}")
+
+
+def _check_input(model: DesModel, obs: Observation, space: Space,
+                 state_budget) -> None:
+    """Reject a bad state budget, a space the model does not handle and an
+    observation of an event the model does not observe."""
+    _check_count("state_budget", state_budget)
+    model.check_space(space)
+    model.check_observation(obs)
+
+
 # ----------------------------------------------------------- fault summary
 
+_CUT = -1  # the summary that follows violates a monotone property
+
+
 class _Summary:
-    """Tracks just enough about past fault events to decide the properties.
+    """Numbers the fault summaries one test meets; a summary tracks just
+    enough about past fault events to decide the test's properties.
 
     Each property is kept as ``(is_desc, positive, arg)``: the summary
     decides desc or anc of the anchor, and the property holds when that
@@ -50,9 +77,18 @@ class _Summary:
     holds it holds for good, and once anc fails it fails for good: a
     ``NEG_DESC`` or ``ANC`` property (``monotone``) that a summary violates
     stays violated on every extension of its trace.
+
+    Summary ids index ``values``; the initial summary is id 0, and ``ids``
+    maps each summary met to its id, or to ``_CUT`` when it violates a
+    monotone property.  ``follow[sid]`` memoises, per fault, the id of the
+    summary after it; ``goal[sid]`` whether the summary satisfies every
+    property (None until asked).  A numbered summary satisfies every
+    monotone property, so the goal check reads the ``others`` only.  Every
+    property found to cut a summary, monotone or not, is added to
+    ``conflict``.
     """
 
-    def __init__(self, space: Space, props):
+    def __init__(self, space: Space, props, conflict: set):
         self.space = space
         self.faults = space.faults
         if space.kind == SHS:
@@ -69,6 +105,16 @@ class _Summary:
                         arg) for p, arg in zip(props, args)]
         self.monotone = [i for i, (is_desc, positive, _)
                          in enumerate(self.checks) if is_desc != positive]
+        self.others = [i for i, (is_desc, positive, _)
+                       in enumerate(self.checks) if is_desc == positive]
+        self.conflict = conflict
+        start = self.initial()
+        self.values = [start]
+        self.ids = {start: 0}
+        self.follow = [{}]
+        self.goal = [None]
+        # does the search enter the initial summary at all
+        self.live = not self._cuts(start, self.monotone)
 
     def initial(self):
         if self.space.kind == SHS:
@@ -101,12 +147,10 @@ class _Summary:
             out.append((didx, apos))
         return tuple(out)
 
-    def first_failure(self, summary, indices=None):
-        """Index of the first property, among ``indices`` (default: all),
-        that ``summary`` fails; None when it satisfies them all."""
+    def first_failure(self, summary, indices):
+        """Index of the first property, among ``indices``, that ``summary``
+        fails; None when it satisfies them all."""
         kind = self.space.kind
-        if indices is None:
-            indices = range(len(self.checks))
         for i in indices:
             is_desc, positive, arg = self.checks[i]
             if kind == SHS:
@@ -123,97 +167,196 @@ class _Summary:
                 return i
         return None
 
+    def _cuts(self, summary, indices) -> bool:
+        cut = self.first_failure(summary, indices)
+        if cut is None:
+            return False
+        self.conflict.add(cut)
+        return True
+
+    def advance(self, sid: int, fault) -> int:
+        """Id of the summary after ``fault`` from summary ``sid``, or
+        ``_CUT``; stores it in ``follow[sid]``."""
+        summary = self.after(self.values[sid], fault)
+        nxt = self.ids.get(summary)
+        if nxt is None:
+            if self._cuts(summary, self.monotone):
+                nxt = _CUT
+            else:
+                nxt = len(self.values)
+                self.values.append(summary)
+                self.follow.append({})
+                self.goal.append(None)
+            self.ids[summary] = nxt
+        self.follow[sid][fault] = nxt
+        return nxt
+
+    def is_goal(self, sid: int) -> bool:
+        """Does summary ``sid`` satisfy every property?"""
+        ok = self.goal[sid]
+        if ok is None:
+            ok = self.goal[sid] = not self._cuts(self.values[sid],
+                                                 self.others)
+        return ok
+
+
+# ------------------------------------------------------------------ graph
+
+class _Graph(NamedTuple):
+    """The live product graph of an observed model (see the module
+    docstring); node ids number its nodes in BFS order."""
+
+    initial: list   # ids of the live initial nodes
+    tracker: list   # node id -> observed events consumed
+    edges: list     # node id -> live edges as (event, target id, is_fault)
+    nodes: list     # node id -> (global state, tracker)
+
+
+def _product_graph(model: DesModel, obs: Observation,
+                   state_budget: int = DEFAULT_STATE_BUDGET) -> _Graph:
+    """Live (global state, tracker) graph of the observed model.
+
+    ``nodes`` lists every forward-reachable node, so its length is the size
+    of the product; ``initial`` and the edge lists keep, in BFS order, only
+    the nodes from which the observation can still complete."""
+    want = obs.sequence
+    end = len(want)
+    observable = frozenset(model.observable)
+    faults = frozenset(model.faults)
+    kinds = [(e, e in observable, e in faults) for e in model.events]
+    step = model.step
+    # global state -> (event, is_observable, is_fault, targets) per event
+    # it enables; a global state recurs once per tracker value
+    moves = {}
+    ids, nodes = {}, []
+    for gstate in model.initial_global_states():
+        if (gstate, 0) not in ids:
+            ids[gstate, 0] = len(nodes)
+            nodes.append((gstate, 0))
+    n_initial = len(nodes)
+    out_edges = []
+    for gstate, tracker in nodes:   # grows as nodes are found: the BFS queue
+        expect = want[tracker] if tracker < end else None
+        enabled = moves.get(gstate)
+        if enabled is None:
+            enabled = moves[gstate] = []
+            for e, is_observable, is_fault in kinds:
+                targets = step(gstate, e)
+                if targets:
+                    enabled.append((e, is_observable, is_fault, targets))
+        out = []
+        for e, is_observable, is_fault, targets in enabled:
+            if is_observable:
+                if e != expect:
+                    continue
+                tracker2 = tracker + 1
+            else:
+                tracker2 = tracker
+            for gstate2 in targets:
+                node2 = (gstate2, tracker2)
+                nid2 = ids.get(node2)
+                if nid2 is None:
+                    nid2 = ids[node2] = len(nodes)
+                    nodes.append(node2)
+                out.append((e, nid2, is_fault))
+        out_edges.append(out)
+        if len(nodes) > state_budget:
+            raise StateBudgetExceeded(
+                f"product graph exceeded {state_budget} states")
+    preds = [[] for _ in nodes]
+    for nid, out in enumerate(out_edges):
+        for _, nid2, _ in out:
+            preds[nid2].append(nid)
+    tracker = [t for _, t in nodes]
+    live = [t == end for t in tracker]
+    stack = [nid for nid, done in enumerate(live) if done]
+    while stack:
+        for prev in preds[stack.pop()]:
+            if not live[prev]:
+                live[prev] = True
+                stack.append(prev)
+    return _Graph(
+        [nid for nid in range(n_initial) if live[nid]], tracker,
+        [tuple(edge for edge in out if live[edge[1]]) for out in out_edges],
+        nodes)
+
 
 # ------------------------------------------------------------------ search
 
-def _search(model: DesModel, obs: Observation, space: Space, props,
-            state_budget: int, graph=None, gap_caps=None,
+def _search(graph: _Graph, end: int, space: Space, props,
+            state_budget: int, gap_caps=None,
             stats: SolverStats | None = None, conflict: set | None = None):
-    """Core BFS over ``graph`` (built here when None); returns a witness
-    trace or None.
+    """Core BFS over ``graph`` for a goal at tracker ``end``; returns a
+    witness trace or None.
 
-    A node is ``((global state, tracker), summary, gap)``.  The graph holds
-    live edges only, and the search enters no node whose summary violates a
-    monotone property (see :class:`_Summary`): no goal lies beyond either.
-    The nodes it enters keep the BFS order and parents they have in the
-    whole product, hence the witness.  Only fault edges change the summary,
-    so only they are checked, once per distinct summary.
+    A search node is a graph node, a summary id of :class:`_Summary` and
+    an observation gap, kept as the one integer
+    ``(summary * gaps + gap) * len(nodes) + node``.  The graph holds live
+    edges only, and the search enters no summary that violates a monotone
+    property: no goal lies beyond either.  The nodes it enters keep the BFS
+    order and parents they have in the whole product, hence the witness.
+    Only fault edges change the summary, so only they look up the next
+    summary, in ``_Summary.follow``; a goal is checked once per summary.
 
     When the search exhausts, ``conflict`` (if given) receives the index of
-    every property that cut it: each pruned node's first violated monotone
-    property, and each observation-complete node's first failing property.
-    A search on those properties alone tracks their part of each summary
-    only, and prunes and rejects the same nodes, so it finds no goal either.
+    every property that cut it: each pruned summary's first violated
+    monotone property, and the first failing property of each summary met
+    at an observation-complete node.  A search on those properties alone
+    tracks their part of each summary only, and prunes and rejects the same
+    nodes, so it finds no goal either.
 
     ``gap_caps`` = (per-gap cap, trailing cap) restricts the number of
     unobservable events per observation gap, which certifies that a witness
     fits the SAT backend's pinned-timestep shape.
     """
-    model.check_space(space)
-    if graph is None:
-        graph = _product_graph(model, obs, state_budget)
-    initial, succs = graph
-    summary = _Summary(space, props)
-    end = len(obs)
-    faults = frozenset(model.faults)
     if conflict is None:
         conflict = set()
-    # summary -> first violated monotone property, and summary -> first
-    # failing property (None: none fails)
-    violated, failing = {}, {}
+    summary = _Summary(space, props, conflict)
+    follow, advance, is_goal = summary.follow, summary.advance, \
+        summary.is_goal
+    tracker, edges = graph.tracker, graph.edges
+    size = len(tracker)
+    gaps = 1 if gap_caps is None else max(gap_caps) + 1
 
-    def first_cut(memo, summ, indices=None):
-        """Decide ``summ`` once per memo; record what cuts it."""
-        if summ not in memo:
-            memo[summ] = cut = summary.first_failure(summ, indices)
-            if cut is not None:
-                conflict.add(cut)
-        return memo[summ]
-
-    def enters(summ):
-        return first_cut(violated, summ, summary.monotone) is None
-
-    def is_goal(node):
-        return node[0][1] == end and first_cut(failing, node[1]) is None
-
-    start = summary.initial()
-    start_nodes = ([(node, start, 0) for node in initial]
-                   if enters(start) else [])
-    parent = {node: None for node in start_nodes}
-    queue = deque(start_nodes)
+    start = graph.initial if summary.live else []
+    parent = dict.fromkeys(start)       # start ids are their own keys
+    queue = deque((nid, nid, 0, 0) for nid in start)
     visited = len(parent)
     expanded = 0
 
-    goal = next((node for node in start_nodes if is_goal(node)), None)
+    goal = next((nid for nid in start
+                 if tracker[nid] == end and is_goal(0)), None)
     while queue and goal is None:
-        node = queue.popleft()
+        key, nid, sid, gap = queue.popleft()
         expanded += 1
-        pnode, summ, gap = node
-        tracker = pnode[1]
-        for e, pnode2 in succs[pnode]:
+        follows = follow[sid]
+        here = tracker[nid]
+        for e, nid2, is_fault in edges[nid]:
             # the gap restarts exactly on the edges that advance the tracker
             gap2 = 0
-            if gap_caps is not None and pnode2[1] == tracker:
+            if gap_caps is not None and tracker[nid2] == here:
                 gap2 = gap + 1
-                if gap2 > gap_caps[0 if tracker < end else 1]:
+                if gap2 > gap_caps[0 if here < end else 1]:
                     continue
-            summ2 = summ
-            if e in faults:
-                summ2 = summary.after(summ, e)
-                if not enters(summ2):
+            sid2 = sid
+            if is_fault:
+                sid2 = follows.get(e)
+                if sid2 is None:
+                    sid2 = advance(sid, e)
+                if sid2 == _CUT:
                     continue
-            node2 = (pnode2, summ2, gap2)
-            if node2 in parent:
+            key2 = (sid2 * gaps + gap2) * size + nid2
+            if key2 in parent:
                 continue
-            parent[node2] = (node, e)
+            parent[key2] = (key, e)
             visited += 1
             if visited > state_budget:
                 raise StateBudgetExceeded(
                     f"explicit search exceeded {state_budget} states")
-            if is_goal(node2):
-                goal = node2
+            if tracker[nid2] == end and is_goal(sid2):
+                goal = key2
                 break
-            queue.append(node2)
+            queue.append((key2, nid2, sid2, gap2))
 
     if stats is not None:
         stats.extra["visited"] = stats.extra.get("visited", 0) + visited
@@ -221,10 +364,11 @@ def _search(model: DesModel, obs: Observation, space: Space, props,
     if goal is None:
         return None
     trace = []
-    node = goal
-    while parent[node] is not None:
-        node, e = parent[node]
+    back = parent[goal]
+    while back is not None:
+        key, e = back
         trace.append(e)
+        back = parent[key]
     trace.reverse()
     return tuple(trace)
 
@@ -233,13 +377,20 @@ def solve(model: DesModel, obs: Observation, request: TestRequest,
           state_budget: int = DEFAULT_STATE_BUDGET,
           stats: SolverStats | None = None, graph=None) -> TestOutcome:
     """Decide a property-represented test exactly; ``graph`` is the
-    ``_product_graph`` of ``model`` and ``obs``, built here when None.  The
-    witness is re-validated against the model, not the graph.  A failed
-    test's conflict is the sub-tuple of the request, in request order, of
-    the properties that cut the search (see :func:`_search`)."""
+    ``_product_graph`` of ``model`` and ``obs``.  When it is None, the
+    inputs are checked and it is built here; ``ExplicitSolver`` checks them
+    once, when it is made.  The witness is re-validated against the model,
+    not the graph.  A failed test's conflict is the sub-tuple of
+    the request, in request order, of the properties that cut the search
+    (see :func:`_search`)."""
     space = request.space
+    if graph is None:
+        _check_input(model, obs, space, state_budget)
+        graph = _product_graph(model, obs, state_budget)
+    else:
+        _check_count("state_budget", state_budget)
     cut = set()
-    trace = _search(model, obs, space, request.props, state_budget, graph,
+    trace = _search(graph, len(obs), space, request.props, state_budget,
                     stats=stats, conflict=cut)
     if trace is None:
         return TestOutcome.failed(tuple(p for i, p in enumerate(request.props)
@@ -261,8 +412,11 @@ def fits_horizon(model: DesModel, obs: Observation, request: TestRequest,
     ``steps_per_obs - 1`` unobservable events per observation gap and at most
     ``steps_per_obs`` after the final observation.
     """
+    _check_input(model, obs, request.space, state_budget)
+    _check_count("steps_per_obs", steps_per_obs)
     caps = (steps_per_obs - 1, steps_per_obs)
-    trace = _search(model, obs, request.space, request.props,
+    graph = _product_graph(model, obs, state_budget)
+    trace = _search(graph, len(obs), request.space, request.props,
                     state_budget, gap_caps=caps)
     return trace is not None
 
@@ -278,92 +432,42 @@ def certified_bound(model: DesModel, obs: Observation) -> int:
     return (prod + 1) * (len(obs) + 1)
 
 
-def _product_graph(model: DesModel, obs: Observation,
-                   state_budget: int = DEFAULT_STATE_BUDGET):
-    """Live (global state, tracker) graph of the observed model.
+def _observed_hyps(graph: _Graph, end: int, space: Space, bound: int,
+                   state_budget: int, admit, expand):
+    """Breadth-first search of (graph node, hypothesis of the fault word so
+    far) pairs over ``graph``, to depth ``bound``; yields the hypothesis of
+    each new pair whose node has consumed the whole observation (tracker
+    ``end``).
 
-    Returns ``(initial, succs)``.  ``succs`` has a key for every
-    forward-reachable node, so ``len(succs)`` is the size of the product;
-    its successor lists and ``initial`` keep, in BFS order, only the nodes
-    from which the observation can still complete."""
-    want = obs.sequence
-    events = model.events
-    observable = frozenset(model.observable)
-    initial = [(g, 0) for g in model.initial_global_states()]
-    succs, preds = {}, {}
-    queue = deque(initial)
-    seen = set(initial)
-    while queue:
-        gstate, tracker = queue.popleft()
-        out = []
-        for e in events:
-            if e in observable:
-                if tracker >= len(want) or want[tracker] != e:
-                    continue
-                tracker2 = tracker + 1
-            else:
-                tracker2 = tracker
-            for gstate2 in model.step(gstate, e):
-                node2 = (gstate2, tracker2)
-                out.append((e, node2))
-                preds.setdefault(node2, []).append((gstate, tracker))
-                if node2 not in seen:
-                    seen.add(node2)
-                    queue.append(node2)
-        succs[(gstate, tracker)] = out
-        if len(seen) > state_budget:
-            raise StateBudgetExceeded(
-                f"product graph exceeded {state_budget} states")
-    co_reach = {node for node in succs if node[1] == len(want)}
-    queue = deque(co_reach)
-    while queue:
-        node = queue.popleft()
-        for prev in preds.get(node, ()):
-            if prev not in co_reach:
-                co_reach.add(prev)
-                queue.append(prev)
-    for node, out in succs.items():
-        succs[node] = [edge for edge in out if edge[1] in co_reach]
-    return [node for node in initial if node in co_reach], succs
-
-
-def _observed_hyps(model: DesModel, obs: Observation, space: Space, graph,
-                   bound: int, state_budget: int, admit, expand):
-    """Breadth-first search of (global state, tracker, hypothesis of the
-    fault word so far) triples over ``graph``, to depth ``bound``; yields the
-    hypothesis of each new triple that has consumed the whole observation.
-
-    A triple whose hypothesis fails ``admit`` is not entered, and one whose
+    A pair whose hypothesis fails ``admit`` is not entered, and one whose
     hypothesis fails ``expand`` is not expanded.  ``expand`` runs when the
-    triple is popped, after the caller has consumed every earlier yield.
+    pair is popped, after the caller has consumed every earlier yield.
     """
-    initial, succs = graph
-    end = len(obs)
-    faults = frozenset(model.faults)
-    start = [(g, tracker, space.h0) for g, tracker in initial]
+    tracker, edges = graph.tracker, graph.edges
+    start = [(nid, space.h0) for nid in graph.initial]
     seen = set(start)
     queue = deque((node, 0) for node in start)
-    for g, tracker, hyp in start:
-        if tracker == end:
+    for nid, hyp in start:
+        if tracker[nid] == end:
             yield hyp
     while queue:
-        (gstate, tracker, hyp), depth = queue.popleft()
+        (nid, hyp), depth = queue.popleft()
         if depth >= bound or not expand(hyp):
             continue
-        for e, (gstate2, tracker2) in succs[(gstate, tracker)]:
+        for e, nid2, is_fault in edges[nid]:
             hyp2 = hyp
-            if e in faults:
+            if is_fault:
                 hyp2 = extend(hyp, e)
                 if not admit(hyp2):
                     continue
-            node2 = (gstate2, tracker2, hyp2)
+            node2 = (nid2, hyp2)
             if node2 in seen:
                 continue
             seen.add(node2)
             if len(seen) > state_budget:
                 raise StateBudgetExceeded(
                     f"oracle exceeded {state_budget} states")
-            if tracker2 == end:
+            if tracker[nid2] == end:
                 yield hyp2
             queue.append((node2, depth + 1))
 
@@ -372,18 +476,18 @@ def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
                     state_budget: int = DEFAULT_STATE_BUDGET) -> list:
     """Reference minimal diagnosis by exhaustive search.
 
-    Explores (global state, tracker, accumulated hypothesis) triples breadth
-    first, to the depth of the number of reachable (global state, tracker)
-    nodes: every minimal candidate has a witness that is loop-free in that
+    Explores (graph node, accumulated hypothesis) pairs breadth first, to
+    the depth of the number of reachable (global state, tracker) nodes:
+    every minimal candidate has a witness that is loop-free in that
     product, so the search is complete.  A node whose hypothesis already
     dominates a discovered candidate cannot contribute a new minimal
     candidate and is not expanded.
     """
-    model.check_space(space)
+    _check_input(model, obs, space, state_budget)
     graph = _product_graph(model, obs, state_budget)
     found = []
     for hyp in _observed_hyps(
-            model, obs, space, graph, len(graph[1]), state_budget,
+            graph, len(obs), space, len(graph.nodes), state_budget,
             admit=lambda hyp: True,
             expand=lambda hyp: not any(leq(c, hyp, space) for c in found)):
         if hyp not in found:
@@ -403,12 +507,12 @@ def oracle_candidates(model: DesModel, obs: Observation, space: Space,
     (k+1) * |product| + k, and the search goes to depth
     ``(max_faults + 1) * (|product| + 1)``.
     """
-    model.check_space(space)
+    _check_input(model, obs, space, state_budget)
     graph = _product_graph(model, obs, state_budget)
-    bound = (max_faults + 1) * (len(graph[1]) + 1)
+    bound = (max_faults + 1) * (len(graph.nodes) + 1)
     # an SHS hypothesis does not count repeated faults, so none is cut
     return set(_observed_hyps(
-        model, obs, space, graph, bound, state_budget,
+        graph, len(obs), space, bound, state_budget,
         admit=lambda hyp: space.kind == SHS or hyp.size() <= max_faults,
         expand=lambda hyp: True))
 
@@ -422,7 +526,7 @@ class ExplicitSolver:
 
     def __init__(self, model: DesModel, obs: Observation, space: Space,
                  state_budget: int = DEFAULT_STATE_BUDGET):
-        model.check_space(space)
+        _check_input(model, obs, space, state_budget)
         self.model = model
         self.obs = obs
         self.space = space

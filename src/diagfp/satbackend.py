@@ -508,6 +508,7 @@ class SatSolver(AssumptionSolver):
     def __init__(self, model: DesModel, obs: Observation, space: Space,
                  params: EncodingParams | None = None):
         model.check_space(space)
+        model.check_observation(obs)
         super().__init__(Cnf(), space)
         self.model = model
         self.obs = obs

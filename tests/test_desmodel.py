@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from diagfp.desmodel import (Component, DesModel, Observation, parse_model,
 from diagfp.errors import DiagError, ModelFormatError
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 
-from test_explicit import random_walk
+from test_explicit import faulty_instances, random_walk
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -127,6 +128,53 @@ def test_trace_matches_observation(oneshot):
     assert trace_matches_observation(["f", "o1"], oneshot, obs)
     assert not trace_matches_observation(["o1", "o1"], oneshot, obs)
     assert trace_matches_observation([], oneshot, Observation(()))
+
+
+def test_observation_is_stored_as_a_tuple(oneshot):
+    obs = Observation(["o1"])
+    assert obs.sequence == ("o1",)
+    assert trace_matches_observation(["f", "o1"], oneshot, obs)
+
+
+@pytest.mark.parametrize("events, bad", [
+    (("nosuch",), "nosuch"), (("f",), "f"), (("o1", "q0", "f"), "q0")])
+def test_check_observation_names_the_first_unobservable_event(oneshot, events,
+                                                              bad):
+    oneshot.check_observation(Observation(("o1", "o1")))
+    with pytest.raises(ModelFormatError, match=f"event '{bad}' is not"):
+        oneshot.check_observation(Observation(events))
+
+
+def reference_step(model, gstate, event):
+    """``DesModel.step`` by its definition: each component with ``event``
+    in its alphabet takes one of its ``event`` transitions from its local
+    state, in ``trans`` order, and every other component stays put."""
+    choices = []
+    for comp, local in zip(model.components, gstate):
+        if any(e == event for _, e, _ in comp.trans):
+            choices.append([t for s, e, t in comp.trans
+                            if s == local and e == event])
+        else:
+            choices.append([local])
+    return [tuple(combo) for combo in itertools.product(*choices)]
+
+
+def test_step_from_the_move_tables_follows_the_definition():
+    checked = 0
+    for model, _ in faulty_instances(11, 30):
+        frontier = model.initial_global_states()
+        reached = set(frontier)
+        while frontier:
+            gstate = frontier.pop()
+            for e in model.events:
+                succs = reference_step(model, gstate, e)
+                assert model.step(gstate, e) == succs, (gstate, e)
+                checked += 1
+                for gstate2 in succs:
+                    if gstate2 not in reached:
+                        reached.add(gstate2)
+                        frontier.append(gstate2)
+    assert checked > 300
 
 
 def test_synchronisation_blocks_without_local_transition():

@@ -369,11 +369,11 @@ def test_search_skips_branches_that_cannot_complete_the_observation():
     # the fault g leads into a sink that can never emit o1
     dead = parse_model(DEAD_END.format(g_from="q0"))
     live = parse_model(DEAD_END.format(g_from="sink"))  # g never fires
-    initial, succs = explicit._product_graph(dead, OBS1)
-    sink = (("sink",), 0)
+    graph = explicit._product_graph(dead, OBS1)
+    assert [graph.nodes[nid] for nid in graph.initial] == [(("q0",), 0)]
     # the sink is reachable, and no edge leads to it
-    assert initial == [(("q0",), 0)] and sink in succs
-    assert all(node != sink for out in succs.values() for _, node in out)
+    sink = graph.nodes.index((("sink",), 0))
+    assert all(target != sink for out in graph.edges for _, target, _ in out)
     for hyp in (set_hyp(["f"]), set_hyp(["g"])):
         outcomes, visited = [], []
         for model in (dead, live):

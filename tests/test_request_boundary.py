@@ -8,8 +8,8 @@ import pytest
 
 from diagfp.circuits import CircuitSolver, parse_circuit
 from diagfp.contract import TestRequest
-from diagfp.desmodel import parse_model
-from diagfp.errors import DiagError, SpaceMismatchError
+from diagfp.desmodel import Observation, parse_model
+from diagfp.errors import DiagError, ModelFormatError, SpaceMismatchError
 from diagfp.explicit import (ExplicitSolver, fits_horizon, oracle_candidates,
                              oracle_diagnose, solve)
 from diagfp.hypothesis import BHS, MHS, SHS, Space, multi_hyp, set_hyp
@@ -79,11 +79,19 @@ def test_solver_refuses_request_for_another_space(solver):
 
 
 DES_SOLVERS = pytest.mark.parametrize("make", [
-    lambda model, space: SatSolver(model, ALARM_OBS, space, ALARM_PARAMS),
-    lambda model, space: ExplicitSolver(model, ALARM_OBS, space),
-    lambda model, space: oracle_diagnose(model, ALARM_OBS, space),
-    lambda model, space: oracle_candidates(model, ALARM_OBS, space, 1),
+    lambda model, space, obs=ALARM_OBS: SatSolver(model, obs, space,
+                                                  ALARM_PARAMS),
+    lambda model, space, obs=ALARM_OBS: ExplicitSolver(model, obs, space),
+    lambda model, space, obs=ALARM_OBS: oracle_diagnose(model, obs, space),
+    lambda model, space, obs=ALARM_OBS: oracle_candidates(model, obs, space,
+                                                          1),
 ], ids=["sat", "explicit", "oracle_diagnose", "oracle_candidates"])
+
+# observations with an event that the alarm model does not observe, and
+# that event: unknown, a fault, or unobservable after a good prefix
+BAD_OBSERVATIONS = pytest.mark.parametrize("events, bad", [
+    (("nosuch",), "nosuch"), (("f1a",), "f1a"),
+    (("alarm2", "p1", "alarm1"), "p1")])
 
 
 @DES_SOLVERS
@@ -103,11 +111,89 @@ def test_solver_refuses_bhs_space(make):
         make(model, Space(BHS, model.faults))
 
 
-@pytest.mark.parametrize("entry", [
+@DES_SOLVERS
+@BAD_OBSERVATIONS
+def test_solver_refuses_observation_of_an_unobserved_event(make, events, bad):
+    # when it is built, naming the first such event
+    model = parse_model(ALARMS)
+    with pytest.raises(ModelFormatError, match=f"event '{bad}' is not"):
+        make(model, model.space(SHS), Observation(events))
+
+
+@DES_SOLVERS
+def test_observation_given_as_a_list_diagnoses_like_the_tuple(make):
+    model = parse_model(ALARMS)
+    space = model.space(SHS)
+
+    def answer(obs):
+        made = make(model, space, obs)
+        if hasattr(made, "solve"):
+            return run_strategy("pfs-ec", made, space).minimal_candidates
+        return made
+    assert answer(Observation(list(ALARM_OBS.sequence))) == answer(ALARM_OBS)
+
+
+EXPLICIT_ENTRY_POINTS = pytest.mark.parametrize("entry", [
     solve,
-    lambda model, obs, request: fits_horizon(model, obs, request,
-                                             ALARM_PARAMS.steps_per_obs),
+    lambda model, obs, request, **kw: fits_horizon(
+        model, obs, request, ALARM_PARAMS.steps_per_obs, **kw),
 ], ids=["solve", "fits_horizon"])
+
+
+@EXPLICIT_ENTRY_POINTS
+@BAD_OBSERVATIONS
+def test_explicit_entry_points_refuse_observation_of_an_unobserved_event(
+        entry, events, bad):
+    model = parse_model(ALARMS)
+    space = model.space(SHS)
+    with pytest.raises(ModelFormatError, match=f"event '{bad}' is not"):
+        entry(model, Observation(events),
+              TestRequest(question_coverage([], space), space))
+
+
+BAD_BUDGETS = pytest.mark.parametrize(
+    "budget", [True, 2.5, 0, -1, "10", None])
+
+
+@BAD_BUDGETS
+@pytest.mark.parametrize("make", [
+    lambda model, space, budget: ExplicitSolver(model, ALARM_OBS, space,
+                                                budget),
+    lambda model, space, budget: oracle_diagnose(model, ALARM_OBS, space,
+                                                 budget),
+    lambda model, space, budget: oracle_candidates(model, ALARM_OBS, space,
+                                                   1, budget),
+], ids=["explicit", "oracle_diagnose", "oracle_candidates"])
+def test_explicit_search_refuses_a_state_budget_not_a_positive_int(make,
+                                                                   budget):
+    model = parse_model(ALARMS)
+    with pytest.raises(DiagError, match="state_budget must be an int >= 1"):
+        make(model, model.space(SHS), budget)
+
+
+@BAD_BUDGETS
+@EXPLICIT_ENTRY_POINTS
+def test_explicit_entry_points_refuse_a_state_budget_not_a_positive_int(
+        entry, budget):
+    model = parse_model(ALARMS)
+    space = model.space(SHS)
+    request = TestRequest(question_coverage([], space), space)
+    with pytest.raises(DiagError, match="state_budget must be an int >= 1"):
+        entry(model, ALARM_OBS, request, state_budget=budget)
+    entry(model, ALARM_OBS, request, state_budget=1000)
+
+
+@pytest.mark.parametrize("steps", [True, 2.5, 0, -1, "3", None])
+def test_fits_horizon_refuses_steps_per_obs_not_a_positive_int(steps):
+    # as EncodingParams does
+    model = parse_model(ALARMS)
+    space = model.space(SHS)
+    request = TestRequest(question_coverage([], space), space)
+    with pytest.raises(DiagError, match="steps_per_obs must be an int >= 1"):
+        fits_horizon(model, ALARM_OBS, request, steps)
+
+
+@EXPLICIT_ENTRY_POINTS
 def test_explicit_entry_points_refuse_alphabet_other_than_model_faults(entry):
     model = parse_model(ALARMS)
     space = Space(MHS, model.faults[:-1])
