@@ -144,10 +144,14 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
       alphabet.
 
     Every variable left out is false in every model of the full encoding,
-    so the two are equisatisfiable.  When a designated event cannot occur,
-    the CNF gets the empty clause and the pass stops.  Returns the decode
-    table: ``(var, event)`` for every event variable, in timestep order and,
-    within a timestep, in registry order.
+    so the two are equisatisfiable.  No clause is written that holds a
+    literal an earlier unit asserts (the kernel would drop it at load): a
+    component's lone state at ``t - 1`` and the designated event are units,
+    so the clauses tying a transition or a kept state to them are left
+    out.  When a designated event cannot occur, the CNF gets the empty
+    clause and the pass stops.  Returns the decode table: ``(var, event)``
+    for every event variable, in timestep order and, within a timestep, in
+    registry order.
     """
     n = params.horizon(len(obs))
     k = params.steps_per_obs
@@ -187,6 +191,8 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
             cnf.unit(ev[designated])
         for c, comp in enumerate(comps):
             was = prev[c]
+            # a lone state of t - 1 is a unit: a clause holding it is true
+            lone = len(was) == 1
             stay = c not in busy
             moves = [(src, e, dst) for e, pairs in by_event[c].items()
                      if e in ev for src, dst in pairs if src in was]
@@ -199,14 +205,17 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
             for src, e, dst in moves:
                 tr = cnf.new()
                 cnf.add([-tr, now[dst]])
-                cnf.add([-tr, was[src]])
-                cnf.add([-tr, ev[e]])
+                if not lone:
+                    cnf.add([-tr, was[src]])
+                if e != designated:
+                    cnf.add([-tr, ev[e]])
                 into[dst].append(tr)
                 taken.setdefault(e, []).append(tr)
             for s, sv in now.items():
                 # frame: a state newly reached needs a transition into it
                 keep = [was[s]] if stay and s in was else []
-                cnf.add([-sv] + keep + into[s])
+                if not (keep and lone):
+                    cnf.add([-sv] + keep + into[s])
             for e, trs in taken.items():
                 cnf.add([-ev[e]] + trs)
             cnf.at_most_one([ev[e] for e in taken])

@@ -12,8 +12,11 @@ change: the ``neg_desc`` property of each hypothesis they hold is built
 once, sorted in at its push by the same :func:`order_key` the heap uses,
 and every pop sends the tuple :func:`question_coverage` would build from
 open + result.  It also keeps every candidate a coverage test returns, and
-stores a popped hypothesis found among them without testing it again (see
-:func:`run_pfs`).
+stores a popped hypothesis found among them without testing it again.  It
+sends no coverage question whose answer the run already holds: under `ec`,
+one that holds every property of an earlier coverage conflict has no
+candidate, and one that the candidate answering the parent's question
+still meets is answered by that candidate (see :func:`run_pfs`).
 
 Every test a strategy sends goes through :meth:`_Run.ask`, which holds the
 run's budget: ``iteration_cap`` tests, counted by the run itself.  A
@@ -181,6 +184,34 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     so it meets its candidacy question.  Skipping them leaves open, result
     and the conflict cache as the two tests would; only the solver's learnt
     state differs.
+
+    Two more shortcuts answer ``h``'s coverage question (the ``neg_desc``
+    of every hypothesis held by open + result, less ``h``) with no test:
+
+    * Under ``ec``, the anchors of each coverage conflict are kept; such a
+      conflict holds only ``neg_desc`` properties.  When all the anchors of
+      one are held, the question holds every property of that conflict,
+      and no candidate meets a conflict, so ``h`` is dropped as the failed
+      test would drop it.  The conflict is cached already.
+    * Under ``e`` and ``ec``, the candidate ``delta`` that answered
+      ``h``'s question is passed to each successor ``s`` of ``h`` that is
+      strictly below it (the first such hint wins).  When ``s`` is popped
+      and no held hypothesis is ``leq`` to ``delta``, ``delta`` meets
+      ``s``'s question, so the question is taken as answered by ``delta``
+      and the candidacy test of ``s`` follows.  The skipped test would
+      have succeeded too; its answer would only have joined
+      ``witnessed``, and had that answer been ``s`` itself, the candidacy
+      test stores ``s`` all the same.
+
+    Both leave every decision as the test would; the search may differ
+    from then on, since a skipped test adds no conflict or witness, but
+    each stored element is still a minimal candidate and each dropped or
+    refuted hypothesis is still covered.  Both scans run only while a
+    conflict is kept or a hint is given.
+
+    ``cache_hits`` counts the tests the run answers from what it holds: a
+    candidacy question a cached conflict refutes, and a coverage question
+    either shortcut answers.
     """
     if variant not in PFS_VARIANTS:
         raise DiagError(f"unknown pfs variant {variant!r}")
@@ -196,6 +227,11 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     conflicts = []
     # every candidate a coverage test returned
     witnessed = set()
+    # the anchors of every coverage conflict (under ec)
+    refuted = []
+    # open hypothesis -> the candidate that answered its parent's coverage
+    # question, when the hypothesis is below it
+    hints = {}
     # The coverage question over open_set + result, as question_coverage
     # builds it: the order keys of the distinct hypotheses held, sorted,
     # their neg_desc properties at the same indices, and how many of
@@ -241,18 +277,29 @@ def run_pfs(solver, space: Space, variant: str = "ec",
         key, h = heappop(open_heap)
         open_set.remove(h)
         prop = release(h, key) if use_essential else None
+        delta = hints.pop(h, None) if hints else None
         # No open hypothesis is strictly preferred to h: in every space a
         # strictly preferred hypothesis is strictly smaller, and the heap
         # pops by (size, canon), so it would have been popped first.
         if any(leq(g, h, space) for g in result):
             continue
         if use_essential and h not in witnessed:
-            covered = run.ask(tuple(cover))
-            if not covered.is_candidate:
-                if use_conflicts:
-                    conflicts.append(covered.conflict)
+            if delta is not None and not any(leq(g, delta, space)
+                                             for g in held):
+                run.cache_hits += 1
+            elif refuted and any(held.keys() >= r for r in refuted):
+                run.cache_hits += 1
                 continue
-            witnessed.add(covered.candidate)
+            else:
+                covered = run.ask(tuple(cover))
+                if not covered.is_candidate:
+                    if use_conflicts:
+                        conflicts.append(covered.conflict)
+                        refuted.append(frozenset(
+                            anchor for _, anchor in covered.conflict))
+                    continue
+                delta = covered.candidate
+                witnessed.add(delta)
         if h in witnessed:
             store(h, key, prop)
             continue
@@ -279,6 +326,8 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             else children(h, space)
         for s in successors:
             push(s)
+            if delta is not None and s != delta and leq(s, delta, space):
+                hints.setdefault(s, delta)
     return run.result()
 
 

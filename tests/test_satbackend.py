@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, product
 from pathlib import Path
@@ -5,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from diagfp.contract import TestRequest
-from diagfp.desmodel import (Observation, parse_model, trace_in_model,
-                             trace_matches_observation)
+from diagfp.desmodel import (Observation, parse_model, parse_observation,
+                             trace_in_model, trace_matches_observation)
 from diagfp.errors import DiagError
 from diagfp.explicit import fits_horizon, oracle_candidates, solve as explicit_solve
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
@@ -20,6 +21,7 @@ from diagfp.satcore import MiniSolver
 from diagfp.strategies import run_strategy
 
 from test_explicit import faulty_instances
+from test_live_kernel import ALARM_OBS, ALARM_PARAMS, ALARMS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 OBS1 = Observation(("o1",))
@@ -90,6 +92,34 @@ def test_observation_units(oneshot):
     # an observable event has no variable, so is false, at every other step
     assert o1(1) is None
     assert o1(3) is None and o1(4) is None  # trailing slots silent
+
+
+def model_blocks():
+    """A SatSolver per space of each of 12 faulty_instances, of each alarm
+    chain of tests/fixtures/pfs_e_requests.json and of the alarm model of
+    test_live_kernel.py, as its constructor leaves it: the model block."""
+    cases = [(m, o, EncodingParams(3)) for m, o in faulty_instances(24, 12)]
+    for case in json.loads((FIXTURES / "pfs_e_requests.json").read_text()):
+        model = parse_model(case["model"])
+        cases.append((model, parse_observation(case["obs"], model),
+                      EncodingParams()))
+    cases.append((parse_model(ALARMS), ALARM_OBS, ALARM_PARAMS))
+    for model, obs, params in cases:
+        for kind in (SHS, MHS, SQHS):
+            yield SatSolver(model, obs, model.space(kind), params)
+
+
+def test_model_block_repeats_no_unit():
+    # a clause holding a literal that an earlier unit asserts is true
+    # before any decision, and the kernel drops it at load: encode_run
+    # leaves such clauses out (the lone state of a component at t - 1, the
+    # designated observed event)
+    for solver in model_blocks():
+        units = set()
+        for clause in solver.cnf.clauses:
+            assert units.isdisjoint(clause), (solver.model, clause)
+            if len(clause) == 1:
+                units.add(clause[0])
 
 
 def test_shs_desc_guarded_clause_shape(oneshot):

@@ -45,6 +45,26 @@ class EnumSolver:
         return TestOutcome.found(picked, None)
 
 
+class ShrinkingSolver(EnumSolver):
+    """EnumSolver whose conflict for a failed coverage question (``neg_desc``
+    properties only) is deletion-minimal: each property is dropped in turn
+    while no candidate is left.  Every other conflict is the whole
+    request."""
+
+    def solve(self, request):
+        outcome = super().solve(request)
+        if outcome.is_candidate or any(p.kind != NEG_DESC
+                                       for p in request.props):
+            return outcome
+        core = list(request.props)
+        for p in request.props:
+            rest = [q for q in core if q != p]
+            if not any(h in self.candidates and member(h, rest, self.space)
+                       for h in self.universe):
+                core = rest
+        return TestOutcome.failed(tuple(core))
+
+
 class ScriptedSolver:
     """Answers every test with the same candidate, whatever it asks."""
 
@@ -261,6 +281,87 @@ def test_empty_diagnosis(oneshot):
             assert got.minimal_candidates == []
 
 
+# ------------------------------------------- coverage answers already held
+
+def neg_desc(*faults):
+    return Property(NEG_DESC, set_hyp(faults))
+
+
+def upward(space, *minimal):
+    """The SHS candidates above the given fault sets."""
+    return {h for h in space.enumerate(0)
+            if any(set(m) <= h.data for m in minimal)}
+
+
+def test_pfs_ec_drops_a_hypothesis_whose_question_holds_a_coverage_conflict():
+    # Candidates above {a} or {b}.  The candidacy conflict of {} is the
+    # whole request, so {a}, {b}, {c} and {d} are pushed.  {c}'s coverage
+    # question fails with the core (neg_desc{a}, neg_desc{b}); {d}'s
+    # question holds both, so {d} is dropped with no request.
+    space = Space(SHS, ("a", "b", "c", "d"))
+    cands = upward(space, "a", "b")
+    recording = Recording(ShrinkingSolver(space, cands, 0))
+    got = run_pfs(recording, space, "ec")
+    assert got.canon() == ["{a}", "{b}"]
+    assert [request.props for request, _ in recording.log] == [
+        (),
+        question_candidate(space.h0, space),
+        (neg_desc("a"), neg_desc("c"), neg_desc("d")),
+        (neg_desc("a"), neg_desc("b"), neg_desc("d")),
+    ]
+    assert recording.log[-1][1].conflict == (neg_desc("a"), neg_desc("b"))
+    # the question {d} would have asked has no candidate
+    unsent = TestRequest((neg_desc("a"), neg_desc("b")), space)
+    assert not EnumSolver(space, cands, 0).solve(unsent).is_candidate
+    assert got.stats["cache_hits"] == 1
+
+
+@pytest.mark.parametrize("variant", ["e", "ec"])
+def test_pfs_e_answers_a_coverage_question_by_the_parents_witness(variant):
+    # Candidates above {a,b}.  {}'s coverage question returns {a,b}, and
+    # its candidacy test fails with the whole request: {a}, {b} and {c} are
+    # pushed, {a} and {b} with the hint {a,b}.  {a}'s hint is void, since
+    # {b} <= {a,b} is held.  When {b} is popped only {c} is held, and {c} is
+    # not <= {a,b}: {a,b} meets {b}'s question, so its candidacy test
+    # follows with no coverage request.
+    space = Space(SHS, ("a", "b", "c"))
+    cands = upward(space, "ab")
+    recording = Recording(EnumSolver(space, cands, 0))
+    got = run_pfs(recording, space, variant)
+    assert got.canon() == ["{a,b}"]
+    assert [request.props for request, _ in recording.log] == [
+        (),
+        question_candidate(space.h0, space),
+        (neg_desc("b"), neg_desc("c")),
+        question_candidate(set_hyp(["b"]), space),
+        (neg_desc("a", "b"), neg_desc("b", "c")),
+        (neg_desc("a", "b"),),
+    ]
+    # the question {b} would have asked: the solver answers it with {a,b}
+    unsent = TestRequest((neg_desc("c"),), space)
+    assert EnumSolver(space, cands, 0).solve(unsent).candidate \
+        == set_hyp(["a", "b"])
+    assert got.stats["cache_hits"] == 1
+
+
+def test_cache_hits_count_both_coverage_shortcuts():
+    # As above, with coverage cores: {a}'s question fails with the core
+    # (neg_desc{b}), {b} takes its parent's witness {a,b}, {c}'s question
+    # fails with the core (neg_desc{a,b}), and {b,c}'s question holds it.
+    space = Space(SHS, ("a", "b", "c"))
+    recording = Recording(ShrinkingSolver(space, upward(space, "ab"), 0))
+    got = run_pfs(recording, space, "ec")
+    assert got.canon() == ["{a,b}"]
+    assert [request.props for request, _ in recording.log] == [
+        (),
+        question_candidate(space.h0, space),
+        (neg_desc("b"), neg_desc("c")),
+        question_candidate(set_hyp(["b"]), space),
+        (neg_desc("a", "b"), neg_desc("b", "c")),
+    ]
+    assert got.stats == {"tests": 5, "expansions": 6, "cache_hits": 2}
+
+
 # ------------------------------------------------------------- divergence
 
 def test_plain_pfs_diverges_where_essential_variants_terminate():
@@ -321,17 +422,18 @@ def property_from_text(text: str, space: Space) -> Property:
 
 # The length of each case's request log, in fixture order: on these cases
 # pfs-e and pfs-ec send the same requests.
-LOG_LENGTHS = (5, 16, 22, 17, 19, 28, 26, 40)
+LOG_LENGTHS = (5, 15, 21, 16, 18, 27, 25, 39)
 
 
 @pytest.mark.parametrize("strategy", ["pfs-e", "pfs-ec"])
 def test_pfs_e_requests_are_a_sublist_of_the_recorded_ones(strategy):
     # The fixture was recorded while PFS-e sent a coverage and a candidacy
-    # test on every pop.  It now stores a hypothesis some coverage test has
-    # witnessed without testing it again, so its requests are those
-    # recorded, in the recorded order, less some that each have an answer
-    # the run already holds.  The cases are alarm chains of
-    # benchmarks/families.py (alarm_chain_text).
+    # test on every pop.  It now answers some questions from what the run
+    # already holds, so its requests are those recorded, in the recorded
+    # order, less some whose fresh answer the run already holds: a
+    # candidate it was returned, or a refutation of a request that holds
+    # every property of a conflict it was returned.  The cases are alarm
+    # chains of benchmarks/families.py (alarm_chain_text).
     cases = json.loads(REQUESTS_FIXTURE.read_text())
     assert len(cases) == len(LOG_LENGTHS)
     for case, length in zip(cases, LOG_LENGTHS):
@@ -342,16 +444,22 @@ def test_pfs_e_requests_are_a_sublist_of_the_recorded_ones(strategy):
         run_strategy(strategy, recording, space)
         sent = iter(recording.log)
         nxt = next(sent, None)
-        returned = set()
+        returned, conflicts = set(), []
         for texts in case["requests"]:
             if nxt is not None and [repr(p) for p in nxt[0].props] == texts:
                 if nxt[1].is_candidate:
                     returned.add(nxt[1].candidate)
+                else:
+                    conflicts.append(set(nxt[1].conflict))
                 nxt = next(sent, None)
                 continue
             skipped = TestRequest([property_from_text(t, space)
                                    for t in texts], space)
             answer = ExplicitSolver(model, obs, space).solve(skipped)
-            assert answer.candidate in returned, (case["name"], texts)
+            if answer.is_candidate:
+                assert answer.candidate in returned, (case["name"], texts)
+            else:
+                assert any(c <= set(skipped.props) for c in conflicts), \
+                    (case["name"], texts)
         assert nxt is None, (case["name"], "sent a request not recorded")
         assert len(recording.log) == length, case["name"]
