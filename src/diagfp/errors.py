@@ -39,3 +39,10 @@ class BudgetExhausted(DiagError):
 
 class EncodingError(DiagError):
     """Internal consistency check of the SAT path failed (encoding bug)."""
+
+
+def check_count(name: str, value) -> None:
+    """Reject a ``value`` for the count ``name`` that is not an int >= 1."""
+    # bool is an int subclass: True would pass as 1
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DiagError(f"{name} must be an int >= 1, got {value!r}")

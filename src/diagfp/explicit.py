@@ -35,24 +35,19 @@ from typing import NamedTuple
 from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
-from .errors import DiagError, SpaceMismatchError, StateBudgetExceeded
+from .errors import (DiagError, SpaceMismatchError, StateBudgetExceeded,
+                     check_count)
 from .hypothesis import MHS, SHS, Space, extend, leq, min_antichain
 from .properties import DESC_KINDS, POSITIVE_KINDS, member
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
 
-def _check_count(name: str, value) -> None:
-    # bool is an int subclass: True would pass as 1
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise DiagError(f"{name} must be an int >= 1, got {value!r}")
-
-
 def _check_input(model: DesModel, obs: Observation, space: Space,
                  state_budget) -> None:
     """Reject a bad state budget, a space the model does not handle and an
     observation of an event the model does not observe."""
-    _check_count("state_budget", state_budget)
+    check_count("state_budget", state_budget)
     model.check_space(space)
     model.check_observation(obs)
 
@@ -388,7 +383,7 @@ def solve(model: DesModel, obs: Observation, request: TestRequest,
         _check_input(model, obs, space, state_budget)
         graph = _product_graph(model, obs, state_budget)
     else:
-        _check_count("state_budget", state_budget)
+        check_count("state_budget", state_budget)
     cut = set()
     trace = _search(graph, len(obs), space, request.props, state_budget,
                     stats=stats, conflict=cut)
@@ -413,7 +408,7 @@ def fits_horizon(model: DesModel, obs: Observation, request: TestRequest,
     ``steps_per_obs`` after the final observation.
     """
     _check_input(model, obs, request.space, state_budget)
-    _check_count("steps_per_obs", steps_per_obs)
+    check_count("steps_per_obs", steps_per_obs)
     caps = (steps_per_obs - 1, steps_per_obs)
     graph = _product_graph(model, obs, state_budget)
     trace = _search(graph, len(obs), request.space, request.props,

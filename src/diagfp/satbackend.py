@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
-from .errors import DiagError, EncodingError, SpaceMismatchError
+from .errors import EncodingError, SpaceMismatchError, check_count
 from .hypothesis import MHS, SHS, SQHS, Space
 from .properties import DESC_KINDS, POSITIVE_KINDS, Property, member
 from .satcore import MiniSolver
@@ -42,10 +42,7 @@ class EncodingParams:
     steps_per_obs: int = 7
 
     def __post_init__(self):
-        k = self.steps_per_obs
-        # bool is an int subclass: True would pass as 1
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise DiagError(f"steps_per_obs must be an int >= 1, got {k!r}")
+        check_count("steps_per_obs", self.steps_per_obs)
 
     def horizon(self, obs_len: int) -> int:
         return self.steps_per_obs * (obs_len + 1)

@@ -10,15 +10,15 @@ only that subset stays UNSAT.
 All assumptions share one decision level, level 1 (after Hickey & Bacchus,
 "Speeding up assumption-based SAT", SAT 2019): ``solve`` enqueues every
 unassigned assumption on it and propagates once.  An assumption already
-false there fails through ``_analyze_final``: it and the assumptions that
-imply its negation (a complementary pair fails with both literals; one
-false at root fails alone).  A conflict at level 1 ends the solve: the
-failed set is what ``_analyze_conflict_final`` reaches by walking back from
-the conflicting clause through the reasons to the assumptions.  Conflicts
-above level 1 learn a clause and backjump; a backjump to level 0, or a
-restart, opens the assumption level again.  ``conflicts`` counts every
-conflict, at root, at the assumption level and above it; ``decisions``
-counts branching decisions only, not assumptions.
+false there fails, together with the assumptions that imply its negation (a
+complementary pair fails with both literals; one false at root fails alone).
+A conflict at level 1 ends the solve: the failed set is the assumptions
+reached by walking back from the conflicting clause through the reasons.
+``_assumptions_behind`` makes both walks.  Conflicts above level 1 learn a
+clause and backjump; a backjump to level 0, or a restart, opens the
+assumption level again.  ``conflicts`` counts every conflict, at root, at
+the assumption level and above it; ``decisions`` counts branching decisions
+only, not assumptions.
 
 The solver is incremental: clauses may be added between solves
 (``add_clause`` first returns to decision level 0), and learnt clauses,
@@ -415,17 +415,6 @@ class MiniSolver:
         self.watches[learnt[1]].append(idx)
         self._enqueue(learnt[0], idx)
 
-    def _analyze_final(self, p: int) -> set:
-        """Assumption literals (internal) whose conjunction is refuted, given
-        the falsified assumption literal ``p``: ``p`` and the assumptions
-        that imply its negation."""
-        return self._assumptions_behind((p,), {p})
-
-    def _analyze_conflict_final(self, confl) -> set:
-        """Assumption literals (internal) whose conjunction is refuted, given
-        a clause falsified at the assumption level."""
-        return self._assumptions_behind(self.clauses[confl], set())
-
     def _assumptions_behind(self, lits, out: set) -> set:
         """Add to ``out`` the assumptions that, through the reasons on the
         trail, falsify every literal of ``lits`` above level 0; the
@@ -510,7 +499,8 @@ class MiniSolver:
                     return False
                 if assume and len(trail_lim) == 1:
                     # the assumptions alone propagate to a conflict
-                    self._fail(self._analyze_conflict_final(confl))
+                    self._fail(self._assumptions_behind(self.clauses[confl],
+                                                       set()))
                     return False
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
@@ -528,7 +518,8 @@ class MiniSolver:
                 for p in assume:
                     va = values[p]
                     if va == 0:
-                        self._fail(self._analyze_final(p))
+                        # p and the assumptions that imply its negation
+                        self._fail(self._assumptions_behind((p,), {p}))
                         return False
                     if va < 0:
                         self._enqueue(p, None)

@@ -7,16 +7,18 @@ Preferred-first (PFS) pops the best untested hypothesis, tests its candidacy
 and expands its children on failure; the `e` variant prunes hypotheses whose
 removal keeps the open+result set covering, and the `c` variant replaces
 children by conflict-directed successors.  All four PFS variants share one
-loop.  The `e` variant keeps its coverage question as open and result
-change: the ``neg_desc`` property of each hypothesis they hold is built
-once, sorted in at its push by the same :func:`order_key` the heap uses,
-and every pop sends the tuple :func:`question_coverage` would build from
-open + result.  It also keeps every candidate a coverage test returns, and
-stores a popped hypothesis found among them without testing it again.  It
-sends no coverage question whose answer the run already holds: under `ec`,
-one that holds every property of an earlier coverage conflict has no
-candidate, and one that the candidate answering the parent's question
-still meets is answered by that candidate (see :func:`run_pfs`).
+loop.  Each hypothesis it pushes is a strict descendant of the one just
+popped, so it pops in :func:`order_key` order, its result comes before every
+open hypothesis in that order, and it keeps both on one key-ordered list.
+The `e` variant keeps the ``neg_desc`` property of each held hypothesis at
+the same index of a second list, so its coverage question is that list less
+the popped hypothesis, as :func:`question_coverage` would build it.  It also
+keeps every candidate a coverage test returns, and stores a popped
+hypothesis found among them without testing it again.  It sends no coverage
+question whose answer the run already holds: under `ec`, one that holds
+every property of an earlier coverage conflict has no candidate, and one
+that the candidate answering the parent's question still meets is answered
+by that candidate (see :func:`run_pfs`).
 
 Every test a strategy sends goes through :meth:`_Run.ask`, which holds the
 run's budget: ``iteration_cap`` tests, counted by the run itself.  A
@@ -38,11 +40,10 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from heapq import heappop, heappush
 from types import MappingProxyType
 
 from .contract import TestOutcome, TestRequest
-from .errors import BudgetExhausted, DiagError
+from .errors import BudgetExhausted, DiagError, check_count
 from .hypothesis import (Hypothesis, Space, children, leq, lt, min_antichain,
                          order_key, otimes)
 from .properties import (NEG_DESC, Property, member, question_candidate,
@@ -74,6 +75,7 @@ class _Run:
 
     def __init__(self, solver, space: Space, strategy: str, iteration_cap: int,
                  store: list):
+        check_count("iteration_cap", iteration_cap)
         self.solver = solver
         self.space = space
         self.strategy = strategy
@@ -174,6 +176,17 @@ def run_pfs(solver, space: Space, variant: str = "ec",
       minus ``h``, and drops ``h`` when no candidate escapes the rest;
     * ``"ec"`` does both, and caches the coverage conflicts too.
 
+    Every successor is a strict descendant of the refuted ``h``: a child,
+    or a conflict successor, which reaches a ``neg_desc`` anchor ``h`` does
+    not.  In every space a strict descendant is strictly larger, so its
+    :func:`order_key` is strictly above that of ``h``.  The pops therefore
+    strictly increase in that order, as in Reiter's breadth-first HS-tree
+    (AIJ 1987): no hypothesis is pushed twice, nothing strictly preferred
+    to a popped ``h`` is still open, and every result element comes before
+    every open hypothesis.  So one list ``queue`` holds the result, then the
+    open hypotheses, in that order; the best open hypothesis is
+    ``queue[len(result)]``, and storing it leaves it in place.
+
     Under ``e`` and ``ec`` the candidate each successful coverage test
     returns joins ``witnessed``.  A popped ``h`` that is in ``witnessed``
     (before its coverage test, or once its own test returned it) is stored
@@ -222,8 +235,10 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     use_essential = variant in ("e", "ec")
     use_conflicts = variant in ("c", "ec")
 
-    open_heap = []
-    open_set = set()
+    # result then open, in order_key order; their keys; under e, their
+    # neg_desc properties; and the set of them
+    queue, keys, cover = [], [], []
+    held = set()
     conflicts = []
     # every candidate a coverage test returned
     witnessed = set()
@@ -232,76 +247,60 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     # open hypothesis -> the candidate that answered its parent's coverage
     # question, when the hypothesis is below it
     hints = {}
-    # The coverage question over open_set + result, as question_coverage
-    # builds it: the order keys of the distinct hypotheses held, sorted,
-    # their neg_desc properties at the same indices, and how many of
-    # open_set and result hold each one.
-    cover_keys, cover, held = [], [], {}
 
-    def hold(h, key, prop=None):
-        n = held.get(h, 0)
-        held[h] = n + 1
-        if not n:
-            i = bisect_left(cover_keys, key)
-            cover_keys.insert(i, key)
-            cover.insert(i, prop or Property(NEG_DESC, h))
-
-    def release(h, key):
-        """Drop one hold of ``h``; return its property once none is left."""
-        n = held.pop(h)
-        if n > 1:
-            held[h] = n - 1
-            return None
-        i = bisect_left(cover_keys, key)
-        del cover_keys[i]
-        return cover.pop(i)
-
-    def push(h):
-        if h not in open_set:
-            open_set.add(h)
-            key = order_key(h)
-            heappush(open_heap, (key, h))
+    def push(s):
+        if s not in held:
+            held.add(s)
+            key = order_key(s)
+            i = bisect_left(keys, key, len(result))
+            queue.insert(i, s)
+            keys.insert(i, key)
             if use_essential:
-                hold(h, key)
+                cover.insert(i, Property(NEG_DESC, s))
 
-    def store(h, key, prop):
+    def drop():
+        """Drop the best open hypothesis."""
+        i = len(result)
+        held.remove(queue.pop(i))
+        del keys[i]
+        if use_essential:
+            del cover[i]
+
+    def store(h):
         if any(leq(g, h, space) or leq(h, g, space) for g in result):
             raise DiagError(f"candidate {h.canon()} is comparable to a result")
         result.append(h)
-        if use_essential:
-            hold(h, key, prop)
 
     push(space.h0)
-    while open_heap:
+    while len(queue) > len(result):
         run.expansions += 1
-        key, h = heappop(open_heap)
-        open_set.remove(h)
-        prop = release(h, key) if use_essential else None
+        i = len(result)
+        h = queue[i]
         delta = hints.pop(h, None) if hints else None
-        # No open hypothesis is strictly preferred to h: in every space a
-        # strictly preferred hypothesis is strictly smaller, and the heap
-        # pops by (size, canon), so it would have been popped first.
         if any(leq(g, h, space) for g in result):
+            drop()
             continue
         if use_essential and h not in witnessed:
             if delta is not None and not any(leq(g, delta, space)
-                                             for g in held):
+                                             for g in queue if g is not h):
                 run.cache_hits += 1
-            elif refuted and any(held.keys() >= r for r in refuted):
+            elif any(h not in r and r <= held for r in refuted):
                 run.cache_hits += 1
+                drop()
                 continue
             else:
-                covered = run.ask(tuple(cover))
+                covered = run.ask(tuple(cover[:i] + cover[i + 1:]))
                 if not covered.is_candidate:
                     if use_conflicts:
                         conflicts.append(covered.conflict)
                         refuted.append(frozenset(
                             anchor for _, anchor in covered.conflict))
+                    drop()
                     continue
                 delta = covered.candidate
                 witnessed.add(delta)
         if h in witnessed:
-            store(h, key, prop)
+            store(h)
             continue
         conflict = None
         if use_conflicts:
@@ -317,11 +316,12 @@ def run_pfs(solver, space: Space, variant: str = "ec",
                     raise DiagError(
                         f"candidacy test of {h.canon()} answered with "
                         f"{outcome.candidate.canon()}")
-                store(h, key, prop)
+                store(h)
                 continue
             conflict = outcome.conflict
             if use_conflicts:
                 conflicts.append(conflict)
+        drop()
         successors = conflict_successors(h, conflict, space) if use_conflicts \
             else children(h, space)
         for s in successors:

@@ -15,7 +15,7 @@ from diagfp.explicit import (ExplicitSolver, fits_horizon, oracle_candidates,
 from diagfp.hypothesis import BHS, MHS, SHS, Space, multi_hyp, set_hyp
 from diagfp.properties import DESC, NEG_DESC, Property, question_coverage
 from diagfp.satbackend import SatSolver
-from diagfp.strategies import run_strategy
+from diagfp.strategies import STRATEGIES, run_strategy
 
 from test_live_kernel import (ALARM_OBS, ALARM_PARAMS, ALARMS, RecordingSolver,
                               solvers_and_diagnoses)
@@ -181,6 +181,20 @@ def test_explicit_entry_points_refuse_a_state_budget_not_a_positive_int(
     with pytest.raises(DiagError, match="state_budget must be an int >= 1"):
         entry(model, ALARM_OBS, request, state_budget=budget)
     entry(model, ALARM_OBS, request, state_budget=1000)
+
+
+@BAD_BUDGETS
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_strategies_refuse_an_iteration_cap_not_a_positive_int(strategy,
+                                                               budget):
+    # before the first test is sent
+    model = parse_model(ALARMS)
+    space = model.space(SHS)
+    recording = RecordingSolver(SatSolver(model, ALARM_OBS, space,
+                                          ALARM_PARAMS))
+    with pytest.raises(DiagError, match="iteration_cap must be an int >= 1"):
+        run_strategy(strategy, recording, space, iteration_cap=budget)
+    assert recording.log == []
 
 
 @pytest.mark.parametrize("steps", [True, 2.5, 0, -1, "3", None])

@@ -3,16 +3,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diagfp.circuits import CircuitSolver, parse_circuit
 from diagfp.contract import TestOutcome, TestRequest
 from diagfp.desmodel import Observation, parse_model, parse_observation
 from diagfp.errors import BudgetExhausted, DiagError
 from diagfp.explicit import ExplicitSolver, oracle_diagnose
-from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, leq, lt,
-                               min_antichain, multi_hyp, order_key, seq_hyp,
-                               set_hyp)
-from diagfp.properties import (DESC, NEG_DESC, Property, member,
-                               question_candidate)
+from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, bin_hyp, children,
+                               leq, lt, min_antichain, multi_hyp, order_key,
+                               seq_hyp, set_hyp)
+from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
+                               member, question_candidate)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.strategies import (STRATEGIES, conflict_successors, run_pfs,
                                run_pls, run_strategy, terminating_strategies)
@@ -189,6 +192,39 @@ def test_pfs_tests_candidacy_in_order_of_size(variant):
             tested += len(sizes)
         assert tested, kind
 
+
+
+FAULTS = ("a", "b", "c")
+
+
+def hyps(kind):
+    """Hypotheses of ``Space(kind, FAULTS)`` with at most three faults."""
+    faults = st.sampled_from(FAULTS)
+    if kind == SHS:
+        return st.sets(faults).map(set_hyp)
+    if kind == MHS:
+        return st.lists(faults, max_size=3).map(
+            lambda fs: multi_hyp({f: fs.count(f) for f in fs}))
+    if kind == SQHS:
+        return st.lists(faults, max_size=3).map(seq_hyp)
+    return st.booleans().map(bin_hyp)
+
+
+@pytest.mark.parametrize("kind", [BHS, SHS, MHS, SQHS])
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pfs_successors_are_above_the_refuted_hypothesis(kind, data):
+    # run_pfs keeps result and open on one key-ordered list and pops the
+    # entry after the result; that rests on every hypothesis it pushes
+    # having an order_key strictly above that of the one it refuted
+    space = Space(kind, FAULTS)
+    h = data.draw(hyps(kind), "h")
+    props = data.draw(st.lists(st.builds(
+        Property, st.sampled_from((DESC, ANC, NEG_DESC, NEG_ANC)),
+        hyps(kind)), max_size=4), "props")
+    conflict = tuple(p for p in props if member(h, (p,), space))
+    for s in children(h, space) + conflict_successors(h, conflict, space):
+        assert order_key(s) > order_key(h), (h, s)
 
 def test_plain_variants_hit_budget_on_empty_infinite_diagnosis():
     space = Space(SQHS, ("a", "b"))
@@ -463,3 +499,20 @@ def test_pfs_e_requests_are_a_sublist_of_the_recorded_ones(strategy):
                     (case["name"], texts)
         assert nxt is None, (case["name"], "sent a request not recorded")
         assert len(recording.log) == length, case["name"]
+
+
+MULT2 = FIXTURES / "circuits" / "mult2_flip3.ckt"
+
+
+@pytest.mark.parametrize("strategy", ["pfs-e", "pfs-ec"])
+def test_pfs_e_requests_on_a_multiplier_are_pinned(strategy):
+    # The requests were recorded while PFS popped from a heap ordered by
+    # order_key, so they pin the order PFS pops in: a successor put one
+    # place too late in the open list changes the pfs-ec log.  The circuit
+    # is circuit_text("multiplier", 2, 3, 3) of benchmarks/families.py.
+    circuit, obs = parse_circuit(MULT2.read_text())
+    recording = Recording(CircuitSolver(circuit, obs))
+    run_strategy(strategy, recording, circuit.space())
+    want = json.loads(MULT2.with_suffix(".json").read_text())[strategy]
+    assert [[repr(p) for p in request.props]
+            for request, _ in recording.log] == want
