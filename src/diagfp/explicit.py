@@ -369,21 +369,16 @@ def _search(graph: _Graph, end: int, space: Space, props,
 
 
 def solve(model: DesModel, obs: Observation, request: TestRequest,
-          state_budget: int = DEFAULT_STATE_BUDGET,
-          stats: SolverStats | None = None, graph=None) -> TestOutcome:
+          graph: _Graph, state_budget: int = DEFAULT_STATE_BUDGET,
+          stats: SolverStats | None = None) -> TestOutcome:
     """Decide a property-represented test exactly; ``graph`` is the
-    ``_product_graph`` of ``model`` and ``obs``.  When it is None, the
-    inputs are checked and it is built here; ``ExplicitSolver`` checks them
-    once, when it is made.  The witness is re-validated against the model,
-    not the graph.  A failed test's conflict is the sub-tuple of
-    the request, in request order, of the properties that cut the search
-    (see :func:`_search`)."""
+    ``_product_graph`` of ``model`` and ``obs``, whose inputs
+    :class:`ExplicitSolver` checks once, when it is made.  The witness is
+    re-validated against the model, not the graph.  A failed test's
+    conflict is the sub-tuple of the request, in request order, of the
+    properties that cut the search (see :func:`_search`)."""
     space = request.space
-    if graph is None:
-        _check_input(model, obs, space, state_budget)
-        graph = _product_graph(model, obs, state_budget)
-    else:
-        check_count("state_budget", state_budget)
+    check_count("state_budget", state_budget)
     cut = set()
     trace = _search(graph, len(obs), space, request.props, state_budget,
                     stats=stats, conflict=cut)
@@ -536,5 +531,5 @@ class ExplicitSolver:
         if self._graph is None:
             self._graph = _product_graph(self.model, self.obs,
                                          self.state_budget)
-        return solve(self.model, self.obs, request, self.state_budget,
-                     self.stats, self._graph)
+        return solve(self.model, self.obs, request, self._graph,
+                     self.state_budget, self.stats)

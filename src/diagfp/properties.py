@@ -98,8 +98,8 @@ def question_minimal(d: Hypothesis, space: Space) -> tuple:
 
 def question_coverage(hyps, space: Space) -> tuple:
     """Property set of the hypotheses dominated by no element of ``hyps``:
-    one ``neg_desc`` per distinct element, in :func:`order_key` order.  PLS
-    builds it from scratch on every test; PFS-e keeps the same tuple over
-    open + result incrementally (``strategies.run_pfs``)."""
+    one ``neg_desc`` per distinct element, in :func:`order_key` order.  The
+    reference builder: PLS and PFS-e keep the same tuple as they store
+    hypotheses (``strategies._insert``), and tests check theirs against it."""
     return tuple(Property(NEG_DESC, h)
                  for h in sorted(set(hyps), key=order_key))

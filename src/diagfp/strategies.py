@@ -10,9 +10,10 @@ children by conflict-directed successors.  All four PFS variants share one
 loop.  Each hypothesis it pushes is a strict descendant of the one just
 popped, so it pops in :func:`order_key` order, its result comes before every
 open hypothesis in that order, and it keeps both on one key-ordered list.
-The `e` variant keeps the ``neg_desc`` property of each held hypothesis at
-the same index of a second list, so its coverage question is that list less
-the popped hypothesis, as :func:`question_coverage` would build it.  It also
+:func:`_insert` puts each hypothesis PLS or PFS holds on such a list and its
+``neg_desc`` property at the same index of a second one.  PLS's coverage
+question is that list whole, PFS-e's is that list less the popped
+hypothesis, as :func:`question_coverage` would build either.  PFS-e also
 keeps every candidate a coverage test returns, and stores a popped
 hypothesis found among them without testing it again.  It sends no coverage
 question whose answer the run already holds: under `ec`, one that holds
@@ -47,7 +48,7 @@ from .errors import BudgetExhausted, DiagError, check_count
 from .hypothesis import (Hypothesis, Space, children, leq, lt, min_antichain,
                          order_key, otimes)
 from .properties import (NEG_DESC, Property, member, question_candidate,
-                         question_coverage, question_minimal)
+                         question_minimal)
 
 # The most tests one strategy run may send, in every strategy.
 DEFAULT_ITERATION_CAP = 10_000
@@ -69,25 +70,26 @@ class DiagnosisResult:
 
 
 class _Run:
-    """One strategy run: its counters, its test budget and ``store``, the
-    list it builds its result from (``found`` for PLS, ``result`` for
-    PFS)."""
+    """One strategy run: its counters, its test budget and ``minimal``,
+    which returns its minimal candidates so far in :func:`order_key` order
+    (PFS's ``result`` as it stands, the minimal elements of PLS's
+    ``found``)."""
 
     def __init__(self, solver, space: Space, strategy: str, iteration_cap: int,
-                 store: list):
+                 minimal):
         check_count("iteration_cap", iteration_cap)
         self.solver = solver
         self.space = space
         self.strategy = strategy
         self.iteration_cap = iteration_cap
-        self.store = store
+        self.minimal = minimal
         self.tests = 0
         self.expansions = 0
         self.cache_hits = 0
 
     def ask(self, props: tuple) -> TestOutcome:
-        """Send one test; past the cap, raise with the antichain of
-        ``store`` as the partial result."""
+        """Send one test; past the cap, raise with :meth:`result` as the
+        partial result."""
         if self.tests >= self.iteration_cap:
             raise BudgetExhausted(f"{self.strategy} hit its test cap",
                                   partial=self.result(), stats=self.stats())
@@ -95,9 +97,7 @@ class _Run:
         return self.solver.solve(TestRequest(props, self.space))
 
     def result(self) -> DiagnosisResult:
-        """The minimal elements of ``store``, in :func:`order_key` order."""
-        return DiagnosisResult(min_antichain(self.store, self.space),
-                               self.stats())
+        return DiagnosisResult(self.minimal(), self.stats())
 
     def stats(self) -> Mapping:
         return _shared_stats(self.tests, self.expansions, self.cache_hits)
@@ -112,18 +112,29 @@ def _shared_stats(tests: int, expansions: int, cache_hits: int) -> Mapping:
                              "cache_hits": cache_hits})
 
 
+def _insert(hyps: list, keys: list, cover: list, h: Hypothesis) -> None:
+    """Insert ``h``, its :func:`order_key` and its ``neg_desc`` at one index
+    of ``hyps``, ``keys`` and ``cover``, keeping ``keys`` sorted."""
+    key = order_key(h)
+    i = bisect_left(keys, key)
+    hyps.insert(i, h)
+    keys.insert(i, key)
+    cover.insert(i, Property(NEG_DESC, h))
+
+
 def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
             refine: bool = False) -> DiagnosisResult:
     """Preferred-last search; with ``refine`` (PLS+r) each new candidate is
     walked down to a minimal one before it is stored.  The budget partial
     is the antichain of the candidates found so far: under plain PLS each
     is a candidate, but a smaller candidate may not have been found yet, so
-    it need not be minimal."""
-    found = []
+    it need not be minimal.  Each coverage question is ``cover``, the
+    ``neg_desc`` of each answer in ``found`` (none is stored twice)."""
+    found, keys, cover = [], [], []
     run = _Run(solver, space, "pls-r" if refine else "pls", iteration_cap,
-               found)
+               lambda: min_antichain(found, space))
     while True:
-        outcome = run.ask(question_coverage(found, space))
+        outcome = run.ask(tuple(cover))
         if not outcome.is_candidate:
             return run.result()
         delta = outcome.candidate
@@ -139,7 +150,7 @@ def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
                     f"minimality test of {delta.canon()} answered with "
                     f"{smaller.candidate.canon()}, which is not below it")
             delta = smaller.candidate
-        found.append(delta)
+        _insert(found, keys, cover, delta)
 
 
 def conflict_successors(h: Hypothesis, conflict: tuple,
@@ -185,7 +196,9 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     to a popped ``h`` is still open, and every result element comes before
     every open hypothesis.  So one list ``queue`` holds the result, then the
     open hypotheses, in that order; the best open hypothesis is
-    ``queue[len(result)]``, and storing it leaves it in place.
+    ``queue[len(result)]``, and storing it leaves it in place.  The result
+    is an antichain as held: no result element is ``leq`` to a stored ``h``
+    (checked at its pop), nor ``h`` to one, which has a lower key.
 
     Under ``e`` and ``ec`` the candidate each successful coverage test
     returns joins ``witnessed``.  A popped ``h`` that is in ``witnessed``
@@ -231,12 +244,12 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     result = []
     run = _Run(solver, space,
                "pfs" if variant == "plain" else f"pfs-{variant}",
-               iteration_cap, result)
+               iteration_cap, lambda: result)
     use_essential = variant in ("e", "ec")
     use_conflicts = variant in ("c", "ec")
 
-    # result then open, in order_key order; their keys; under e, their
-    # neg_desc properties; and the set of them
+    # result then open, in order_key order; their keys; their neg_desc
+    # properties; and the set of them
     queue, keys, cover = [], [], []
     held = set()
     conflicts = []
@@ -251,25 +264,14 @@ def run_pfs(solver, space: Space, variant: str = "ec",
     def push(s):
         if s not in held:
             held.add(s)
-            key = order_key(s)
-            i = bisect_left(keys, key, len(result))
-            queue.insert(i, s)
-            keys.insert(i, key)
-            if use_essential:
-                cover.insert(i, Property(NEG_DESC, s))
+            _insert(queue, keys, cover, s)
 
     def drop():
         """Drop the best open hypothesis."""
         i = len(result)
         held.remove(queue.pop(i))
         del keys[i]
-        if use_essential:
-            del cover[i]
-
-    def store(h):
-        if any(leq(g, h, space) or leq(h, g, space) for g in result):
-            raise DiagError(f"candidate {h.canon()} is comparable to a result")
-        result.append(h)
+        del cover[i]
 
     push(space.h0)
     while len(queue) > len(result):
@@ -300,7 +302,7 @@ def run_pfs(solver, space: Space, variant: str = "ec",
                 delta = covered.candidate
                 witnessed.add(delta)
         if h in witnessed:
-            store(h)
+            result.append(h)
             continue
         conflict = None
         if use_conflicts:
@@ -316,7 +318,7 @@ def run_pfs(solver, space: Space, variant: str = "ec",
                     raise DiagError(
                         f"candidacy test of {h.canon()} answered with "
                         f"{outcome.candidate.canon()}")
-                store(h)
+                result.append(h)
                 continue
             conflict = outcome.conflict
             if use_conflicts:

@@ -13,12 +13,12 @@ from diagfp.desmodel import (Observation, parse_model, parse_observation,
                              trace_matches_observation)
 from diagfp.errors import StateBudgetExceeded
 from diagfp.explicit import (ExplicitSolver, certified_bound, fits_horizon,
-                             oracle_candidates, oracle_diagnose, solve)
+                             oracle_candidates, oracle_diagnose)
 from diagfp.hypothesis import (MHS, SHS, SQHS, extend, multi_hyp, seq_hyp,
                                set_hyp)
 from diagfp.properties import (ANC, NEG_DESC, Property, member,
                                question_candidate, question_coverage)
-from diagfp.strategies import run_strategy
+from diagfp.strategies import run_strategy, terminating_strategies
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,7 +34,7 @@ OBS1 = Observation(("o1",))
 def test_solve_candidate_found(oneshot):
     space = oneshot.space(SHS)
     req = TestRequest(question_candidate(set_hyp(["f"]), space), space)
-    out = solve(oneshot, OBS1, req)
+    out = ExplicitSolver(oneshot, OBS1, space).solve(req)
     assert out.is_candidate
     assert out.candidate == set_hyp(["f"])
     assert out.witness == ("f", "o1")
@@ -42,16 +42,17 @@ def test_solve_candidate_found(oneshot):
 
 def check_conflict(model, obs, request, conflict):
     """``conflict`` is a sub-tuple of the request, in request order, and a
-    one-shot solve on it alone fails."""
+    fresh solver's test of it alone fails."""
     assert conflict == tuple(p for p in request.props if p in conflict)
     alone = TestRequest(conflict, request.space)
-    assert not solve(model, obs, alone).is_candidate
+    assert not ExplicitSolver(model, obs, request.space).solve(
+        alone).is_candidate
 
 
 def test_solve_candidate_failed_trivial_conflict(oneshot):
     space = oneshot.space(SHS)
     req = TestRequest(question_candidate(set_hyp([]), space), space)
-    out = solve(oneshot, OBS1, req)
+    out = ExplicitSolver(oneshot, OBS1, space).solve(req)
     assert not out.is_candidate
     # desc({}) holds for every hypothesis, so only neg_desc({f}) cuts
     assert out.conflict == (Property(NEG_DESC, set_hyp(["f"])),)
@@ -60,7 +61,8 @@ def test_solve_candidate_failed_trivial_conflict(oneshot):
 
 def test_empty_everything(oneshot):
     space = oneshot.space(SHS)
-    out = solve(oneshot, Observation(()), TestRequest((), space))
+    out = ExplicitSolver(oneshot, Observation(()), space).solve(
+        TestRequest((), space))
     assert out.is_candidate
     assert out.witness == ()
 
@@ -69,8 +71,8 @@ def test_solve_coverage(oneshot):
     space = oneshot.space(SHS)
 
     def coverage(obs, hyps):
-        return solve(oneshot, obs,
-                     TestRequest(question_coverage(hyps, space), space))
+        return ExplicitSolver(oneshot, obs, space).solve(
+            TestRequest(question_coverage(hyps, space), space))
 
     out = coverage(OBS1, [])
     assert out.is_candidate and out.candidate == set_hyp(["f"])
@@ -237,7 +239,7 @@ def test_solve_agrees_with_candidate_enumeration():
             hyp = rng.choice(sorted(cands, key=lambda h: h.canon())) \
                 if cands and rng.random() < 0.6 else space.h0
             req = TestRequest(question_candidate(hyp, space), space)
-            out = solve(model, obs, req)
+            out = ExplicitSolver(model, obs, space).solve(req)
             assert out.is_candidate == (hyp in cands)
             if out.is_candidate:
                 assert out.candidate == hyp
@@ -345,8 +347,8 @@ def test_cached_graph_answers_like_one_shot_solves(monkeypatch, name, kind,
     assert len(recording.log) > 1
     assert got.minimal_candidates == oracle_diagnose(model, obs, space)
     for request, outcome in recording.log:
-        # candidate, witness and conflict all equal a fresh one-shot solve
-        assert outcome == solve(model, obs, request)
+        # candidate, witness and conflict all equal a fresh solver's
+        assert outcome == ExplicitSolver(model, obs, space).solve(request)
         if not outcome.is_candidate:
             check_conflict(model, obs, request, outcome.conflict)
 
@@ -388,7 +390,8 @@ def test_search_skips_branches_that_cannot_complete_the_observation():
     assert outcomes[0].is_candidate is False
     space = dead.space(SHS)
     request = TestRequest(question_candidate(set_hyp(["f"]), space), space)
-    assert solve(dead, OBS1, request).witness == ("f", "o1")
+    assert ExplicitSolver(dead, OBS1, space).solve(request).witness == \
+        ("f", "o1")
 
 
 @pytest.mark.parametrize("kind", [SHS, MHS, SQHS])
@@ -419,7 +422,7 @@ def test_strategies_on_random_models_equal_the_oracle(seed):
     for kind in (SHS, MHS, SQHS):
         space = model.space(kind)
         expected = oracle_diagnose(model, obs, space)
-        for strategy in ("pfs-e", "pfs-ec", "pls-r"):
+        for strategy in terminating_strategies(space):
             recording = Recording(ExplicitSolver(model, obs, space))
             got = run_strategy(strategy, recording, space)
             assert got.minimal_candidates == expected
@@ -438,5 +441,3 @@ def test_tiny_state_budget_stops_the_graph_build():
         ExplicitSolver(model, obs, space, state_budget=2).solve(request)
     with pytest.raises(StateBudgetExceeded):
         oracle_diagnose(model, obs, space, state_budget=2)
-    with pytest.raises(StateBudgetExceeded):
-        solve(model, obs, request, state_budget=2)

@@ -13,7 +13,7 @@ import pytest
 
 from diagfp.circuits import CircuitSolver, encode_circuit, parse_circuit
 from diagfp.contract import TestRequest
-from diagfp.explicit import fits_horizon, oracle_candidates, solve
+from diagfp.explicit import ExplicitSolver, fits_horizon, oracle_candidates
 from diagfp.hypothesis import MHS, SHS, SQHS, set_hyp
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
                                exhibits)
@@ -58,7 +58,7 @@ def test_des_solvers_agree_on_each_property_kind(kind):
             prop = Property(pkind, anchor)
             req = TestRequest((prop,), space)
             expected = {h for h in cands if exhibits(h, prop, space)}
-            exp = solve(model, obs, req)
+            exp = ExplicitSolver(model, obs, space).solve(req)
             seen[pkind][0 if exp.is_candidate else 1] += 1
             if exp.is_candidate:
                 assert exhibits(exp.candidate, prop, space)

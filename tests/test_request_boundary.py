@@ -11,7 +11,7 @@ from diagfp.contract import TestRequest
 from diagfp.desmodel import Observation, parse_model
 from diagfp.errors import DiagError, ModelFormatError, SpaceMismatchError
 from diagfp.explicit import (ExplicitSolver, fits_horizon, oracle_candidates,
-                             oracle_diagnose, solve)
+                             oracle_diagnose)
 from diagfp.hypothesis import BHS, MHS, SHS, Space, multi_hyp, set_hyp
 from diagfp.properties import DESC, NEG_DESC, Property, question_coverage
 from diagfp.satbackend import SatSolver
@@ -134,7 +134,8 @@ def test_observation_given_as_a_list_diagnoses_like_the_tuple(make):
 
 
 EXPLICIT_ENTRY_POINTS = pytest.mark.parametrize("entry", [
-    solve,
+    lambda model, obs, request, **kw: ExplicitSolver(
+        model, obs, request.space, **kw).solve(request),
     lambda model, obs, request, **kw: fits_horizon(
         model, obs, request, ALARM_PARAMS.steps_per_obs, **kw),
 ], ids=["solve", "fits_horizon"])

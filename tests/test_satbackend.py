@@ -9,7 +9,7 @@ from diagfp.contract import TestRequest
 from diagfp.desmodel import (Observation, parse_model, parse_observation,
                              trace_in_model, trace_matches_observation)
 from diagfp.errors import DiagError
-from diagfp.explicit import fits_horizon, oracle_candidates, solve as explicit_solve
+from diagfp.explicit import ExplicitSolver, fits_horizon, oracle_candidates
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 from diagfp.properties import (ANC, DESC, NEG_DESC, Property, member,
                                question_candidate, question_coverage,
@@ -333,7 +333,7 @@ def test_sat_agrees_with_explicit_when_certified():
             props = question_coverage([anchor], space)
         req = TestRequest(props, space)
         params = EncodingParams(steps_per_obs=3)
-        exp = explicit_solve(model, obs, req)
+        exp = ExplicitSolver(model, obs, space).solve(req)
         if exp.is_candidate and not fits_horizon(model, obs, req,
                                                  params.steps_per_obs):
             continue  # not certified at this bound

@@ -15,7 +15,8 @@ from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, bin_hyp, children,
                                leq, lt, min_antichain, multi_hyp, order_key,
                                seq_hyp, set_hyp)
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
-                               member, question_candidate)
+                               member, question_candidate, question_coverage,
+                               question_minimal)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.strategies import (STRATEGIES, conflict_successors, run_pfs,
                                run_pls, run_strategy, terminating_strategies)
@@ -277,6 +278,66 @@ def test_pls_r_first_candidate_refines_to_h0():
     solver = ExplicitSolver(model, OBS1, space)
     got = run_strategy("pls-r", solver, space)
     assert got.minimal_candidates == [space.h0]
+
+
+class PlsQuestions:
+    """Passes a PLS run's tests to ``solver`` and checks each against the
+    reference builders: every coverage request is :func:`question_coverage`
+    of the answers stored so far.  Under PLS+r (``refine``) an answer is
+    followed by minimality requests, and the last candidate they return is
+    stored once one fails."""
+
+    def __init__(self, solver, space, refine):
+        self.solver, self.space, self.refine = solver, space, refine
+        self.stored, self.pending = [], None
+        self.refined = 0
+
+    def solve(self, request):
+        outcome = self.solver.solve(request)
+        if self.pending is None:
+            assert request.props == question_coverage(self.stored, self.space)
+            if outcome.is_candidate and self.refine:
+                self.pending = outcome.candidate
+            elif outcome.is_candidate:
+                self.stored.append(outcome.candidate)
+            return outcome
+        assert request.props == question_minimal(self.pending, self.space)
+        if outcome.is_candidate:
+            self.pending = outcome.candidate
+            self.refined += 1
+        else:
+            self.stored.append(self.pending)
+            self.pending = None
+        return outcome
+
+
+@pytest.mark.parametrize("strategy", ["pls", "pls-r"])
+def test_pls_asks_the_coverage_question_of_its_answers(strategy):
+    # PLS keeps its coverage question up to date as it stores answers; an
+    # EnumSolver that answers with the largest candidate makes non-minimal
+    # answers occur, which PLS stores and PLS+r refines first
+    rng = random.Random(53)
+    cases = []
+    for kind in (SHS, MHS, SQHS):
+        space = Space(kind, ("a", "b"))
+        universe = space.enumerate(2)
+        for _ in range(4):
+            seeds = [h for h in universe if rng.random() < 0.3]
+            cands = {h for h in universe
+                     if any(leq(s, h, space) for s in seeds)}
+            cases.append((space, EnumSolver(space, cands, 2, choice="max")))
+    circuit, obs = parse_circuit(
+        (FIXTURES / "circuits" / "adder3_flip.ckt").read_text())
+    cases.append((circuit.space(), CircuitSolver(circuit, obs)))
+    non_minimal = 0
+    for space, solver in cases:
+        checked = PlsQuestions(solver, space, strategy == "pls-r")
+        got = run_strategy(strategy, checked, space, iteration_cap=2000)
+        assert checked.pending is None
+        assert got.minimal_candidates == min_antichain(checked.stored, space)
+        non_minimal += checked.refined + len(checked.stored) - \
+            len(got.minimal_candidates)
+    assert non_minimal, strategy
 
 
 # ------------------------------------------------------------ toy integration
