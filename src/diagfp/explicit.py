@@ -1,4 +1,4 @@
-"""Exact test solver by explicit-state breadth-first search.
+"""Exact test solver by explicit-state search.
 
 The product graph of the observed model has a node per (global state,
 observation tracker) pair reachable from an initial state.  It is built once
@@ -10,18 +10,21 @@ nodes are kept too.  Nothing reachable from a dead node is a goal, so the
 witness found is unchanged.
 
 A test searches that graph times a per-space summary of the fault behaviour
-seen so far (fault set / saturated counts / per-anchor subsequence monitors).
-Each test numbers the summaries it meets and memoises, per summary and fault
-event, the summary that follows, or that the one that follows violates a
-monotone property (``neg_desc`` or ``anc``).  A summary only grows along a
-trace, so no goal lies beyond such a violation, and the search does not go
-there.  A search node is one integer made of its graph node, summary and
-observation gap.  A goal has consumed the whole observation and satisfies
-every requested property; that check is made once per summary.  Exhaustion
-yields as conflict the properties that cut the search: the first violated
-monotone property of each pruned summary and the first failing property of
-each summary met at a node that consumed the observation, after the
-conflict-based DES diagnosis of Grastien, Haslum & Thiébaux (KR 2012).
+seen so far (fault set / saturated counts / per-anchor subsequence monitors),
+which tracks only what the test's properties read.  Each test numbers the
+summaries it meets and memoises, per summary and fault event, the summary
+that follows, or that the one that follows, joined with the anchors its
+``desc`` properties force on every goal, violates a monotone property
+(``neg_desc`` or ``anc``).  That join only grows along a trace, so no goal
+lies beyond such a violation, and the search does not go there.  A search
+node is one integer made of its graph node, summary and observation gap; the
+search expands the nodes that consumed the most observation first, so a
+satisfiable test dives to the observation's end (best-first, after Hart,
+Nilsson & Raphael, 1968).  A goal has consumed the whole observation and
+satisfies every requested property; that check is made once per summary.
+Exhaustion yields as conflict the properties that cut the search (see
+:class:`_Summary`), after the conflict-based DES diagnosis of Grastien,
+Haslum & Thiébaux (KR 2012).
 
 The same graph serves the brute-force oracle for minimal diagnoses and the
 horizon-fit certificate used to compare against the bounded SAT backend.
@@ -37,7 +40,7 @@ from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import (DiagError, SpaceMismatchError, StateBudgetExceeded,
                      check_count)
-from .hypothesis import MHS, SHS, Space, extend, leq, min_antichain
+from .hypothesis import MHS, SHS, SQHS, Space, extend, leq, min_antichain
 from .properties import DESC_KINDS, POSITIVE_KINDS, member
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -64,14 +67,23 @@ class _Summary:
     Each property is kept as ``(is_desc, positive, arg)``: the summary
     decides desc or anc of the anchor, and the property holds when that
     answer equals ``positive``.  ``arg`` is the anchor's fault set (SHS),
-    its count of each fault (MHS) or its length (SqHS).
+    its count of each fault (MHS) or its length (SqHS).  When every property
+    is desc-kind, desc of an anchor reads only the faults it names, up to
+    the counts it names: an SHS summary keeps only the faults some anchor
+    names (``tracked``), and MHS counts saturate at the largest count an
+    anchor names (``caps``).  Anc of an anchor reads every fault, and needs
+    to tell a count one past the anchor's.
 
     A summary only grows along a trace: SHS sets grow, MHS counts grow and
     saturate at ``caps``, and per SqHS anchor the desc embedding index rises
     while an anc position that turns -1 stays -1.  So once desc of an anchor
     holds it holds for good, and once anc fails it fails for good: a
     ``NEG_DESC`` or ``ANC`` property (``monotone``) that a summary violates
-    stays violated on every extension of its trace.
+    stays violated on every extension of its trace.  On SHS and MHS every
+    goal summary also holds each ``DESC`` anchor (``desc``), so a summary is
+    cut when its ``join`` with them (union or pointwise maximum) violates a
+    monotone property.  The join grows along a trace too, so the summaries
+    that follow a cut one are cut as well.
 
     Summary ids index ``values``; the initial summary is id 0, and ``ids``
     maps each summary met to its id, or to ``_CUT`` when it violates a
@@ -80,19 +92,24 @@ class _Summary:
     property (None until asked).  A numbered summary satisfies every
     monotone property, so the goal check reads the ``others`` only.  Every
     property found to cut a summary, monotone or not, is added to
-    ``conflict``.
+    ``conflict``; with a cut that needed the join, so are the desc
+    properties that supplied it, so that a search on the conflict alone
+    makes the same cut.
     """
 
     def __init__(self, space: Space, props, conflict: set):
         self.space = space
         self.faults = space.faults
+        reads_anc = any(p.kind not in DESC_KINDS for p in props)
         if space.kind == SHS:
             args = [p.anchor.data for p in props]
+            self.tracked = (frozenset(self.faults) if reads_anc
+                            else frozenset().union(*args))
         elif space.kind == MHS:
             args = [tuple(p.anchor.count(f) for f in self.faults)
                     for p in props]
-            self.caps = tuple(max([need[i] for need in args], default=0) + 1
-                              for i in range(len(self.faults)))
+            self.caps = tuple(max([need[i] for need in args], default=0)
+                              + reads_anc for i in range(len(self.faults)))
         else:
             self.anchors = [p.anchor.data for p in props]
             args = [len(anchor) for anchor in self.anchors]
@@ -102,6 +119,8 @@ class _Summary:
                          in enumerate(self.checks) if is_desc != positive]
         self.others = [i for i, (is_desc, positive, _)
                        in enumerate(self.checks) if is_desc == positive]
+        self.desc = [i for i in self.others if self.checks[i][0]
+                     and space.kind != SQHS]
         self.conflict = conflict
         start = self.initial()
         self.values = [start]
@@ -109,7 +128,7 @@ class _Summary:
         self.follow = [{}]
         self.goal = [None]
         # does the search enter the initial summary at all
-        self.live = not self._cuts(start, self.monotone)
+        self.live = not self._cut(start)
 
     def initial(self):
         if self.space.kind == SHS:
@@ -121,7 +140,7 @@ class _Summary:
 
     def after(self, summary, fault):
         if self.space.kind == SHS:
-            return summary | {fault}
+            return summary | {fault} if fault in self.tracked else summary
         if self.space.kind == MHS:
             i = self.faults.index(fault)
             counts = list(summary)
@@ -162,11 +181,32 @@ class _Summary:
                 return i
         return None
 
+    def join(self, summary):
+        """``summary`` joined with the desc anchors: their union (SHS) or
+        pointwise maximum (MHS)."""
+        for i in self.desc:
+            arg = self.checks[i][2]
+            summary = (summary | arg if self.space.kind == SHS
+                       else tuple(map(max, summary, arg)))
+        return summary
+
     def _cuts(self, summary, indices) -> bool:
         cut = self.first_failure(summary, indices)
         if cut is None:
             return False
         self.conflict.add(cut)
+        return True
+
+    def _cut(self, summary) -> bool:
+        """Does ``summary``, joined with the desc anchors, violate a
+        monotone property?  The conflict gets the first one ``summary``
+        violates alone, else the first the join violates and the desc
+        properties ``summary`` does not hold, whose anchors the join adds."""
+        cut = self.first_failure(self.join(summary), self.monotone)
+        if cut is None or self._cuts(summary, self.monotone):
+            return cut is not None
+        self.conflict.update([i for i in self.desc if self.first_failure(
+            summary, (i,)) is not None], (cut,))
         return True
 
     def advance(self, sid: int, fault) -> int:
@@ -175,7 +215,7 @@ class _Summary:
         summary = self.after(self.values[sid], fault)
         nxt = self.ids.get(summary)
         if nxt is None:
-            if self._cuts(summary, self.monotone):
+            if self._cut(summary):
                 nxt = _CUT
             else:
                 nxt = len(self.values)
@@ -281,15 +321,20 @@ def _product_graph(model: DesModel, obs: Observation,
 def _search(graph: _Graph, end: int, space: Space, props,
             state_budget: int, gap_caps=None,
             stats: SolverStats | None = None, conflict: set | None = None):
-    """Core BFS over ``graph`` for a goal at tracker ``end``; returns a
+    """Core search over ``graph`` for a goal at tracker ``end``; returns a
     witness trace or None.
 
     A search node is a graph node, a summary id of :class:`_Summary` and
     an observation gap, kept as the one integer
-    ``(summary * gaps + gap) * len(nodes) + node``.  The graph holds live
-    edges only, and the search enters no summary that violates a monotone
-    property: no goal lies beyond either.  The nodes it enters keep the BFS
-    order and parents they have in the whole product, hence the witness.
+    ``(summary * gaps + gap) * len(nodes) + node``.  Each tracker value has
+    a FIFO queue, and the highest non-empty one is expanded next: a failed
+    test enters the same nodes in any order, and a satisfiable one reaches
+    the observation's end without expanding every shallower node first.
+    The graph holds live edges only, and the search enters no summary that
+    ``_Summary`` cuts: no goal lies beyond either, and every node beyond
+    one is pruned too.  So the nodes it enters keep the order and parents
+    they have in the same search over the whole product of graph and
+    summaries, hence the witness.
     Only fault edges change the summary, so only they look up the next
     summary, in ``_Summary.follow``; a goal is checked once per summary.
 
@@ -315,14 +360,20 @@ def _search(graph: _Graph, end: int, space: Space, props,
 
     start = graph.initial if summary.live else []
     parent = dict.fromkeys(start)       # start ids are their own keys
-    queue = deque((nid, nid, 0, 0) for nid in start)
+    queues = [deque() for _ in range(end + 1)]
+    queues[0].extend((nid, nid, 0, 0) for nid in start)
+    top = 0
     visited = len(parent)
     expanded = 0
 
     goal = next((nid for nid in start
                  if tracker[nid] == end and is_goal(0)), None)
-    while queue and goal is None:
-        key, nid, sid, gap = queue.popleft()
+    while goal is None:
+        while top and not queues[top]:
+            top -= 1
+        if not queues[top]:
+            break
+        key, nid, sid, gap = queues[top].popleft()
         expanded += 1
         follows = follow[sid]
         here = tracker[nid]
@@ -348,10 +399,13 @@ def _search(graph: _Graph, end: int, space: Space, props,
             if visited > state_budget:
                 raise StateBudgetExceeded(
                     f"explicit search exceeded {state_budget} states")
-            if tracker[nid2] == end and is_goal(sid2):
+            here2 = tracker[nid2]
+            if here2 == end and is_goal(sid2):
                 goal = key2
                 break
-            queue.append((key2, nid2, sid2, gap2))
+            queues[here2].append((key2, nid2, sid2, gap2))
+            if here2 > top:
+                top = here2
 
     if stats is not None:
         stats.extra["visited"] = stats.extra.get("visited", 0) + visited
@@ -508,7 +562,7 @@ def oracle_candidates(model: DesModel, obs: Observation, space: Space,
 
 
 class ExplicitSolver:
-    """Test-solver contract implementation backed by the BFS search.  The
+    """Test-solver contract implementation backed by the search.  The
     first test builds the product graph, which no request changes; every
     test searches it."""
 

@@ -16,8 +16,8 @@ from diagfp.explicit import (ExplicitSolver, certified_bound, fits_horizon,
                              oracle_candidates, oracle_diagnose)
 from diagfp.hypothesis import (MHS, SHS, SQHS, extend, multi_hyp, seq_hyp,
                                set_hyp)
-from diagfp.properties import (ANC, NEG_DESC, Property, member,
-                               question_candidate, question_coverage)
+from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
+                               member, question_candidate, question_coverage)
 from diagfp.strategies import run_strategy, terminating_strategies
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -248,6 +248,36 @@ def test_solve_agrees_with_candidate_enumeration():
                 assert member(out.candidate, req.props, space)
 
 
+def test_single_requests_agree_with_candidate_enumeration():
+    # requests of 1-4 distinct properties of all four kinds, anchored at
+    # hypotheses of at most two faults (or counts, or length): one that an
+    # enumerated candidate meets is satisfiable, a witness re-validates, and
+    # a conflict fails alone and no enumerated candidate meets it
+    rng = random.Random(11)
+    for model, obs in faulty_instances(11, 60):
+        for kind in (SHS, MHS, SQHS):
+            space = model.space(kind)
+            cands = oracle_candidates(model, obs, space, max_faults=3)
+            props = [Property(k, anchor)
+                     for k in (DESC, ANC, NEG_DESC, NEG_ANC)
+                     for anchor in space.enumerate(2)]
+            for _ in range(5):
+                request = TestRequest(rng.sample(props, rng.randint(1, 4)),
+                                      space)
+                out = ExplicitSolver(model, obs, space).solve(request)
+                if out.is_candidate:
+                    assert trace_in_model(out.witness, model)
+                    assert trace_matches_observation(out.witness, model, obs)
+                    assert out.candidate == trace_hypothesis(
+                        out.witness, model, space)
+                    assert member(out.candidate, request.props, space)
+                    continue
+                assert not any(member(c, request.props, space)
+                               for c in cands)
+                check_conflict(model, obs, request, out.conflict)
+                assert not any(member(c, out.conflict, space) for c in cands)
+
+
 def test_fits_horizon(oneshot):
     space = oneshot.space(SHS)
     req = TestRequest(question_candidate(set_hyp(["f"]), space), space)
@@ -376,7 +406,10 @@ def test_search_skips_branches_that_cannot_complete_the_observation():
     # the sink is reachable, and no edge leads to it
     sink = graph.nodes.index((("sink",), 0))
     assert all(target != sink for out in graph.edges for _, target, _ in out)
-    for hyp in (set_hyp(["f"]), set_hyp(["g"])):
+    # {f}: (q0,{}), (q1,{f}), (q2,{f}), no node of the sink branch; {g}:
+    # (q0,{}) alone, since (q1,{f}) joined with the {g} that desc({g})
+    # forces holds {f,g}, which neg_desc({f,g}) rules out
+    for hyp, want in ((set_hyp(["f"]), 3), (set_hyp(["g"]), 1)):
         outcomes, visited = [], []
         for model in (dead, live):
             space = model.space(SHS)
@@ -385,8 +418,7 @@ def test_search_skips_branches_that_cannot_complete_the_observation():
                 TestRequest(question_candidate(hyp, space), space)))
             visited.append(solver.stats.extra["visited"])
         assert outcomes[0] == outcomes[1]
-        # (q0,{}), (q1,{f}), (q2,{f}): no node of the sink branch
-        assert visited == [3, 3]
+        assert visited == [want, want]
     assert outcomes[0].is_candidate is False
     space = dead.space(SHS)
     request = TestRequest(question_candidate(set_hyp(["f"]), space), space)

@@ -562,6 +562,24 @@ def test_pfs_e_requests_are_a_sublist_of_the_recorded_ones(strategy):
         assert len(recording.log) == length, case["name"]
 
 
+def test_capped_plain_pfs_keeps_explicit_tests_small():
+    # plain PFS does not terminate on MHS; capped at 150 tests on this chain
+    # its candidacy tests once searched 5,033,629 states (14 s), because a
+    # summary holding a fault outside the tested hypothesis lived on until
+    # it held the whole hypothesis too.  Now 7,666
+    case = next(c for c in json.loads(REQUESTS_FIXTURE.read_text())
+                if c["name"] == "alarm-chain-3-2-1-mhs")
+    model = parse_model(case["model"])
+    obs = parse_observation(case["obs"], model)
+    space = model.space(case["space"])
+    solver = ExplicitSolver(model, obs, space)
+    with pytest.raises(BudgetExhausted) as hit:
+        run_strategy("pfs", solver, space, iteration_cap=150)
+    assert (hit.value.stats["tests"], hit.value.stats["expansions"]) == \
+        (150, 351)
+    assert solver.stats.extra["visited"] <= 20_000
+
+
 MULT2 = FIXTURES / "circuits" / "mult2_flip3.ckt"
 
 
