@@ -11,9 +11,12 @@ observation is empty).
 The block of a timestep holds only what can still happen there
 (:func:`encode_run`): an event variable for each event the observation
 allows that the components can take from a state reachable one step
-earlier, a transition variable for each such move, and a state variable
-for each reachable local state.  An event without a variable is false at
-that timestep, and every reader treats it so (:func:`event_var`).
+earlier, a state variable for each reachable local state, and a transition
+variable only where a component has a choice: one for each of its moves
+when it has several for the same event there.  The event's variable
+stands for a component's lone move for that event.  An event without a
+variable is false at that timestep, and every reader treats it so
+(:func:`event_var`).
 
 Each requested property is encoded behind its own assumption literal, so a
 failed solve yields a conflict as the kernel's failed-assumption subset;
@@ -59,8 +62,10 @@ class Cnf:
     ``p``; MHS thresholds are the desc chains of ``(f,) * j``; a column that
     cannot change at ``t`` maps its key to the variable of ``t - 1``),
     ``("nofault", t)``, and for circuits ``("sig", signal)`` and
-    ``("ab", gate)``.  Every other variable (states and transitions among
-    them) comes from :meth:`new` and is held only by its creator.
+    ``("ab", gate)``.  Every other variable (local states, the moves of a
+    component that has several for one event, ladder, activation and
+    circuit auxiliary literals) comes from :meth:`new` and is held only by
+    its creator.
     """
 
     def __init__(self):
@@ -141,14 +146,27 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
       alphabet.
 
     Every variable left out is false in every model of the full encoding,
-    so the two are equisatisfiable.  No clause is written that holds a
-    literal an earlier unit asserts (the kernel would drop it at load): a
-    component's lone state at ``t - 1`` and the designated event are units,
-    so the clauses tying a transition or a kept state to them are left
-    out.  When a designated event cannot occur, the CNF gets the empty
-    clause and the pass stops.  Returns the decode table: ``(var, event)``
-    for every event variable, in timestep order and, within a timestep, in
-    registry order.
+    so the two are equisatisfiable.
+
+    A move's literal ``tr`` goes into ``[-tr, now[dst]]``, ``[-tr,
+    was[src]]`` and the frame clause ``[-now[s]] + keep + into[s]`` of its
+    target.  A component with several moves for event ``e`` at ``t`` gets a
+    variable for each, tied to the event by ``[-tr, ev[e]]`` and ``[-ev[e]]
+    + trs``.  With exactly one move, those two clauses would make its
+    variable equivalent to ``ev[e]``: the component takes the move iff
+    ``e`` occurs.  So ``ev[e]`` is the move's literal, and neither the
+    variable nor the two clauses are made, as planning-as-SAT encodings let
+    the action variable stand for its transition.
+
+    No clause is written that holds a literal an earlier unit asserts (the
+    kernel would drop it at load): a component's lone state at ``t - 1``
+    and the designated event are units, so the clauses tying a transition
+    or a kept state to them are left out.  That includes the frame clause
+    of a state entered by the designated event's lone move, which would
+    hold the event's unit.  When a designated event cannot occur, the CNF
+    gets the empty clause and the pass stops.  Returns the decode table:
+    ``(var, event)`` for every event variable, in timestep order and,
+    within a timestep, in registry order.
     """
     n = params.horizon(len(obs))
     k = params.steps_per_obs
@@ -191,31 +209,38 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
             # a lone state of t - 1 is a unit: a clause holding it is true
             lone = len(was) == 1
             stay = c not in busy
-            moves = [(src, e, dst) for e, pairs in by_event[c].items()
-                     if e in ev for src, dst in pairs if src in was]
-            reach = {dst for _, _, dst in moves}
+            # per event: its moves from the states of t - 1
+            moves = {e: [(src, dst) for src, dst in pairs if src in was]
+                     for e, pairs in by_event[c].items() if e in ev}
+            reach = {dst for pairs in moves.values() for _, dst in pairs}
             if stay:
                 reach.update(was)
             now = {s: cnf.new() for s in comp.states if s in reach}
             into = {s: [] for s in now}
-            taken = {}
-            for src, e, dst in moves:
-                tr = cnf.new()
-                cnf.add([-tr, now[dst]])
-                if not lone:
-                    cnf.add([-tr, was[src]])
-                if e != designated:
-                    cnf.add([-tr, ev[e]])
-                into[dst].append(tr)
-                taken.setdefault(e, []).append(tr)
+            choices = {}    # event -> its moves' variables, where several
+            for e, pairs in moves.items():
+                for src, dst in pairs:
+                    # a lone move is taken iff its event occurs: ev[e] is it
+                    if len(pairs) == 1:
+                        tr = ev[e]
+                    else:
+                        tr = cnf.new()
+                        choices.setdefault(e, []).append(tr)
+                    cnf.add([-tr, now[dst]])
+                    if not lone:
+                        cnf.add([-tr, was[src]])
+                    if e in choices and e != designated:
+                        cnf.add([-tr, ev[e]])
+                    into[dst].append(tr)
+            unit = ev.get(designated)
             for s, sv in now.items():
                 # frame: a state newly reached needs a transition into it
                 keep = [was[s]] if stay and s in was else []
-                if not (keep and lone):
+                if not (keep and lone) and unit not in into[s]:
                     cnf.add([-sv] + keep + into[s])
-            for e, trs in taken.items():
+            for e, trs in choices.items():
                 cnf.add([-ev[e]] + trs)
-            cnf.at_most_one([ev[e] for e in taken])
+            cnf.at_most_one([ev[e] for e in moves])
             cnf.exactly_one(now.values())
             prev[c] = now
     return table

@@ -1,15 +1,18 @@
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, count, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagfp.contract import TestRequest
 from diagfp.desmodel import (Observation, parse_model, parse_observation,
                              trace_in_model, trace_matches_observation)
 from diagfp.errors import DiagError
-from diagfp.explicit import ExplicitSolver, fits_horizon, oracle_candidates
+from diagfp.explicit import (ExplicitSolver, fits_horizon, oracle_candidates,
+                             oracle_diagnose)
 from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
 from diagfp.properties import (ANC, DESC, NEG_DESC, Property, member,
                                question_candidate, question_coverage,
@@ -33,18 +36,15 @@ def oneshot():
 
 
 def all_solutions(cnf, project_vars):
-    """Enumerate assignments over project_vars by iterative blocking."""
-    out = []
+    """Yield each assignment over project_vars that extends to a solution
+    of cnf, by iterative blocking."""
     kernel = MiniSolver()
     kernel.ensure_vars(cnf.nvars)
     kernel.add_clauses(cnf.clauses)
     while kernel.solve():
         picked = {v: kernel.value(v) for v in project_vars}
-        out.append(picked)
+        yield picked
         kernel.add_clause([-v if picked[v] else v for v in project_vars])
-        if len(out) > 2000:
-            raise AssertionError("too many solutions")
-    return out
 
 
 def test_encode_model_solutions_are_model_paths(oneshot):
@@ -344,6 +344,31 @@ def test_sat_agrees_with_explicit_when_certified():
         if agreed == 150:
             break
     assert agreed == 150
+
+
+def certified_steps(model, obs, space, minimal) -> int:
+    """The least steps_per_obs at which ``fits_horizon`` certifies a
+    witness of every minimal candidate: at that bound the SAT backend sees
+    them all, so its diagnosis is the full one."""
+    return next(k for k in count(1) if all(
+        fits_horizon(model, obs,
+                     TestRequest(question_candidate(h, space), space), k)
+        for h in minimal))
+
+
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sat_diagnosis_equals_the_oracle_at_a_certified_bound(seed):
+    model, obs = next(faulty_instances(seed, 1))
+    for kind in (SHS, MHS, SQHS):
+        space = model.space(kind)
+        minimal = oracle_diagnose(model, obs, space)
+        params = EncodingParams(certified_steps(model, obs, space, minimal))
+        want = [h.canon() for h in minimal]
+        for strategy in ("pfs-ec", "pls-r"):
+            got = run_strategy(strategy,
+                               SatSolver(model, obs, space, params), space)
+            assert got.canon() == want, (model, obs.sequence, kind, strategy)
 
 
 def test_request_cnf_deterministic(oneshot):
