@@ -13,6 +13,9 @@ Diagnosis runs through the same strategy engine as the DES path; a property
 over the gate-set hypotheses is stated over the ``ab`` variables by the rule
 the DES set encoding applies to fault-occurrence variables
 (``satbackend.set_literals``), and guarded by ``satbackend.guard_property``.
+A candidacy test assumes ``ab[g]`` for each gate of the hypothesis and
+``-ab[g]`` for each gate a child adds, with no property clause
+(:meth:`CircuitSolver.cube`), so it adds nothing to the CNF.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from graphlib import CycleError, TopologicalSorter
 from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
 from .hypothesis import SHS, Space, check_fault_name, set_hyp
-from .properties import member
+from .properties import DESC, NEG_DESC, member
 from .satbackend import AssumptionSolver, Cnf, guard_property, set_literals
 from .satcore import MiniSolver
 
@@ -212,6 +215,36 @@ class CircuitSolver(AssumptionSolver):
     def _encode_property(self, prop, act: int) -> None:
         lits = set_literals(prop, self.space.faults, self._ab.__getitem__)
         guard_property(self.cnf, prop, act, lits)
+
+    def cube(self, props):
+        """A candidacy request, ``desc(h)`` followed by ``neg_desc`` of
+        children of ``h``, as ``ab`` literals; None for any other request.
+
+        ``desc(h)`` is the conjunction of ``ab[g]`` over the gates of ``h``,
+        and under it ``neg_desc(h + {g})`` reduces to ``-ab[g]``: the kernel
+        assumes those literals, as Reiter's consistency check of the single
+        hypothesis ``h`` (AIJ 1987) assumes every component's health.  A
+        child's literal brings ``desc(h)`` along when ``h`` is not empty,
+        since its reduction relies on it, so a conflict is still an in-order
+        sub-tuple of the request whose conjunction no model meets.
+        """
+        if not props or props[0].kind != DESC:
+            return None
+        h = props[0].anchor.data
+        ab = self._ab
+        lits = [ab[g] for g in sorted(h)]
+        owners = dict.fromkeys(lits, (0,))
+        base = (0,) if lits else ()
+        for i in range(1, len(props)):
+            kind, c = props[i]
+            extra = c.data - h
+            if kind != NEG_DESC or len(extra) != 1 \
+                    or len(c.data) != len(h) + 1:
+                return None
+            (g,) = extra
+            lits.append(-ab[g])
+            owners[-ab[g]] = base + (i,)
+        return lits, owners
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
         value = kernel.value

@@ -251,9 +251,22 @@ def encode_fault_interleaving(model: DesModel, n: int, cnf: Cnf) -> None:
 
     Required whenever fault order matters (SqHS): the sequence encodings read
     the timestep order, and the decoded linearisation must not invent one.
+    A pairwise group writes no clause for two faults of one component: that
+    component's at-most-one over its events (:func:`encode_run`) already
+    forbids the pair.
     """
+    comps = {f: {c for c, comp in enumerate(model.components)
+                 if f in comp.alphabet} for f in model.faults}
     for t in range(1, n + 1):
-        cnf.at_most_one(_event_vars(cnf, model.faults, t))
+        lits = [(comps[f], v) for f in model.faults
+                if (v := event_var(cnf, f, t)) is not None]
+        if len(lits) > _PAIRWISE_LIMIT:
+            cnf.at_most_one(v for _, v in lits)
+            continue
+        for i, (cs, a) in enumerate(lits):
+            for ds, b in lits[i + 1:]:
+                if cs.isdisjoint(ds):
+                    cnf.add([-a, -b])
 
 
 # -------------------------------------------------------------- properties
@@ -426,6 +439,10 @@ class AssumptionSolver:
     kernel (created by the first test), solves under the request's
     activation literals and maps failed assumptions back to a conflict.
 
+    A frontend may override :meth:`cube` to assume a request as plain
+    literals instead, with no activation literal and no property clause;
+    a failed literal then maps back to the properties it stands for.
+
     One kernel across tests is sound: a property clause binds only while
     its activation literal is assumed; the other clauses tests add define
     fresh auxiliary variables (occurrence and chain literals), so
@@ -446,7 +463,7 @@ class AssumptionSolver:
     A frontend may set ``preferred``, signed literals that every kernel it
     creates decides first, in order (``MiniSolver.prefer``).  A model's set
     of false preferred literals is then subset-minimal among the models of
-    the CNF under the request's activation literals.
+    the CNF under the request's assumptions.
     """
 
     def __init__(self, cnf: Cnf, space: Space):
@@ -479,12 +496,20 @@ class AssumptionSolver:
             acts.append(act)
         return acts
 
+    def cube(self, props):
+        """The request as ``(literals, owners)``: literals to assume in
+        place of activation literals, and for each literal the indices of
+        the properties it stands for; None, as here, for a request that
+        takes activation literals."""
+        return None
+
     def solve(self, request: TestRequest) -> TestOutcome:
         if request.space != self.space:
             raise SpaceMismatchError(
                 f"request for {request.space} sent to a solver of {self.space}")
         props = request.props
-        acts = self.activate(props)
+        cube = self.cube(props)
+        lits = self.activate(props) if cube is None else cube[0]
         if self.kernel is None:
             self.kernel = self._new_kernel()
         kernel = self.kernel
@@ -494,11 +519,15 @@ class AssumptionSolver:
         self._unmarked.clear()
         kernel.add_clauses(self.cnf.clauses[self._loaded:])
         self._loaded = len(self.cnf.clauses)
-        if kernel.solve(acts):
+        if kernel.solve(lits):
             return self._candidate(kernel, request)
         failed = set(kernel.failed_assumptions())
+        if cube is None:
+            return TestOutcome.failed(
+                tuple(p for p, act in zip(props, lits) if act in failed))
+        hit = {i for lit in failed for i in cube[1][lit]}
         return TestOutcome.failed(
-            tuple(p for p, act in zip(props, acts) if act in failed))
+            tuple(p for i, p in enumerate(props) if i in hit))
 
     def check_conflict(self, conflict: tuple) -> bool:
         """Independent check of a conflict: solve the whole CNF in a fresh

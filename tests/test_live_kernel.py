@@ -4,15 +4,18 @@ across its tests: every answer must agree with a fresh one-shot solve."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagfp import satbackend
 from diagfp.circuits import CircuitSolver, brute_force_diagnosis, parse_circuit
 from diagfp.contract import TestRequest
 from diagfp.desmodel import Observation, parse_model
 from diagfp.explicit import ExplicitSolver, oracle_diagnose
-from diagfp.hypothesis import MHS, SHS, SQHS, Space, seq_hyp
-from diagfp.properties import (DESC, member, question_candidate,
-                               question_coverage)
+from diagfp.hypothesis import (MHS, SHS, SQHS, Space, children,
+                               min_antichain, multi_hyp, seq_hyp, set_hyp)
+from diagfp.properties import (DESC, NEG_DESC, Property, member,
+                               question_candidate, question_coverage)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.satcore.pysolver import MiniSolver as PySolver
 from diagfp.strategies import run_strategy
@@ -50,29 +53,12 @@ ALARM_OBS = Observation(("alarm2", "alarm1"))
 ALARM_PARAMS = EncodingParams(steps_per_obs=3)
 
 
-class RecordingSolver:
-    """Passes tests to a solver and logs each request and its outcome, with
-    the solver's clause count before and after the test."""
-
-    def __init__(self, solver):
-        self.solver = solver
-        self.space = solver.space
-        self.log = []
-
-    def solve(self, request):
-        before = len(self.solver.cnf.clauses)
-        outcome = self.solver.solve(request)
-        self.log.append((request, outcome, before,
-                         len(self.solver.cnf.clauses)))
-        return outcome
-
-
 def check_run(solver, strategy, one_shot, expected):
-    recording = RecordingSolver(solver)
+    recording = Recording(solver)
     got = run_strategy(strategy, recording, solver.space)
     assert got.minimal_candidates == expected
     space = solver.space
-    for request, outcome, _, _ in recording.log:
+    for request, outcome in recording.log:
         fresh = one_shot(request)
         assert outcome.is_candidate == fresh.is_candidate, list(request.props)
         if outcome.is_candidate:
@@ -82,11 +68,6 @@ def check_run(solver, strategy, one_shot, expected):
             assert outcome.conflict == tuple(
                 p for p in request.props if p in outcome.conflict)
             assert solver.check_conflict(outcome.conflict)
-    # the live kernel must have taken new property clauses right after a
-    # satisfiable test, while it still held that test's assignment
-    log = recording.log
-    assert any(prev[1].is_candidate and cur[3] > cur[2]
-               for prev, cur in zip(log, log[1:]))
 
 
 @pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
@@ -161,14 +142,38 @@ def test_activation_literals_are_never_decisions(strategy, monkeypatch):
 def test_activation_literals_occur_only_negatively(strategy):
     # the invariant that makes activation literals safe non-decision
     # variables (see AssumptionSolver)
+    checked = 0
     for make, expected in solvers_and_diagnoses():
         solver = make()
         got = run_strategy(strategy, solver, solver.space)
         assert got.minimal_candidates == expected
         acts = set(solver._acts.values())
-        assert acts
         assert not any(lit in acts for clause in solver.cnf.clauses
                        for lit in clause)
+        checked += len(acts)
+    # circuit candidacy tests take no activation literal, and a pfs-ec run
+    # on a small circuit may send no other test that names a property
+    assert checked
+
+
+def test_live_kernel_takes_property_clauses_after_a_satisfiable_test():
+    # PLS's loop: each coverage question names the neg_desc of the answer
+    # just returned, a property new to the solver, so its clauses reach the
+    # live kernel while it still holds the satisfiable test's assignment
+    for make, expected in solvers_and_diagnoses():
+        solver, found = make(), []
+        space = solver.space
+        while True:
+            request = TestRequest(question_coverage(found, space), space)
+            before = len(solver.cnf.clauses)
+            outcome = solver.solve(request)
+            assert len(solver.cnf.clauses) > before or not found
+            assert outcome.is_candidate == make().solve(request).is_candidate
+            if not outcome.is_candidate:
+                break
+            assert member(outcome.candidate, request.props, space)
+            found.append(outcome.candidate)
+        assert min_antichain(found, space) == expected
 
 
 def pfs_e_cases():
@@ -218,3 +223,59 @@ def test_pfs_e_never_asks_what_it_was_told(strategy):
                 returned.add(outcome.candidate)
         untested += len(set(expected) - asked)
     assert untested  # some candidate was stored without a candidacy test
+
+
+# the fixture circuits, and the alarm model on SHS and MHS
+CUBE_CASES = ("inv3.ckt", "and1.ckt", "adder_slice.ckt", SHS, MHS)
+
+
+def cube_solver(case):
+    """A factory of fresh solvers for one of ``CUBE_CASES``."""
+    if case.endswith(".ckt"):
+        circuit, obs = parse_circuit((CIRCUITS / case).read_text())
+        return lambda: CircuitSolver(circuit, obs)
+    model = parse_model(ALARMS)
+    return lambda: SatSolver(model, ALARM_OBS, model.space(case),
+                             ALARM_PARAMS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_candidacy_cube_agrees_with_activation_literals(data):
+    make = cube_solver(data.draw(st.sampled_from(CUBE_CASES)))
+    live, guarded = make(), make()
+    guarded.cube = lambda props: None    # every request takes activations
+    space = live.space
+    top = 1 if space.kind == SHS else 2
+    hyps = st.lists(st.integers(0, top), min_size=len(space.faults),
+                    max_size=len(space.faults)).map(
+        lambda counts: multi_hyp(zip(space.faults, counts))
+        if space.kind == MHS else
+        set_hyp(f for f, n in zip(space.faults, counts) if n))
+    for h in data.draw(st.lists(hyps, min_size=1, max_size=6)):
+        request = TestRequest(question_candidate(h, space), space)
+        acts, clauses = len(live._acts), len(live.cnf.clauses)
+        got, want = live.solve(request), guarded.solve(request)
+        assert got.is_candidate == want.is_candidate, h
+        if isinstance(live, CircuitSolver):
+            # no activation literal and no clause
+            assert (len(live._acts), len(live.cnf.clauses)) == (acts, clauses)
+        else:
+            # DES candidacy keeps its activation literals
+            assert live.cube(request.props) is None
+            assert set(request.props) <= set(live._acts)
+        if got.is_candidate:
+            assert got.candidate == h
+        else:
+            assert got.conflict == tuple(
+                p for p in request.props if p in got.conflict)
+            assert make().check_conflict(got.conflict), got.conflict
+        # a request of another shape keeps its activation literals
+        g = data.draw(hyps)
+        if g not in children(h, space):
+            props = (Property(DESC, h), Property(NEG_DESC, g))
+            assert live.cube(props) is None
+            out = live.solve(TestRequest(props, space))
+            assert set(props) <= set(live._acts)
+            assert out.is_candidate == guarded.solve(
+                TestRequest(props, space)).is_candidate

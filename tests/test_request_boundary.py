@@ -17,7 +17,8 @@ from diagfp.properties import DESC, NEG_DESC, Property, question_coverage
 from diagfp.satbackend import SatSolver
 from diagfp.strategies import STRATEGIES, run_strategy
 
-from test_live_kernel import (ALARM_OBS, ALARM_PARAMS, ALARMS, RecordingSolver,
+from test_explicit import Recording
+from test_live_kernel import (ALARM_OBS, ALARM_PARAMS, ALARMS,
                               solvers_and_diagnoses)
 
 CIRCUITS = Path(__file__).parent / "fixtures" / "circuits"
@@ -32,7 +33,7 @@ def test_validate_runs_once_per_request_anchor(strategy, monkeypatch):
         monkeypatch.setattr(
             Space, "validate",
             lambda self, h: calls.append(h) or validate(self, h))
-        recording = RecordingSolver(solver)
+        recording = Recording(solver)
         got = run_strategy(strategy, recording, solver.space)
         monkeypatch.undo()
         assert got.minimal_candidates == expected
@@ -191,8 +192,8 @@ def test_strategies_refuse_an_iteration_cap_not_a_positive_int(strategy,
     # before the first test is sent
     model = parse_model(ALARMS)
     space = model.space(SHS)
-    recording = RecordingSolver(SatSolver(model, ALARM_OBS, space,
-                                          ALARM_PARAMS))
+    recording = Recording(SatSolver(model, ALARM_OBS, space,
+                                    ALARM_PARAMS))
     with pytest.raises(DiagError, match="iteration_cap must be an int >= 1"):
         run_strategy(strategy, recording, space, iteration_cap=budget)
     assert recording.log == []

@@ -122,6 +122,21 @@ def test_model_block_repeats_no_unit():
                 units.add(clause[0])
 
 
+def test_model_block_repeats_no_clause():
+    # on SqHS, encode_fault_interleaving writes no pairwise clause for two
+    # faults of one component, which encode_run's at-most-one over that
+    # component's events already holds
+    sqhs = 0
+    for solver in model_blocks():
+        seen = set()
+        for clause in solver.cnf.clauses:
+            key = tuple(sorted(clause))
+            assert key not in seen, (solver.model, solver.space.kind, clause)
+            seen.add(key)
+        sqhs += solver.space.kind == SQHS
+    assert sqhs
+
+
 def test_shs_desc_guarded_clause_shape(oneshot):
     space = oneshot.space(SHS)
     req = TestRequest((Property(DESC, set_hyp(["f"])),), space)
