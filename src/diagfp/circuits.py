@@ -31,6 +31,8 @@ from .satbackend import AssumptionSolver, Cnf, guard_property, set_literals
 from .satcore import MiniSolver
 
 GATE_KINDS = ("and", "or", "not", "xor", "buf")
+# a witness value by kernel value 1, 0, -1: true, false, unassigned
+_TRUTH = (False, True, None)
 
 
 @dataclass(frozen=True)
@@ -247,9 +249,10 @@ class CircuitSolver(AssumptionSolver):
         return lits, owners
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
-        value = kernel.value
-        hyp = set_hyp(name for name, var in self._ab.items() if value(var))
-        witness = {s: value(var) for s, var in self._sig.items()}
+        values = kernel.values
+        hyp = set_hyp(name for name, var in self._ab.items()
+                      if values[2 * var] == 1)
+        witness = {s: _TRUTH[values[2 * var]] for s, var in self._sig.items()}
         if not member(hyp, request.props, self.space):
             raise DiagError("circuit witness fails property re-validation")
         return TestOutcome.found(hyp, witness)

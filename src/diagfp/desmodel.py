@@ -39,12 +39,20 @@ class Component:
     table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the SAT encoding would list a repeated state twice in its
-        # exactly-one constraint, which then rules the state out
+        # the SAT encoding keeps one literal per state name and timestep,
+        # so a repeated state would be counted twice
         for i, s in enumerate(self.states):
             if s in self.states[:i]:
                 raise ModelFormatError(
                     f"component {self.name}: duplicate state {s!r}")
+        if not self.init:
+            raise ModelFormatError(f"component {self.name} has no init state")
+        if not set(self.init) <= set(self.states):
+            raise ModelFormatError(f"component {self.name}: init not in states")
+        for s, _, t in self.trans:
+            if s not in self.states or t not in self.states:
+                raise ModelFormatError(
+                    f"component {self.name}: transition endpoint undeclared")
         table = {}
         for s, e, t in self.trans:
             table[s, e] = table.get((s, e), ()) + (t,)
@@ -68,29 +76,17 @@ class DesModel:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(dict.fromkeys(
             e for comp in self.components for _, e, _ in comp.trans)))
-
-    def validate(self):
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise ModelFormatError("duplicate component names")
-        for comp in self.components:
-            if not comp.init:
-                raise ModelFormatError(f"component {comp.name} has no init state")
-            if not set(comp.init) <= set(comp.states):
-                raise ModelFormatError(f"component {comp.name}: init not in states")
-            for s, _, t in comp.trans:
-                if s not in comp.states or t not in comp.states:
-                    raise ModelFormatError(
-                        f"component {comp.name}: transition endpoint undeclared")
-        alphabet = set(self.events)
         overlap = set(self.observable) & set(self.faults)
         if overlap:
             raise ModelFormatError(
                 f"fault events must be unobservable: {sorted(overlap)}")
+        alphabet = set(self.events)
         for e in list(self.observable) + list(self.faults):
             if e not in alphabet:
                 raise ModelFormatError(f"event {e} appears in no component")
-        return self
 
     def space(self, kind: str) -> Space:
         return Space(kind, tuple(self.faults))
@@ -231,9 +227,8 @@ def parse_model(text: str) -> DesModel:
         raise ModelFormatError(f"component {cur[0]} not closed with 'end'")
     if not components:
         raise ModelFormatError("model declares no components")
-    model = DesModel(tuple(components), tuple(dict.fromkeys(observable)),
-                     tuple(dict.fromkeys(faults)))
-    return model.validate()
+    return DesModel(tuple(components), tuple(dict.fromkeys(observable)),
+                    tuple(dict.fromkeys(faults)))
 
 
 def parse_observation(text: str, model: DesModel) -> Observation:

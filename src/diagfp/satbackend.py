@@ -11,12 +11,14 @@ observation is empty).
 The block of a timestep holds only what can still happen there
 (:func:`encode_run`): an event variable for each event the observation
 allows that the components can take from a state reachable one step
-earlier, a state variable for each reachable local state, and a transition
+earlier, a literal for each reachable local state, and a transition
 variable only where a component has a choice: one for each of its moves
-when it has several for the same event there.  The event's variable
-stands for a component's lone move for that event.  An event without a
-variable is false at that timestep, and every reader treats it so
-(:func:`event_var`).
+when it has several for the same event there.  A component with exactly
+two reachable local states has one variable, ``x`` for one state and
+``-x`` for the other; any other has a variable per state.  The event's
+variable stands for a component's lone move for that event.  An event
+without a variable is false at that timestep, and every reader treats it
+so (:func:`event_var`).
 
 Each requested property is encoded behind its own assumption literal, so a
 failed solve yields a conflict as the kernel's failed-assumption subset;
@@ -62,7 +64,8 @@ class Cnf:
     ``p``; MHS thresholds are the desc chains of ``(f,) * j``; a column that
     cannot change at ``t`` maps its key to the variable of ``t - 1``),
     ``("nofault", t)``, and for circuits ``("sig", signal)`` and
-    ``("ab", gate)``.  Every other variable (local states, the moves of a
+    ``("ab", gate)``.  Every other variable (local states, of which one
+    stands for both states of a two-state component, the moves of a
     component that has several for one event, ladder, activation and
     circuit auxiliary literals) comes from :meth:`new` and is held only by
     its creator.
@@ -128,6 +131,16 @@ def _event_vars(cnf: Cnf, events, t: int) -> list:
     return [v for e in events if (v := event_var(cnf, e, t)) is not None]
 
 
+def _state_lits(cnf: Cnf, states) -> dict:
+    """A literal for each of the local ``states``: for exactly two, ``x``
+    and ``-x`` of one new variable, which need no exactly-one; otherwise a
+    new variable each."""
+    if len(states) == 2:
+        x = cnf.new()
+        return {states[0]: x, states[1]: -x}
+    return {s: cnf.new() for s in states}
+
+
 def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
                cnf: Cnf) -> list:
     """Encode the runs of ``model`` over the horizon that the observation
@@ -148,6 +161,11 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
     Every variable left out is false in every model of the full encoding,
     so the two are equisatisfiable.
 
+    A component's states at ``t`` are literals that exactly one of holds:
+    for two states, ``x`` and ``-x`` of one variable, with no clause (the
+    compact state variables of Ernst, Millstein & Weld, IJCAI 1997);
+    otherwise a variable each under an exactly-one.
+
     A move's literal ``tr`` goes into ``[-tr, now[dst]]``, ``[-tr,
     was[src]]`` and the frame clause ``[-now[s]] + keep + into[s]`` of its
     target.  A component with several moves for event ``e`` at ``t`` gets a
@@ -157,6 +175,14 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
     ``e`` occurs.  So ``ev[e]`` is the move's literal, and neither the
     variable nor the two clauses are made, as planning-as-SAT encodings let
     the action variable stand for its transition.
+
+    A component takes at most one of its events at ``t``.  Where it had two
+    states at ``t - 1`` and every event has a lone move, ``[-tr,
+    was[src]]`` ties each event to ``x`` or to ``-x``, so two events from
+    different states already exclude each other, and the at-most-one is
+    written per source state (Rintanen, Heljanko & Niemelä, AIJ 2006, drop
+    the exclusion of actions whose preconditions exclude each other).
+    Otherwise it is written over all its events.
 
     No clause is written that holds a literal an earlier unit asserts (the
     kernel would drop it at load): a component's lone state at ``t - 1``
@@ -180,11 +206,12 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
     # per event: the indices of the components with it in their alphabet
     owners = {e: [c for c, moves in enumerate(by_event) if e in moves]
               for e in model.events}
-    # per component: local state -> its variable at t - 1
-    prev = [{s: cnf.new() for s in comp.states if s in comp.init}
+    # per component: local state -> its literal at t - 1
+    prev = [_state_lits(cnf, [s for s in comp.states if s in comp.init])
             for comp in comps]
     for states in prev:
-        cnf.exactly_one(states.values())
+        if len(states) != 2:
+            cnf.exactly_one(states.values())
     table = []
     for t in range(1, n + 1):
         i, r = divmod(t, k)
@@ -215,7 +242,7 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
             reach = {dst for pairs in moves.values() for _, dst in pairs}
             if stay:
                 reach.update(was)
-            now = {s: cnf.new() for s in comp.states if s in reach}
+            now = _state_lits(cnf, [s for s in comp.states if s in reach])
             into = {s: [] for s in now}
             choices = {}    # event -> its moves' variables, where several
             for e, pairs in moves.items():
@@ -240,8 +267,18 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
                     cnf.add([-sv] + keep + into[s])
             for e, trs in choices.items():
                 cnf.add([-ev[e]] + trs)
-            cnf.at_most_one([ev[e] for e in moves])
-            cnf.exactly_one(now.values())
+            if len(was) == 2 and not choices:
+                # ``[-tr, was[src]]`` ties each lone move to its source, x
+                # or -x: only the moves from one state need an exclusion
+                by_src = {}
+                for e, ((src, _),) in moves.items():
+                    by_src.setdefault(src, []).append(ev[e])
+                for evs in by_src.values():
+                    cnf.at_most_one(evs)
+            else:
+                cnf.at_most_one([ev[e] for e in moves])
+            if len(now) != 2:
+                cnf.exactly_one(now.values())
             prev[c] = now
     return table
 
@@ -252,8 +289,9 @@ def encode_fault_interleaving(model: DesModel, n: int, cnf: Cnf) -> None:
     Required whenever fault order matters (SqHS): the sequence encodings read
     the timestep order, and the decoded linearisation must not invent one.
     A pairwise group writes no clause for two faults of one component: that
-    component's at-most-one over its events (:func:`encode_run`) already
-    forbids the pair.
+    component's clauses (:func:`encode_run`) already forbid the pair, by an
+    at-most-one over its events or, for lone moves from its two states, by
+    the states they leave.
     """
     comps = {f: {c for c, comp in enumerate(model.components)
                  if f in comp.alphabet} for f in model.faults}
@@ -517,8 +555,10 @@ class AssumptionSolver:
         for act in self._unmarked:
             kernel.mark_non_decision(act)
         self._unmarked.clear()
-        kernel.add_clauses(self.cnf.clauses[self._loaded:])
-        self._loaded = len(self.cnf.clauses)
+        clauses = self.cnf.clauses
+        if len(clauses) > self._loaded:
+            kernel.add_clauses(clauses[self._loaded:])
+            self._loaded = len(clauses)
         if kernel.solve(lits):
             return self._candidate(kernel, request)
         failed = set(kernel.failed_assumptions())
@@ -547,11 +587,12 @@ class AssumptionSolver:
         return kernel
 
 
-def decode_trace(events, value) -> tuple:
-    """The true events of a model, read with ``value(var)`` from the decode
-    table ``events`` of :func:`encode_run`: linearised in timestep order
-    and, within a timestep, in registry order."""
-    return tuple(e for var, e in events if value(var))
+def decode_trace(events, values) -> tuple:
+    """The true events of a model, read from the kernel's value array
+    ``values`` (``values[2 * var]`` is 1 where ``var`` is true) for the
+    decode table ``events`` of :func:`encode_run`: linearised in timestep
+    order and, within a timestep, in registry order."""
+    return tuple(e for var, e in events if values[2 * var] == 1)
 
 
 class SatSolver(AssumptionSolver):
@@ -583,7 +624,7 @@ class SatSolver(AssumptionSolver):
                         len(self.obs), self.cnf, act)
 
     def _candidate(self, kernel, request: TestRequest) -> TestOutcome:
-        trace = decode_trace(self.event_vars, kernel.value)
+        trace = decode_trace(self.event_vars, kernel.values)
         hyp = trace_hypothesis(trace, self.model, self.space)
         if not (trace_in_model(trace, self.model)
                 and trace_matches_observation(trace, self.model, self.obs)

@@ -37,7 +37,8 @@ model still satisfies every clause.
 Literals use the DIMACS convention externally (signed non-zero ints) and the
 ``2*var + sign`` packing internally.  Values are kept per internal literal
 (``values[lit]``: 1 true, 0 false, -1 unassigned), so testing a literal is
-one index.
+one index; a frontend decoding a model reads ``values[2 * var]`` the same
+way.
 
 Decisions.  ``prefer(lits)`` gives the solver a list of preferred literals.
 ``_pick_branch`` first decides the first unassigned preferred literal of a
@@ -68,9 +69,9 @@ index first, so the lowest new index is tried first.  Each of these is O(1)
 per variable.
 
 Hot-path rule: ``_propagate``, ``_cancel_until``, ``_pick_branch``,
-``_bump_var`` and ``add_clauses`` bind the attributes they use to locals and
-inline the value test, the enqueue and the queue links, since in Python a
-method call costs more than the work it wraps.  Loading is done once per
+``_bump_var``, ``add_clauses`` and ``solve`` bind the attributes they use to
+locals and inline the value test, the enqueue and the queue links, since in
+Python a method call costs more than the work it wraps.  Loading is done once per
 batch: ``add_clauses`` returns to decision level 0 and creates every
 variable its clauses name before loading them, and ``solve`` creates its
 assumptions' variables once.
@@ -485,6 +486,7 @@ class MiniSolver:
             return False
 
         values, trail, trail_lim = self.values, self.trail, self.trail_lim
+        level, reason = self.level, self.reason
         restart_round = 0
         conflict_budget = _RESTART_BASE * _luby(0)
         conflicts_here = 0
@@ -522,14 +524,22 @@ class MiniSolver:
                         self._fail(self._assumptions_behind((p,), {p}))
                         return False
                     if va < 0:
-                        self._enqueue(p, None)
+                        values[p] = 1
+                        values[p ^ 1] = 0
+                        level[p >> 1] = 1
+                        reason[p >> 1] = None
+                        trail.append(p)
                 continue
             next_lit = self._pick_branch()
             if next_lit == -1:
                 return True  # every decision variable assigned
             self.decisions += 1
             trail_lim.append(len(trail))
-            self._enqueue(next_lit, None)
+            values[next_lit] = 1
+            values[next_lit ^ 1] = 0
+            level[next_lit >> 1] = len(trail_lim)
+            reason[next_lit >> 1] = None
+            trail.append(next_lit)
 
     def _fail(self, failed: set):
         """Keep ``failed`` (internal literals) as the failed assumptions and

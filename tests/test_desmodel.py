@@ -56,7 +56,7 @@ def test_parse_rejects_event_names_that_break_canon(ch):
 
 @pytest.mark.parametrize("states", ["states s t s", "states s t\nstates s"])
 def test_parse_rejects_duplicate_state_names(states):
-    # a state name must name one state: the SAT encoding keeps one variable
+    # a state name must name one state: the SAT encoding keeps one literal
     # per component, state name and timestep
     text = (f"component c\n{states}\ninit s\ntrans s f t\ntrans t o t\n"
             "end\nobservable o\nfaults f\n")
@@ -70,6 +70,27 @@ def test_model_built_through_the_api_rejects_duplicate_states():
         DesModel((Component("c", ("s", "t", "s"), ("s",),
                             (("s", "f", "t"), ("t", "o", "t"))),),
                  ("o",), ("f",))
+
+
+def _chain(name="c", states=("s", "t"), init=("s",)):
+    return Component(name, states, init, (("s", "f", "t"), ("t", "o", "s")))
+
+
+@pytest.mark.parametrize("build, message", [
+    # the solvers took an init state outside the states as no start at all
+    # and returned an empty diagnosis
+    (lambda: _chain(init=("u",)), "init not in states"),
+    (lambda: _chain(init=()), "no init state"),
+    # SatSolver raised a bare KeyError on the undeclared endpoint 't'
+    (lambda: _chain(states=("s",)), "transition endpoint undeclared"),
+    (lambda: DesModel((_chain(), _chain()), ("o",), ("f",)),
+     "duplicate component names"),
+    (lambda: DesModel((_chain(),), ("o", "f"), ("f",)), "unobservable"),
+    (lambda: DesModel((_chain(),), ("o",), ("g",)), "event g appears in no"),
+])
+def test_model_built_through_the_api_is_checked(build, message):
+    with pytest.raises(ModelFormatError, match=message):
+        build()
 
 
 def test_observable_fault_rejected():

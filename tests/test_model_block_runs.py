@@ -12,7 +12,7 @@ with at most ``MAX_RUNS`` runs are recorded, which keeps the test short."""
 
 import hashlib
 import json
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 from diagfp.desmodel import parse_model
@@ -21,7 +21,7 @@ from diagfp.satbackend import EncodingParams, SatSolver
 
 from test_explicit import faulty_instances
 from test_live_kernel import ALARM_OBS, ALARMS
-from test_satbackend import all_solutions
+from test_satbackend import all_solutions, block_shape
 
 RUNS_FIXTURE = Path(__file__).parent / "fixtures" / "model_block_runs.json"
 
@@ -77,6 +77,34 @@ def test_model_block_admits_the_recorded_timed_runs():
                            EncodingParams(int(steps)))
         runs = timed_runs(solver, want["runs"])
         assert runs is not None and digest(runs) == want, case
+
+
+def test_recorded_blocks_take_both_compact_rules():
+    # so the recorded runs check both: a move tied to a state written as
+    # -x (one variable for a two-state component), and two events of one
+    # component with a variable at one timestep and no clause excluding
+    # them (lone moves from its two states)
+    cases = {name: (model, obs) for name, model, obs in models()}
+    negated = unexcluded = False
+    for case in json.loads(RUNS_FIXTURE.read_text()):
+        name, kind, steps = case.split("/")
+        model, obs = cases[name]
+        solver = SatSolver(model, obs, model.space(kind),
+                           EncodingParams(int(steps)))
+        cnf, table = solver.cnf, solver.event_vars
+        if [] in cnf.clauses:
+            continue    # encode_run stopped where the observation failed
+        states, _, excluded = block_shape(cnf)
+        events = {var for var, _ in table}
+        negated |= any(len(c) == 2 and -c[0] in events and -c[1] in states
+                       for c in cnf.clauses)
+        for t in range(1, solver.horizon + 1):
+            for comp in model.components:
+                evs = [v for e in sorted(comp.alphabet)
+                       if (v := cnf.index.get(("e", e, t))) is not None]
+                unexcluded |= any(frozenset(p) not in excluded
+                                  for p in combinations(evs, 2))
+    assert negated and unexcluded
 
 
 if __name__ == "__main__":

@@ -124,8 +124,8 @@ def test_model_block_repeats_no_unit():
 
 def test_model_block_repeats_no_clause():
     # on SqHS, encode_fault_interleaving writes no pairwise clause for two
-    # faults of one component, which encode_run's at-most-one over that
-    # component's events already holds
+    # faults of one component, which encode_run's clauses for that
+    # component's events already imply
     sqhs = 0
     for solver in model_blocks():
         seen = set()
@@ -135,6 +135,70 @@ def test_model_block_repeats_no_clause():
             seen.add(key)
         sqhs += solver.space.kind == SQHS
     assert sqhs
+
+
+def block_shape(cnf):
+    """(states, alo, excluded) of a model block: the variables no key names
+    (local states, and the moves of a component with a choice), the clauses
+    of two or more of those all positive (the at-least-one of an
+    exactly-one), and the pairs of event variables one binary clause
+    excludes."""
+    states = set(range(1, cnf.nvars + 1)) - set(cnf.index.values())
+    events = {v for key, v in cnf.index.items() if key[0] == "e"}
+    alo = [c for c in cnf.clauses if len(c) > 1 and set(c) <= states]
+    excluded = {frozenset(-lit for lit in c) for c in cnf.clauses
+                if len(c) == 2 and all(-lit in events for lit in c)}
+    return states, alo, excluded
+
+
+def shape_of(text, steps=2):
+    """The model block of ``text`` under the empty observation, its horizon
+    and its :func:`block_shape`."""
+    model = parse_model(text)
+    params = EncodingParams(steps)
+    cnf = Cnf()
+    encode_run(model, Observation(()), params, cnf)
+    return cnf, params.horizon(0), *block_shape(cnf)
+
+
+# one component, both states reachable at every timestep, one move per
+# event: f and g from a, h from b
+TWO_STATES = """component c
+states a b
+init a b
+trans a f b
+trans a g b
+trans b h a
+end
+faults f g h
+"""
+
+
+def test_two_state_component_takes_one_variable_per_timestep():
+    cnf, n, states, alo, excluded = shape_of(TWO_STATES)
+    # a and b are x and -x of one variable, with no exactly-one
+    assert len(states) == n + 1 and not alo
+    for t in range(1, n + 1):
+        f, g, h = (event_var(cnf, e, t) for e in "fgh")
+        # h leaves b and f leaves a: the states exclude them already
+        assert excluded >= {frozenset((f, g))}
+        assert excluded.isdisjoint({frozenset((f, h)), frozenset((g, h))})
+
+
+@pytest.mark.parametrize("text, alos", [
+    # three states: an exactly-one per timestep, every pair excluded
+    ("component c\nstates a b c\ninit a b c\ntrans a f b\ntrans b g c\n"
+     "trans c h a\nend\nfaults f g h\n", 1),
+    # f has two moves from a: every pair excluded, one state variable still
+    ("component c\nstates a b\ninit a b\ntrans a f b\ntrans a f a\n"
+     "trans b g a\ntrans b h a\nend\nfaults f g h\n", 0),
+])
+def test_three_states_or_a_choice_keep_every_exclusion(text, alos):
+    cnf, n, states, alo, excluded = shape_of(text)
+    assert len(alo) == alos * (n + 1)
+    for t in range(1, n + 1):
+        evs = [event_var(cnf, e, t) for e in "fgh"]
+        assert excluded >= {frozenset(p) for p in combinations(evs, 2)}
 
 
 def test_shs_desc_guarded_clause_shape(oneshot):
