@@ -103,6 +103,7 @@ class PinObservation:
 
 def parse_circuit(text: str):
     gates, inputs, outputs, obs = [], [], [], []
+    obs_lines = []  # the line of each pin of obs
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,14 +127,16 @@ def parse_circuit(text: str):
                 raise ModelFormatError(
                     f"signal {rest[0]} observed as both 0 and 1", line=ln)
             obs.append((rest[0], rest[1] == "1"))
+            obs_lines.append(ln)
         else:
             raise ModelFormatError(f"unknown directive {key!r}", line=ln)
     circuit = Circuit(tuple(gates), tuple(dict.fromkeys(inputs)),
                       tuple(dict.fromkeys(outputs))).validate()
     signals = set(circuit.signals)
-    for s, _ in obs:
+    for (s, _), ln in zip(obs, obs_lines):
         if s not in signals:
-            raise ModelFormatError(f"observed signal {s} not in circuit")
+            raise ModelFormatError(f"observed signal {s} not in circuit",
+                                   line=ln)
     return circuit, PinObservation(tuple(obs))
 
 

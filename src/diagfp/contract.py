@@ -13,14 +13,14 @@ conflict is the full request.
 
 The request is where hypotheses meet a solver, and the one place their
 alphabet is checked: building a :class:`TestRequest` validates every
-property anchor against its space, and a solver refuses a request for any
-space but its own.  The order operations underneath (``leq``, ``children``,
-``otimes``, ``exhibits``) then only compare kinds.
+property anchor against its space, with one :meth:`Space.validate_all` call
+per request, and a solver refuses a request for any space but its own.  The
+order operations underneath (``leq``, ``children``, ``otimes``,
+``any_leq``, ``min_antichain``, ``member``) then only compare kinds.
 
 :class:`TestRequest` and :class:`TestOutcome` are named tuples, as are the
 hypotheses and properties they carry: equality, hash and construction run
-in C, and their fields are read-only.  The request is still the one place
-anchors are validated, each once per request.
+in C, and their fields are read-only.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ class TestRequest(_RequestFields):
     def __new__(cls, props, space: Space):
         # a tuple first, so an iterator is read once
         props = tuple(props)
-        for p in props:
-            space.validate(p.anchor)
+        space.validate_all([p.anchor for p in props])
         return tuple.__new__(cls, (props, space))
 
     @classmethod

@@ -172,7 +172,7 @@ def trace_matches_observation(trace, model: DesModel, obs: Observation) -> bool:
 def parse_model(text: str) -> DesModel:
     components = []
     observable, faults = [], []
-    cur = None  # [name, states, init, trans]
+    cur = None  # [name, states, init, trans, line of its header]
 
     def fail(msg, ln) -> None:
         raise ModelFormatError(msg, line=ln)
@@ -188,7 +188,9 @@ def parse_model(text: str) -> DesModel:
                 fail("component block not closed before new one", ln)
             if len(rest) != 1:
                 fail("component takes exactly one name", ln)
-            cur = [rest[0], [], [], []]
+            if any(c.name == rest[0] for c in components):
+                fail("duplicate component names", ln)
+            cur = [rest[0], [], [], [], ln]
         elif key in ("states", "init"):
             if cur is None:
                 fail(f"{key} outside component block", ln)
@@ -214,8 +216,13 @@ def parse_model(text: str) -> DesModel:
         elif key == "end":
             if cur is None:
                 fail("end outside component block", ln)
-            components.append(Component(cur[0], tuple(cur[1]),
-                                        tuple(cur[2]), tuple(cur[3])))
+            try:
+                comp = Component(cur[0], tuple(cur[1]), tuple(cur[2]),
+                                 tuple(cur[3]))
+            except ModelFormatError as exc:
+                # the constructor's checks, at the block's header
+                raise ModelFormatError(str(exc), line=cur[4]) from None
+            components.append(comp)
             cur = None
         elif key == "observable":
             observable.extend(rest)

@@ -40,7 +40,7 @@ from .desmodel import (DesModel, Observation, trace_hypothesis,
                        trace_in_model, trace_matches_observation)
 from .errors import (DiagError, SpaceMismatchError, StateBudgetExceeded,
                      check_count)
-from .hypothesis import MHS, SHS, SQHS, Space, extend, leq, min_antichain
+from .hypothesis import MHS, SHS, SQHS, Space, any_leq, extend, min_antichain
 from .properties import DESC_KINDS, POSITIVE_KINDS, member
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -533,7 +533,7 @@ def oracle_diagnose(model: DesModel, obs: Observation, space: Space,
     for hyp in _observed_hyps(
             graph, len(obs), space, len(graph.nodes), state_budget,
             admit=lambda hyp: True,
-            expand=lambda hyp: not any(leq(c, hyp, space) for c in found)):
+            expand=lambda hyp: not any_leq(found, hyp, space)):
         if hyp not in found:
             found.append(hyp)
     return min_antichain(found, space)
@@ -579,9 +579,10 @@ class ExplicitSolver:
         self._graph = None
 
     def solve(self, request: TestRequest) -> TestOutcome:
-        if request.space != self.space:
+        space = request.space
+        if space is not self.space and space != self.space:
             raise SpaceMismatchError(
-                f"request for {request.space} sent to a solver of {self.space}")
+                f"request for {space} sent to a solver of {self.space}")
         if self._graph is None:
             self._graph = _product_graph(self.model, self.obs,
                                          self.state_budget)

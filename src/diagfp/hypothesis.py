@@ -19,8 +19,12 @@ no preference meaning.
 The order operations (``leq``, ``children``, ``otimes`` and what builds on
 them) take hypotheses of ``space``.  They compare kinds, because they read
 ``h.data`` in the layout of ``space.kind``, but not the fault alphabet: that
-is checked once, when a :class:`~diagfp.contract.TestRequest` is built, and
-a solver decodes answers only over its own alphabet.
+is checked once per request, when a :class:`~diagfp.contract.TestRequest`
+is built (:meth:`Space.validate_all`), and a solver decodes answers only
+over its own alphabet.  An operation over a collection (:func:`any_leq`,
+:func:`min_antichain`, ``properties.member``) reads ``space.kind`` once and
+compares payloads directly by ``PAYLOAD_LEQ``, the orders :func:`leq`
+applies, checking each element's kind as it goes.
 
 A :class:`Hypothesis` is a named tuple ``(kind, data)``: its equality and
 hash are the tuple's, computed in C, and equal to what ``(kind, data)``
@@ -30,8 +34,10 @@ fields are read-only; its ``count`` counts faults, not tuple elements.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -120,8 +126,12 @@ def bin_hyp(faulty: bool) -> Hypothesis:
     return Hypothesis(BHS, bool(faulty))
 
 
+@lru_cache(maxsize=1024)
 def order_key(h: Hypothesis):
-    """Deterministic total tie-break: size first, then canonical encoding."""
+    """Deterministic total tie-break: size first, then canonical encoding.
+    Cached, since a strategy asks for the key of a hypothesis several times
+    (sorting children, inserting, minimising) and ``canon()`` renders a
+    string; a seed-1 circuit-pfs corpus holds 789 distinct hypotheses."""
     return (h.size(), h.canon())
 
 
@@ -165,6 +175,21 @@ class Space:
                 f"{h.canon()} mentions faults outside the alphabet")
         return h
 
+    def validate_all(self, hyps) -> None:
+        """:meth:`validate` each of ``hyps`` in one pass: the first bad
+        element raises what :meth:`validate` raises for it."""
+        kind = self.kind
+        if kind == BHS:
+            for h in hyps:
+                if h.kind != kind:
+                    self.validate(h)
+            return
+        within = self.fault_set.issuperset
+        for h in hyps:
+            hk, hd = h
+            if hk != kind or not within(hd):
+                self.validate(h)
+
     def is_finite(self) -> bool:
         return self.kind in (BHS, SHS)
 
@@ -194,8 +219,27 @@ class Space:
 
 
 def _is_subsequence(a: tuple, b: tuple) -> bool:
+    """Is ``a`` a subsequence of ``b``: the order of ``mhs`` and ``sqhs``
+    payloads."""
+    if len(a) > len(b):
+        return False
     it = iter(b)
     return all(x in it for x in a)
+
+
+def _implies(a: bool, b: bool) -> bool:
+    """The order of ``bhs`` payloads: nominal before faulty."""
+    return not a or b
+
+
+# The order of each kind's payloads, which :func:`leq` applies.  The
+# collection operations compare ``shs`` frozensets by ``<=`` inline.
+PAYLOAD_LEQ = {SHS: operator.le, MHS: _is_subsequence, SQHS: _is_subsequence,
+               BHS: _implies}
+
+
+def _mismatch(h: Hypothesis, space: Space) -> SpaceMismatchError:
+    return SpaceMismatchError(f"{h!r} in {space.kind!r} space")
 
 
 def extend(h: Hypothesis, fault) -> Hypothesis:
@@ -214,11 +258,33 @@ def leq(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
     """Preference order: True iff ``a`` is preferred-or-equal to ``b``."""
     if a.kind != space.kind or b.kind != space.kind:
         raise SpaceMismatchError(f"{a!r}, {b!r} in {space.kind!r} space")
-    if space.kind == SHS:
-        return a.data <= b.data
-    if space.kind in (MHS, SQHS):
-        return _is_subsequence(a.data, b.data)
-    return (not a.data) or b.data
+    return PAYLOAD_LEQ[space.kind](a.data, b.data)
+
+
+def any_leq(hyps, h: Hypothesis, space: Space) -> bool:
+    """Is some element of ``hyps`` ``leq`` to ``h``?  The order is chosen
+    once for the collection; ``h`` and each element scanned must be of
+    ``space``."""
+    kind = space.kind
+    hk, b = h
+    if hk != kind:
+        raise _mismatch(h, space)
+    if kind == SHS:
+        for g in hyps:
+            gk, a = g
+            if gk != kind:
+                raise _mismatch(g, space)
+            if a <= b:
+                return True
+        return False
+    le = PAYLOAD_LEQ[kind]
+    for g in hyps:
+        gk, a = g
+        if gk != kind:
+            raise _mismatch(g, space)
+        if le(a, b):
+            return True
+    return False
 
 
 def lt(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
@@ -228,7 +294,7 @@ def lt(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
 def children(h: Hypothesis, space: Space) -> list:
     """Minimal strict descendants of ``h`` (a finite antichain)."""
     if h.kind != space.kind:
-        raise SpaceMismatchError(f"{h!r} in {space.kind!r} space")
+        raise _mismatch(h, space)
     if space.kind == SHS:
         out = {set_hyp(h.data | {f}) for f in space.faults if f not in h.data}
     elif space.kind == MHS:
@@ -290,6 +356,6 @@ def min_antichain(hyps, space: Space) -> list:
     items = sorted(set(hyps), key=order_key)
     out = []
     for h in items:
-        if not any(leq(kept, h, space) for kept in out):
+        if not any_leq(out, h, space):
             out.append(h)
     return out

@@ -13,7 +13,10 @@ for the SAT frontends, and the explicit search compares the same test with
 ``kind in POSITIVE_KINDS``.
 
 A property set is a tuple of properties and denotes the intersection of its
-members' hypothesis sets.  No builder repeats a property, and a conflict is a
+members' hypothesis sets; :func:`member` tests a hypothesis against one in a
+single pass, comparing payloads by the order of ``hypothesis.leq`` and
+checking each anchor's kind, and :func:`exhibits` states what it computes
+for one property.  No builder repeats a property, and a conflict is a
 sub-tuple of its request.  The order is kept: the SAT backend numbers
 assumption literals by it, which keeps unsat cores reproducible.
 
@@ -27,8 +30,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DiagError
-from .hypothesis import Hypothesis, Space, children, leq, order_key
+from .errors import DiagError, SpaceMismatchError
+from .hypothesis import (PAYLOAD_LEQ, SHS, Hypothesis, Space, children, leq,
+                         order_key)
 
 DESC = "desc"
 ANC = "anc"
@@ -76,8 +80,55 @@ def exhibits(h: Hypothesis, p: Property, space: Space) -> bool:
 
 
 def member(h: Hypothesis, props, space: Space) -> bool:
-    """Conjunction of :func:`exhibits` over a property collection."""
-    return all(exhibits(h, p, space) for p in props)
+    """Conjunction of :func:`exhibits` over a property collection, in one
+    pass: the payload order is chosen once, by ``space.kind``, and each
+    property compares payloads by it.  ``h`` and each anchor read must be
+    of ``space``."""
+    kind = space.kind
+    hk, hd = h
+    if hk != kind:
+        raise SpaceMismatchError(f"{h!r} in {kind!r} space")
+    # neg_desc first: coverage questions and candidacy children are made of
+    # it; shs frozensets compare inline
+    if kind == SHS:
+        for p in props:
+            pk, (ak, ad) = p
+            if ak != kind:
+                raise _anchor_mismatch(p, h, kind)
+            if pk == NEG_DESC:
+                if ad <= hd:
+                    return False
+            elif pk == DESC:
+                if not ad <= hd:
+                    return False
+            elif pk == ANC:
+                if not hd <= ad:
+                    return False
+            elif hd <= ad:
+                return False
+        return True
+    le = PAYLOAD_LEQ[kind]
+    for p in props:
+        pk, (ak, ad) = p
+        if ak != kind:
+            raise _anchor_mismatch(p, h, kind)
+        if pk == NEG_DESC:
+            if le(ad, hd):
+                return False
+        elif pk == DESC:
+            if not le(ad, hd):
+                return False
+        elif pk == ANC:
+            if not le(hd, ad):
+                return False
+        elif le(hd, ad):
+            return False
+    return True
+
+
+def _anchor_mismatch(p: Property, h: Hypothesis,
+                     kind: str) -> SpaceMismatchError:
+    return SpaceMismatchError(f"{p.anchor!r}, {h!r} in {kind!r} space")
 
 
 def question_candidate(h: Hypothesis, space: Space) -> tuple:

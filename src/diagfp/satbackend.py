@@ -542,9 +542,10 @@ class AssumptionSolver:
         return None
 
     def solve(self, request: TestRequest) -> TestOutcome:
-        if request.space != self.space:
+        space = request.space
+        if space is not self.space and space != self.space:
             raise SpaceMismatchError(
-                f"request for {request.space} sent to a solver of {self.space}")
+                f"request for {space} sent to a solver of {self.space}")
         props = request.props
         cube = self.cube(props)
         lits = self.activate(props) if cube is None else cube[0]

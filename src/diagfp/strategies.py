@@ -45,8 +45,8 @@ from types import MappingProxyType
 
 from .contract import TestOutcome, TestRequest
 from .errors import BudgetExhausted, DiagError, check_count
-from .hypothesis import (Hypothesis, Space, children, leq, lt, min_antichain,
-                         order_key, otimes)
+from .hypothesis import (Hypothesis, Space, any_leq, children, leq, lt,
+                         min_antichain, order_key, otimes)
 from .properties import (NEG_DESC, Property, member, question_candidate,
                          question_minimal)
 
@@ -138,7 +138,7 @@ def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
         if not outcome.is_candidate:
             return run.result()
         delta = outcome.candidate
-        if any(leq(s, delta, space) for s in found):
+        if any_leq(found, delta, space):
             raise DiagError(f"coverage test answered with {delta.canon()}, "
                             "which a found candidate covers")
         while refine:
@@ -279,12 +279,14 @@ def run_pfs(solver, space: Space, variant: str = "ec",
         i = len(result)
         h = queue[i]
         delta = hints.pop(h, None) if hints else None
-        if any(leq(g, h, space) for g in result):
+        if any_leq(result, h, space):
             drop()
             continue
         if use_essential and h not in witnessed:
-            if delta is not None and not any(leq(g, delta, space)
-                                             for g in queue if g is not h):
+            # no held hypothesis but h (queue[i]) is leq to delta
+            if delta is not None and not (
+                    any_leq(result, delta, space)
+                    or any_leq(queue[i + 1:], delta, space)):
                 run.cache_hits += 1
             elif any(h not in r and r <= held for r in refuted):
                 run.cache_hits += 1

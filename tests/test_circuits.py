@@ -58,6 +58,13 @@ def test_parse_rejects_pin_observed_with_both_values():
     assert dict(obs.assignments) == {"x": False, "y": True}
 
 
+def test_parse_reports_the_line_of_a_pin_outside_the_circuit():
+    with pytest.raises(ModelFormatError, match="signal z not in circuit") \
+            as err:
+        parse_circuit("input a\noutput b\ngate g buf b a\nobs z 1\n")
+    assert err.value.line == 4
+
+
 @pytest.mark.parametrize("pins,message", [
     ((("x", False), ("x", True)), "both 0 and 1"),
     ((("x", False), ("q", True)), "signal q not in circuit"),

@@ -65,6 +65,23 @@ def test_parse_rejects_duplicate_state_names(states):
     assert err.value.line == states.count("\n") + 2
 
 
+_BLOCK = "component c\nstates s t\n{init}trans s f t\nend\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    # the constructors' checks, reported at the block's component header
+    (_BLOCK.format(init="init u\n") + "faults f\n", "init not in states", 1),
+    ("\n" + _BLOCK.format(init="") + "faults f\n", "no init state", 2),
+    # a second block of one name, at its header
+    (_BLOCK.format(init="init s\n") * 2 + "faults f\n",
+     "duplicate component names", 6),
+])
+def test_parse_reports_the_line_of_a_bad_component(text, message, line):
+    with pytest.raises(ModelFormatError, match=message) as err:
+        parse_model(text)
+    assert err.value.line == line
+
+
 def test_model_built_through_the_api_rejects_duplicate_states():
     with pytest.raises(ModelFormatError, match="duplicate state 's'"):
         DesModel((Component("c", ("s", "t", "s"), ("s",),

@@ -3,10 +3,12 @@ from itertools import product
 
 import pytest
 
+from diagfp.contract import TestRequest
 from diagfp.errors import DiagError, ModelFormatError, SpaceMismatchError
-from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, bin_hyp, children,
-                               leq, min_antichain, multi_hyp, order_key,
-                               otimes, seq_hyp, set_hyp)
+from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, any_leq, bin_hyp,
+                               children, leq, min_antichain, multi_hyp,
+                               order_key, otimes, seq_hyp, set_hyp)
+from diagfp.properties import DESC, NEG_DESC, Property, member
 
 SP_SHS = Space(SHS, ("f1", "f2", "f3"))
 SP_MHS = Space(MHS, ("a", "b"))
@@ -51,7 +53,17 @@ def test_leq_rejects_mixed_spaces():
                  lambda: leq(sqhs, shs, SP_SHS),
                  lambda: children(sqhs, SP_SHS),
                  lambda: otimes(shs, sqhs, SP_SHS),
-                 lambda: otimes(sqhs, shs, SP_SHS)):
+                 lambda: otimes(sqhs, shs, SP_SHS),
+                 # the collection operations check h and each element read
+                 lambda: member(sqhs, (), SP_SHS),
+                 lambda: member(shs, (Property(DESC, shs),
+                                      Property(DESC, sqhs)), SP_SHS),
+                 lambda: min_antichain([shs, sqhs], SP_SHS),
+                 lambda: min_antichain([sqhs], SP_SHS),
+                 lambda: any_leq([], sqhs, SP_SHS),
+                 lambda: any_leq([set_hyp(["f2"]), sqhs], shs, SP_SHS),
+                 lambda: TestRequest((Property(NEG_DESC, shs),
+                                      Property(NEG_DESC, sqhs)), SP_SHS)):
         with pytest.raises(SpaceMismatchError):
             call()
 

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diagfp.hypothesis import (MHS, SHS, SQHS, Space, leq, multi_hyp,
-                               seq_hyp, set_hyp)
+from diagfp.hypothesis import (BHS, KINDS, MHS, SHS, SQHS, Hypothesis, Space,
+                               leq, multi_hyp, seq_hyp, set_hyp)
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
                                exhibits, member, question_candidate,
                                question_coverage, question_minimal)
@@ -44,6 +46,35 @@ def test_member_examples():
     for h in SQ2.enumerate(2):
         assert member(h, ps, SQ2) == (h in expected)
     assert not member(set_hyp(["f1"]), [Property(ANC, set_hyp(["f2"]))], SP2)
+
+
+def _fresh(s: str) -> str:
+    """An equal string that is another object: a kind compared by
+    identity, not by value, then fails."""
+    copy = "".join(list(s))
+    assert copy == s and copy is not s
+    return copy
+
+
+def _hyps(kind):
+    word = st.lists(st.sampled_from(("a", "b", "c")), max_size=4)
+    data = {SHS: word.map(frozenset), MHS: word.map(lambda w: tuple(sorted(w))),
+            SQHS: word.map(tuple), BHS: st.booleans()}[kind]
+    return data.map(lambda d: Hypothesis(_fresh(kind), d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.data())
+def test_member_equals_its_definition(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    space = Space(kind, ("a", "b", "c"))
+    h = data.draw(_hyps(kind))
+    props = data.draw(st.lists(st.builds(
+        lambda k, anchor: Property(_fresh(k), anchor),
+        st.sampled_from((DESC, ANC, NEG_DESC, NEG_ANC)), _hyps(kind)),
+        max_size=5))
+    assert member(h, props, space) == all(exhibits(h, p, space)
+                                          for p in props)
 
 
 # ---------------------------------------------------------------- questions

@@ -26,20 +26,24 @@ CIRCUITS = Path(__file__).parent / "fixtures" / "circuits"
 
 @pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
 def test_validate_runs_once_per_request_anchor(strategy, monkeypatch):
+    # each request hands its anchors, in request order, to one
+    # Space.validate_all call
     for make, expected in solvers_and_diagnoses():
         solver = make()
-        calls = []
-        validate = Space.validate
+        checked = []
+        validate_all = Space.validate_all
         monkeypatch.setattr(
-            Space, "validate",
-            lambda self, h: calls.append(h) or validate(self, h))
+            Space, "validate_all",
+            lambda self, hyps: checked.append(list(hyps))
+            or validate_all(self, hyps))
         recording = Recording(solver)
         got = run_strategy(strategy, recording, solver.space)
         monkeypatch.undo()
         assert got.minimal_candidates == expected
-        sizes = sum(len(request.props) for request, *_ in recording.log)
-        assert sizes > 0
-        assert len(calls) == sizes
+        sent = [[p.anchor for p in request.props]
+                for request, *_ in recording.log]
+        assert sum(map(len, sent)) > 0
+        assert checked == sent
 
 
 def test_request_rejects_anchor_outside_its_space():
