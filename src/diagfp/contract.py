@@ -13,7 +13,7 @@ conflict is the full request.
 
 The request is where hypotheses meet a solver, and the one place their
 alphabet is checked: building a :class:`TestRequest` validates every
-property anchor against its space, with one :meth:`Space.validate_all` call
+property anchor against its space, with one :meth:`Space.validate` call
 per request, and a solver refuses a request for any space but its own.  The
 order operations underneath (``leq``, ``children``, ``otimes``,
 ``any_leq``, ``min_antichain``, ``member``) then only compare kinds.
@@ -43,7 +43,7 @@ class TestRequest(_RequestFields):
     def __new__(cls, props, space: Space):
         # a tuple first, so an iterator is read once
         props = tuple(props)
-        space.validate_all([p.anchor for p in props])
+        space.validate([p.anchor for p in props])
         return tuple.__new__(cls, (props, space))
 
     @classmethod

@@ -20,7 +20,7 @@ The order operations (``leq``, ``children``, ``otimes`` and what builds on
 them) take hypotheses of ``space``.  They compare kinds, because they read
 ``h.data`` in the layout of ``space.kind``, but not the fault alphabet: that
 is checked once per request, when a :class:`~diagfp.contract.TestRequest`
-is built (:meth:`Space.validate_all`), and a solver decodes answers only
+is built (:meth:`Space.validate`), and a solver decodes answers only
 over its own alphabet.  An operation over a collection (:func:`any_leq`,
 :func:`min_antichain`, ``properties.member``) reads ``space.kind`` once and
 compares payloads directly by ``PAYLOAD_LEQ``, the orders :func:`leq`
@@ -131,7 +131,10 @@ def order_key(h: Hypothesis):
     """Deterministic total tie-break: size first, then canonical encoding.
     Cached, since a strategy asks for the key of a hypothesis several times
     (sorting children, inserting, minimising) and ``canon()`` renders a
-    string; a seed-1 circuit-pfs corpus holds 789 distinct hypotheses."""
+    string.  1024 entries hold every key the benchmark pools ask for (800
+    distinct hypotheses over the whole circuit-pfs pool, at most 51 on the
+    DES pools); a 12-bit adder run keys 19,149, mostly once, and 4096
+    entries would raise its hit rate only from 0.267 to 0.278."""
     return (h.size(), h.canon())
 
 
@@ -166,29 +169,20 @@ class Space:
             return seq_hyp([])
         return bin_hyp(False)
 
-    def validate(self, h: Hypothesis) -> Hypothesis:
-        if h.kind != self.kind:
-            raise SpaceMismatchError(
-                f"hypothesis of kind {h.kind!r} used in {self.kind!r} space")
-        if self.kind != BHS and not self.fault_set.issuperset(h.data):
-            raise SpaceMismatchError(
-                f"{h.canon()} mentions faults outside the alphabet")
-        return h
-
-    def validate_all(self, hyps) -> None:
-        """:meth:`validate` each of ``hyps`` in one pass: the first bad
-        element raises what :meth:`validate` raises for it."""
+    def validate(self, hyps) -> None:
+        """Check each of ``hyps`` against the space: its kind, and but for
+        ``bhs`` its faults against the alphabet.  A request checks all its
+        anchors with one call."""
         kind = self.kind
-        if kind == BHS:
-            for h in hyps:
-                if h.kind != kind:
-                    self.validate(h)
-            return
         within = self.fault_set.issuperset
         for h in hyps:
             hk, hd = h
-            if hk != kind or not within(hd):
-                self.validate(h)
+            if hk != kind:
+                raise SpaceMismatchError(
+                    f"hypothesis of kind {hk!r} used in {kind!r} space")
+            if kind != BHS and not within(hd):
+                raise SpaceMismatchError(
+                    f"{h.canon()} mentions faults outside the alphabet")
 
     def is_finite(self) -> bool:
         return self.kind in (BHS, SHS)
@@ -232,8 +226,8 @@ def _implies(a: bool, b: bool) -> bool:
     return not a or b
 
 
-# The order of each kind's payloads, which :func:`leq` applies.  The
-# collection operations compare ``shs`` frozensets by ``<=`` inline.
+# The order of each kind's payloads.  :func:`leq` and ``properties.member``
+# compare ``shs`` frozensets, the common case, by ``<=`` inline.
 PAYLOAD_LEQ = {SHS: operator.le, MHS: _is_subsequence, SQHS: _is_subsequence,
                BHS: _implies}
 
@@ -258,6 +252,8 @@ def leq(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
     """Preference order: True iff ``a`` is preferred-or-equal to ``b``."""
     if a.kind != space.kind or b.kind != space.kind:
         raise SpaceMismatchError(f"{a!r}, {b!r} in {space.kind!r} space")
+    if space.kind == SHS:
+        return a.data <= b.data
     return PAYLOAD_LEQ[space.kind](a.data, b.data)
 
 
@@ -269,14 +265,6 @@ def any_leq(hyps, h: Hypothesis, space: Space) -> bool:
     hk, b = h
     if hk != kind:
         raise _mismatch(h, space)
-    if kind == SHS:
-        for g in hyps:
-            gk, a = g
-            if gk != kind:
-                raise _mismatch(g, space)
-            if a <= b:
-                return True
-        return False
     le = PAYLOAD_LEQ[kind]
     for g in hyps:
         gk, a = g

@@ -41,6 +41,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from types import MappingProxyType
 
 from .contract import TestOutcome, TestRequest
@@ -286,7 +287,7 @@ def run_pfs(solver, space: Space, variant: str = "ec",
             # no held hypothesis but h (queue[i]) is leq to delta
             if delta is not None and not (
                     any_leq(result, delta, space)
-                    or any_leq(queue[i + 1:], delta, space)):
+                    or any_leq(islice(queue, i + 1, None), delta, space)):
                 run.cache_hits += 1
             elif any(h not in r and r <= held for r in refuted):
                 run.cache_hits += 1

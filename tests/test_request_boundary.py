@@ -27,15 +27,15 @@ CIRCUITS = Path(__file__).parent / "fixtures" / "circuits"
 @pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
 def test_validate_runs_once_per_request_anchor(strategy, monkeypatch):
     # each request hands its anchors, in request order, to one
-    # Space.validate_all call
+    # Space.validate call
     for make, expected in solvers_and_diagnoses():
         solver = make()
         checked = []
-        validate_all = Space.validate_all
+        validate = Space.validate
         monkeypatch.setattr(
-            Space, "validate_all",
+            Space, "validate",
             lambda self, hyps: checked.append(list(hyps))
-            or validate_all(self, hyps))
+            or validate(self, hyps))
         recording = Recording(solver)
         got = run_strategy(strategy, recording, solver.space)
         monkeypatch.undo()
