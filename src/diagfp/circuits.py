@@ -201,9 +201,11 @@ class CircuitSolver(AssumptionSolver):
     those the request admits: every circuit answer is a minimal candidate of
     the requested set.  A coverage question admits a downward-closed set of
     candidates, so its answer is a minimal diagnosis element.
+    ``minimal_answers`` declares this to the strategies.
     """
 
     name = "circuit-sat"
+    minimal_answers = True
 
     def __init__(self, circuit: Circuit, obs: PinObservation):
         super().__init__(Cnf(), circuit.space())

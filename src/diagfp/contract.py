@@ -11,6 +11,11 @@ tuple of a subset of the requested properties, in request order, whose
 conjunction already rules every candidate out.  The least informative legal
 conflict is the full request.
 
+A solver may also declare ``minimal_answers = True``: every candidate it
+returns is then minimal among the candidates its request admits.  The
+strategies read the attribute with a false default; PLS+r, given such a
+solver, skips the minimality tests that would refine each answer.
+
 The request is where hypotheses meet a solver, and the one place their
 alphabet is checked: building a :class:`TestRequest` validates every
 property anchor against its space, with one :meth:`Space.validate` call

@@ -21,11 +21,10 @@ Traces use interleaving semantics, one event per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product as iproduct
 
 from .errors import DiagError, ModelFormatError, SpaceMismatchError
-from .hypothesis import BHS, Hypothesis, Space, check_fault_name, extend
+from .hypothesis import BHS, Hypothesis, Space, check_fault_name, word_hyp
 
 
 @dataclass(frozen=True)
@@ -144,22 +143,39 @@ class Observation:
 # ---------------------------------------------------------------- semantics
 
 def trace_in_model(trace, model: DesModel) -> bool:
-    """True iff the event word is accepted from some initial global state."""
+    """True iff the event word is accepted from some initial global state.
+
+    The word is replayed once per component, on the set of its local states,
+    stepped only by the events of its own alphabet.  :meth:`DesModel.step`
+    moves each component that owns the event by one of its own moves, chosen
+    independently of the others, and leaves the rest in place; so from a
+    product of per-component state sets the successors are the product of
+    the per-component successor sets.  The initial states form such a
+    product, so after every prefix the reachable global states do too, and
+    they are empty iff one factor is: the word is in the language of the
+    parallel composition iff each component accepts its projection
+    (Cassandras & Lafortune, *Introduction to Discrete Event Systems*).
+    Unlike a replay over global states, this never grows with the number of
+    components that share a nondeterministic event."""
     alphabet = set(model.events)
     for e in trace:
         if e not in alphabet:
             raise DiagError(f"unknown event in trace: {e!r}")
-    frontier = set(model.initial_global_states())
-    for e in trace:
-        frontier = {nxt for g in frontier for nxt in model.step(g, e)}
-        if not frontier:
-            return False
+    for comp in model.components:
+        own, table = comp.alphabet, comp.table
+        local = set(comp.init)
+        for e in trace:
+            if e in own:
+                local = {t for s in local for t in table.get((s, e), ())}
+                if not local:
+                    return False
     return True
 
 
 def trace_hypothesis(trace, model: DesModel, space: Space) -> Hypothesis:
     """The hypothesis of the trace's fault word in ``space``."""
-    return reduce(extend, (e for e in trace if e in model.faults), space.h0)
+    faults = model.faults
+    return word_hyp([e for e in trace if e in faults], space)
 
 
 def trace_matches_observation(trace, model: DesModel, obs: Observation) -> bool:

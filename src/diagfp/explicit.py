@@ -33,6 +33,7 @@ horizon-fit certificate used to compare against the bounded SAT backend.
 from __future__ import annotations
 
 from collections import deque
+from operator import ge, le
 from typing import NamedTuple
 
 from .contract import SolverStats, TestOutcome, TestRequest
@@ -67,12 +68,15 @@ class _Summary:
     Each property is kept as ``(is_desc, positive, arg)``: the summary
     decides desc or anc of the anchor, and the property holds when that
     answer equals ``positive``.  ``arg`` is the anchor's fault set (SHS),
-    its count of each fault (MHS) or its length (SqHS).  When every property
-    is desc-kind, desc of an anchor reads only the faults it names, up to
-    the counts it names: an SHS summary keeps only the faults some anchor
-    names (``tracked``), and MHS counts saturate at the largest count an
-    anchor names (``caps``).  Anc of an anchor reads every fault, and needs
-    to tell a count one past the anchor's.
+    its count of each fault, read off its fault word (MHS), or its length
+    (SqHS).  The space kind is read once, as ``kind``, when the summary is
+    made, and each method branches on it once per call: ``first_failure``
+    and ``join`` then run one loop of that kind over their properties.  When
+    every property is desc-kind, desc of an anchor reads only the faults it
+    names, up to the counts it names: an SHS summary keeps only the faults
+    some anchor names (``tracked``), and MHS counts saturate at the largest
+    count an anchor names (``caps``).  Anc of an anchor reads every fault,
+    and needs to tell a count one past the anchor's.
 
     A summary only grows along a trace: SHS sets grow, MHS counts grow and
     saturate at ``caps``, and per SqHS anchor the desc embedding index rises
@@ -98,29 +102,42 @@ class _Summary:
     """
 
     def __init__(self, space: Space, props, conflict: set):
-        self.space = space
-        self.faults = space.faults
-        reads_anc = any(p.kind not in DESC_KINDS for p in props)
-        if space.kind == SHS:
-            args = [p.anchor.data for p in props]
-            self.tracked = (frozenset(self.faults) if reads_anc
+        kind = self.kind = space.kind
+        faults = self.faults = space.faults
+        if kind == MHS:
+            index = self.index = {f: i for i, f in enumerate(faults)}
+        self.anchors = []
+        self.checks, self.monotone, self.others, self.desc = [], [], [], []
+        reads_anc = False
+        for i, (pkind, anchor) in enumerate(props):
+            is_desc = pkind in DESC_KINDS
+            positive = pkind in POSITIVE_KINDS
+            reads_anc = reads_anc or not is_desc
+            if kind == SHS:
+                arg = anchor.data
+            elif kind == MHS:
+                arg = [0] * len(faults)
+                for f in anchor.data:
+                    arg[index[f]] += 1
+                arg = tuple(arg)
+            else:
+                self.anchors.append(anchor.data)
+                arg = len(anchor.data)
+            self.checks.append((is_desc, positive, arg))
+            if is_desc != positive:
+                self.monotone.append(i)
+            else:
+                self.others.append(i)
+                if is_desc and kind != SQHS:
+                    self.desc.append(i)
+        args = [arg for _, _, arg in self.checks]
+        if kind == SHS:
+            self.tracked = (frozenset(faults) if reads_anc
                             else frozenset().union(*args))
-        elif space.kind == MHS:
-            args = [tuple(p.anchor.count(f) for f in self.faults)
-                    for p in props]
-            self.caps = tuple(max([need[i] for need in args], default=0)
-                              + reads_anc for i in range(len(self.faults)))
-        else:
-            self.anchors = [p.anchor.data for p in props]
-            args = [len(anchor) for anchor in self.anchors]
-        self.checks = [(p.kind in DESC_KINDS, p.kind in POSITIVE_KINDS,
-                        arg) for p, arg in zip(props, args)]
-        self.monotone = [i for i, (is_desc, positive, _)
-                         in enumerate(self.checks) if is_desc != positive]
-        self.others = [i for i, (is_desc, positive, _)
-                       in enumerate(self.checks) if is_desc == positive]
-        self.desc = [i for i in self.others if self.checks[i][0]
-                     and space.kind != SQHS]
+        elif kind == MHS:
+            # per fault, the largest count an anchor names (0 for none)
+            self.caps = tuple(max(column) + reads_anc
+                              for column in zip((0,) * len(faults), *args))
         self.conflict = conflict
         start = self.initial()
         self.values = [start]
@@ -131,22 +148,22 @@ class _Summary:
         self.live = not self._cut(start)
 
     def initial(self):
-        if self.space.kind == SHS:
+        if self.kind == SHS:
             return frozenset()
-        if self.space.kind == MHS:
+        if self.kind == MHS:
             return (0,) * len(self.faults)
         # per anchor: (desc embedding index, anc leftmost position or -1)
         return tuple((0, 0) for _ in self.anchors)
 
     def after(self, summary, fault):
-        if self.space.kind == SHS:
+        kind = self.kind
+        if kind == SHS:
             return summary | {fault} if fault in self.tracked else summary
-        if self.space.kind == MHS:
-            i = self.faults.index(fault)
-            counts = list(summary)
-            if counts[i] < self.caps[i]:
-                counts[i] += 1
-            return tuple(counts)
+        if kind == MHS:
+            i = self.index[fault]
+            if summary[i] >= self.caps[i]:
+                return summary
+            return summary[:i] + (summary[i] + 1,) + summary[i + 1:]
         out = []
         for (didx, apos), anchor in zip(summary, self.anchors):
             if didx < len(anchor) and anchor[didx] == fault:
@@ -164,30 +181,33 @@ class _Summary:
     def first_failure(self, summary, indices):
         """Index of the first property, among ``indices``, that ``summary``
         fails; None when it satisfies them all."""
-        kind = self.space.kind
-        for i in indices:
-            is_desc, positive, arg = self.checks[i]
-            if kind == SHS:
-                holds = arg <= summary if is_desc else summary <= arg
-            elif kind == MHS:
-                if is_desc:
-                    holds = all(c >= n for c, n in zip(summary, arg))
-                else:
-                    holds = all(c <= n for c, n in zip(summary, arg))
-            else:
+        checks = self.checks
+        kind = self.kind
+        if kind == SHS:
+            for i in indices:
+                is_desc, positive, arg = checks[i]
+                if (arg <= summary if is_desc else summary <= arg) != positive:
+                    return i
+        elif kind == MHS:
+            for i in indices:
+                is_desc, positive, arg = checks[i]
+                if all(map(ge if is_desc else le, summary, arg)) != positive:
+                    return i
+        else:
+            for i in indices:
+                is_desc, positive, arg = checks[i]
                 didx, apos = summary[i]
-                holds = didx == arg if is_desc else apos >= 0
-            if holds != positive:
-                return i
+                if (didx == arg if is_desc else apos >= 0) != positive:
+                    return i
         return None
 
     def join(self, summary):
         """``summary`` joined with the desc anchors: their union (SHS) or
         pointwise maximum (MHS)."""
+        shs = self.kind == SHS
         for i in self.desc:
             arg = self.checks[i][2]
-            summary = (summary | arg if self.space.kind == SHS
-                       else tuple(map(max, summary, arg)))
+            summary = summary | arg if shs else tuple(map(max, summary, arg))
         return summary
 
     def _cuts(self, summary, indices) -> bool:

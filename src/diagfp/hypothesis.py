@@ -248,6 +248,19 @@ def extend(h: Hypothesis, fault) -> Hypothesis:
     return bin_hyp(True)
 
 
+def word_hyp(word, space: Space) -> Hypothesis:
+    """The hypothesis of the fault word ``word`` (a sequence of faults) in
+    ``space``: what :func:`extend` gives fault by fault from ``space.h0``."""
+    kind = space.kind
+    if kind == SHS:
+        return set_hyp(word)
+    if kind == MHS:
+        return Hypothesis(MHS, tuple(sorted(word)))
+    if kind == SQHS:
+        return seq_hyp(word)
+    return bin_hyp(bool(word))
+
+
 def leq(a: Hypothesis, b: Hypothesis, space: Space) -> bool:
     """Preference order: True iff ``a`` is preferred-or-equal to ``b``."""
     if a.kind != space.kind or b.kind != space.kind:

@@ -31,7 +31,9 @@ minimality only when its coverage question fails.  A solver whose every
 answer is a minimal candidate of the requested set, as ``CircuitSolver``'s
 is, makes each PLS answer a minimal diagnosis element, so its partials too
 are subsets of the diagnosis, and a full run takes one test per element
-plus the coverage test that fails.
+plus the coverage test that fails.  Such a solver may declare it with a
+true ``minimal_answers`` attribute (see :mod:`diagfp.contract`); PLS+r then
+sends no minimality test, and runs as PLS does.
 """
 
 from __future__ import annotations
@@ -130,10 +132,16 @@ def run_pls(solver, space: Space, iteration_cap: int = DEFAULT_ITERATION_CAP,
     is the antichain of the candidates found so far: under plain PLS each
     is a candidate, but a smaller candidate may not have been found yet, so
     it need not be minimal.  Each coverage question is ``cover``, the
-    ``neg_desc`` of each answer in ``found`` (none is stored twice)."""
+    ``neg_desc`` of each answer in ``found`` (none is stored twice).
+
+    A solver whose ``minimal_answers`` attribute is true declares that each
+    answer is a minimal candidate of its request; a coverage answer is then
+    a minimal diagnosis element already, so PLS+r stores it with no
+    minimality test, which could only fail."""
     found, keys, cover = [], [], []
     run = _Run(solver, space, "pls-r" if refine else "pls", iteration_cap,
                lambda: min_antichain(found, space))
+    refine = refine and not getattr(solver, "minimal_answers", False)
     while True:
         outcome = run.ask(tuple(cover))
         if not outcome.is_candidate:

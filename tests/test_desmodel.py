@@ -1,16 +1,21 @@
 import itertools
 import random
+import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagfp.desmodel import (Component, DesModel, Observation, parse_model,
                              parse_observation, trace_hypothesis,
                              trace_in_model, trace_matches_observation)
 from diagfp.errors import DiagError, ModelFormatError
-from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
+from diagfp.hypothesis import (MHS, SHS, SQHS, extend, multi_hyp, seq_hyp,
+                               set_hyp)
 
-from test_explicit import faulty_instances, random_walk
+from test_explicit import faulty_instances, gen_instance, random_walk
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -137,6 +142,86 @@ def test_trace_in_model(oneshot):
     assert not trace_in_model(["f", "f"], oneshot)
     with pytest.raises(DiagError):
         trace_in_model(["nope"], oneshot)
+    # checked before any replay: a word rejected at its first event still
+    # raises on an unknown event further on
+    with pytest.raises(DiagError, match="'nope'"):
+        trace_in_model(["o1", "nope"], oneshot)
+
+
+def global_replay(trace, model):
+    """``trace_in_model`` by its definition: the set of global states
+    reachable from the initial ones, stepped by every event of the word."""
+    frontier = set(model.initial_global_states())
+    for e in trace:
+        frontier = {nxt for g in frontier for nxt in model.step(g, e)}
+        if not frontier:
+            return False
+    return True
+
+
+def _words(model, rng):
+    """Words of the model's events: random walks, which it accepts, and the
+    same walks with one event replaced, and uniform draws, which it mostly
+    rejects."""
+    for _ in range(12):
+        walk = random_walk(model, rng, rng.randrange(9))
+        yield walk
+        if walk:
+            walk[rng.randrange(len(walk))] = rng.choice(model.events)
+            yield walk
+        yield [rng.choice(model.events) for _ in range(rng.randrange(7))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_trace_in_model_matches_a_global_replay(seed):
+    rng = random.Random(seed)
+    inst = None
+    while inst is None:
+        inst = gen_instance(rng)
+    model, _ = inst
+    for word in _words(model, rng):
+        assert trace_in_model(word, model) == global_replay(word, model), word
+
+
+def test_trace_in_model_matches_a_global_replay_on_faulty_instances():
+    # components of these models often have several moves for one event,
+    # and most events are outside some component's alphabet
+    rng = random.Random(5)
+    answers = []
+    nondeterministic = 0
+    for model, _ in faulty_instances(17, 25):
+        nondeterministic += any(len(targets) > 1 for comp in model.components
+                                for targets in comp.table.values())
+        for word in _words(model, rng):
+            answers.append(trace_in_model(word, model))
+            assert answers[-1] == global_replay(word, model), word
+    assert nondeterministic > 5
+    assert answers.count(True) > 100 and answers.count(False) > 100
+
+
+def _ticking(k):
+    """``k`` components that share the event ``tick``, each free to move
+    between its two states on it, and each with an observable ``o{i}``."""
+    blocks = "".join(
+        f"component c{i}\nstates s t\ninit s\ntrans s tick s\n"
+        f"trans s tick t\ntrans t tick s\ntrans t tick t\ntrans t o{i} s\n"
+        f"end\n" for i in range(k))
+    observable = " ".join(f"o{i}" for i in range(k))
+    return parse_model(f"{blocks}observable {observable}\nfaults\n")
+
+
+def test_trace_in_model_does_not_grow_with_shared_nondeterminism():
+    # 2^12 global states follow each tick; a replay over global states took
+    # 35 s on this word, the per-component replay well under a millisecond
+    model = _ticking(12)
+    word = ["tick"] * 6 + ["o0"] + ["tick"] * 3
+    t0 = time.perf_counter()
+    assert trace_in_model(word, model)
+    assert not trace_in_model(["tick"] * 6 + ["o0", "o0"], model)
+    assert time.perf_counter() - t0 < 1.0
+    small = _ticking(4)
+    assert trace_in_model(word, small) == global_replay(word, small)
 
 
 def test_trace_hypothesis(oneshot):
@@ -159,6 +244,11 @@ def test_trace_hypothesis(oneshot):
             multi_hyp({f: word.count(f) for f in model.faults})
         assert trace_hypothesis(trace, model, model.space(SQHS)) == \
             seq_hyp(word)
+        # and what extending h0 fault by fault gives
+        for kind in (SHS, MHS, SQHS):
+            space = model.space(kind)
+            assert trace_hypothesis(trace, model, space) == \
+                reduce(extend, word, space.h0)
 
 
 def test_trace_matches_observation(oneshot):

@@ -6,8 +6,9 @@ import pytest
 from diagfp.contract import TestRequest
 from diagfp.errors import DiagError, ModelFormatError, SpaceMismatchError
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, any_leq, bin_hyp,
-                               children, leq, min_antichain, multi_hyp,
-                               order_key, otimes, seq_hyp, set_hyp)
+                               children, extend, leq, min_antichain,
+                               multi_hyp, order_key, otimes, seq_hyp, set_hyp,
+                               word_hyp)
 from diagfp.properties import DESC, NEG_DESC, Property, member
 
 SP_SHS = Space(SHS, ("f1", "f2", "f3"))
@@ -251,6 +252,18 @@ def test_order_key_sorts_by_size_then_text():
     hyps = [seq_hyp("ba"), seq_hyp("b"), seq_hyp("ab"), seq_hyp("")]
     assert sorted(hyps, key=order_key) == \
         [seq_hyp(""), seq_hyp("b"), seq_hyp("ab"), seq_hyp("ba")]
+
+
+@pytest.mark.parametrize("kind", [SHS, MHS, SQHS, BHS])
+def test_word_hyp_extends_h0_fault_by_fault(kind):
+    space = Space(kind, ("a", "b", "c"))
+    rng = random.Random(4)
+    for _ in range(200):
+        word = [rng.choice(space.faults) for _ in range(rng.randrange(6))]
+        expected = space.h0
+        for f in word:
+            expected = extend(expected, f)
+        assert word_hyp(word, space) == expected, word
 
 
 # ------------------------------------------------------- mhs as sorted words

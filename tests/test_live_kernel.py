@@ -14,7 +14,7 @@ from diagfp.desmodel import Observation, parse_model
 from diagfp.explicit import ExplicitSolver, oracle_diagnose
 from diagfp.hypothesis import (MHS, SHS, SQHS, Space, children,
                                min_antichain, multi_hyp, seq_hyp, set_hyp)
-from diagfp.properties import (DESC, NEG_DESC, Property, member,
+from diagfp.properties import (ANC, DESC, NEG_DESC, Property, member,
                                question_candidate, question_coverage)
 from diagfp.satbackend import EncodingParams, SatSolver
 from diagfp.satcore.pysolver import MiniSolver as PySolver
@@ -77,6 +77,35 @@ def test_circuit_live_kernel_matches_one_shot(name, strategy):
     check_run(CircuitSolver(circuit, obs), strategy,
               lambda request: CircuitSolver(circuit, obs).solve(request),
               brute_force_diagnosis(circuit, obs))
+
+
+@pytest.mark.parametrize("name", ["inv3.ckt", "and1.ckt", "adder_slice.ckt"])
+def test_pls_r_on_circuits_runs_as_pls(name):
+    # CircuitSolver declares that each answer is a minimal candidate of its
+    # request, so pls-r stores each coverage answer with no minimality test
+    assert CircuitSolver.minimal_answers
+    circuit, obs = parse_circuit((CIRCUITS / name).read_text())
+    space = circuit.space()
+    pls = run_strategy("pls", CircuitSolver(circuit, obs), space)
+    refined = run_strategy("pls-r", CircuitSolver(circuit, obs), space)
+    assert refined.minimal_candidates == pls.minimal_candidates == \
+        brute_force_diagnosis(circuit, obs)
+    assert refined.stats["tests"] == pls.stats["tests"] == \
+        len(pls.minimal_candidates) + 1
+
+
+@pytest.mark.parametrize("kind", [MHS, SQHS])
+def test_pls_r_refines_the_answers_of_other_solvers(kind):
+    # SatSolver declares no minimal answers: pls-r asks minimality questions
+    model = parse_model(ALARMS)
+    space = model.space(kind)
+    solver = SatSolver(model, ALARM_OBS, space, ALARM_PARAMS)
+    assert not getattr(solver, "minimal_answers", False)
+    recording = Recording(solver)
+    got = run_strategy("pls-r", recording, space)
+    assert got.minimal_candidates == oracle_diagnose(model, ALARM_OBS, space)
+    assert any(p.kind == ANC for request, _ in recording.log
+               for p in request.props)
 
 
 @pytest.mark.parametrize("strategy", ["pfs-ec", "pls"])
