@@ -20,12 +20,12 @@ A candidacy test assumes ``ab[g]`` for each gate of the hypothesis and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .contract import TestOutcome, TestRequest
 from .errors import DiagError, ModelFormatError
-from .hypothesis import SHS, Space, check_fault_name, set_hyp
+from .hypothesis import (SHS, FrozenRecord, Space, check_fault_name,
+                         set_hyp)
 from .properties import DESC, NEG_DESC, member
 from .satbackend import AssumptionSolver, Cnf, guard_property, set_literals
 from .satcore import MiniSolver
@@ -35,27 +35,25 @@ GATE_KINDS = ("and", "or", "not", "xor", "buf")
 _TRUTH = (False, True, None)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     name: str
     kind: str
     output: str
     inputs: tuple
 
 
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple
-    inputs: tuple
-    outputs: tuple
-    # inputs first, then each gate's inputs and output, in order
-    signals: tuple = field(init=False, repr=False, compare=False)
+class Circuit(FrozenRecord):
+    __slots__ = ("gates", "inputs", "outputs", "signals", "_space")
+    # ``signals`` holds the inputs first, then each gate's inputs and
+    # output, in order; ``_space`` is set by the first call of space()
+    _compared = ("gates", "inputs", "outputs")
 
-    def __post_init__(self):
-        seen = dict.fromkeys(self.inputs)
-        for g in self.gates:
+    def __init__(self, gates: tuple, inputs: tuple, outputs: tuple):
+        seen = dict.fromkeys(inputs)
+        for g in gates:
             seen.update(dict.fromkeys(g.inputs + (g.output,)))
-        object.__setattr__(self, "signals", tuple(seen))
+        self._set(gates=gates, inputs=inputs, outputs=outputs,
+                  signals=tuple(seen))
 
     def validate(self):
         drivers = {}
@@ -82,22 +80,49 @@ class Circuit:
         for s in self.outputs:
             if s not in drivers and s not in self.inputs:
                 raise ModelFormatError(f"output {s} has no driver")
-        try:
-            TopologicalSorter({g.output: g.inputs
-                               for g in self.gates}).prepare()
-        except CycleError as exc:
-            cycle = set(exc.args[1])
-            gates = sorted(g.name for g in self.gates if g.output in cycle)
-            raise ModelFormatError(
-                f"circuit is cyclic around gates {gates}") from None
+        _check_acyclic(drivers)
         return self
 
     def space(self) -> Space:
-        return Space(SHS, tuple(g.name for g in self.gates))
+        """The SHS space over the gate names, built on the first call."""
+        try:
+            return self._space
+        except AttributeError:
+            self._set(_space=Space(SHS, tuple(g.name for g in self.gates)))
+            return self._space
 
 
-@dataclass(frozen=True)
-class PinObservation:
+def _check_acyclic(drivers: dict) -> None:
+    """Reject a cyclic circuit; ``drivers`` maps each gate's output to the
+    gate.  A depth-first search runs along ``output -> inputs`` from each
+    driven signal in gate order, and the first edge back onto its path
+    closes a cycle: the error names the gates that drive its signals."""
+    done = set()
+    for root in drivers:
+        if root in done:
+            continue
+        path, on_path = [root], {root}
+        stack = [iter(drivers[root].inputs)]
+        while stack:
+            for s in stack[-1]:
+                if s in on_path:
+                    cycle = path[path.index(s):]
+                    gates = sorted(drivers[c].name for c in cycle)
+                    raise ModelFormatError(
+                        f"circuit is cyclic around gates {gates}")
+                if s in drivers and s not in done:
+                    path.append(s)
+                    on_path.add(s)
+                    stack.append(iter(drivers[s].inputs))
+                    break
+            else:
+                stack.pop()
+                s = path.pop()
+                on_path.remove(s)
+                done.add(s)
+
+
+class PinObservation(NamedTuple):
     assignments: tuple  # (signal, bool) pairs
 
 

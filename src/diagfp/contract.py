@@ -24,16 +24,18 @@ order operations underneath (``leq``, ``children``, ``otimes``,
 ``any_leq``, ``min_antichain``, ``member``) then only compare kinds.
 
 :class:`TestRequest` and :class:`TestOutcome` are named tuples, as are the
-hypotheses and properties they carry: equality, hash and construction run
-in C, and their fields are read-only.
+hypotheses and properties they carry: equality and hash run in C, and their
+fields are read-only.  Construction runs a Python ``__new__``, the lambda
+``collections.namedtuple`` generates or the checking ``__new__`` of
+:class:`TestRequest` and ``Property``: on CPython 3.11 ``Hypothesis(SHS,
+fs)`` takes about 300 ns, where the plain tuple ``(SHS, fs)`` takes 30 ns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .hypothesis import Hypothesis, Space
+from .hypothesis import Hypothesis, Record, Space
 
 
 class _RequestFields(NamedTuple):
@@ -79,9 +81,12 @@ class TestOutcome(NamedTuple):
         return self.candidate is not None
 
 
-@dataclass
-class SolverStats:
+class SolverStats(Record):
     """A solver's frontend counts, in ``extra`` (the explicit search adds
     ``visited`` and ``expanded``)."""
 
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("extra",)
+    _compared = ("extra",)
+
+    def __init__(self, extra: dict | None = None):
+        self.extra = {} if extra is None else extra

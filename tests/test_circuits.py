@@ -32,15 +32,41 @@ def test_parse_inverter_chain():
     assert dict(obs.assignments) == {"a": False, "d": False}
 
 
-def test_parse_rejects_cycle():
-    with pytest.raises(ModelFormatError):
-        parse_circuit("gate g1 buf x y\ngate g2 buf y x\n")
+def _buffer_chain(n: int, closed: bool) -> str:
+    """Gates ``g{i}: s{i} -> s{i+1}`` listed last first, so a search from
+    the first listed output runs down the whole chain; ``closed`` feeds
+    the chain's end back to its start."""
+    head = (f"gate g0 buf s1 s{n}\n" if closed
+            else "input s0\ngate g0 buf s1 s0\n")
+    return "".join(f"gate g{i} buf s{i + 1} s{i}\n"
+                   for i in range(n - 1, 0, -1)) + head
+
+
+@pytest.mark.parametrize("text, gates", [
+    ("gate g1 buf x y\ngate g2 buf y x\n", ["g1", "g2"]),
     # g0 feeds the cycle x -> y -> z -> x but is not on it
-    with pytest.raises(ModelFormatError, match="cyclic") as err:
-        parse_circuit("input a\ngate g0 buf b a\ngate g1 and x b z\n"
-                      "gate g2 buf y x\ngate g3 not z y\n")
-    assert "'g1', 'g2', 'g3'" in str(err.value)
-    assert "g0" not in str(err.value)
+    ("input a\ngate g0 buf b a\ngate g1 and x b z\n"
+     "gate g2 buf y x\ngate g3 not z y\n", ["g1", "g2", "g3"]),
+    # a gate that reads its own output
+    ("gate g buf x x\n", ["g"]),
+    # only a search from a later gate's output meets the cycle
+    ("input a\ngate g0 buf b a\ngate g1 and c a b\n"
+     "gate g2 buf y x\ngate g3 buf x y\n", ["g2", "g3"]),
+    # two disjoint cycles: the error names the first one found
+    ("gate g1 buf x y\ngate g2 buf y x\ngate g3 buf u v\ngate g4 buf v u\n",
+     ["g1", "g2"]),
+    (_buffer_chain(5000, closed=True), sorted(f"g{i}" for i in range(5000))),
+], ids=["pair", "fed", "self-loop", "later-root", "disjoint", "chain-5000"])
+def test_parse_rejects_cycle(text, gates):
+    with pytest.raises(ModelFormatError) as err:
+        parse_circuit(text)
+    assert str(err.value) == f"circuit is cyclic around gates {gates}"
+
+
+def test_parse_accepts_a_deep_acyclic_chain():
+    # deeper than the default recursion limit of 1000
+    circuit, _ = parse_circuit(_buffer_chain(5000, closed=False))
+    assert len(circuit.gates) == 5000
 
 
 def test_parse_rejects_double_driver():

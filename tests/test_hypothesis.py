@@ -6,9 +6,9 @@ import pytest
 from diagfp.contract import TestRequest
 from diagfp.errors import DiagError, ModelFormatError, SpaceMismatchError
 from diagfp.hypothesis import (BHS, MHS, SHS, SQHS, Space, any_leq, bin_hyp,
-                               children, extend, leq, min_antichain,
-                               multi_hyp, order_key, otimes, seq_hyp, set_hyp,
-                               word_hyp)
+                               check_fault_name, children, extend, leq,
+                               min_antichain, multi_hyp, order_key, otimes,
+                               seq_hyp, set_hyp, word_hyp)
 from diagfp.properties import DESC, NEG_DESC, Property, member
 
 SP_SHS = Space(SHS, ("f1", "f2", "f3"))
@@ -240,12 +240,25 @@ def test_mhs_rejects_negative_counts():
 
 
 @pytest.mark.parametrize("faults", [("a,b", "c", "a", "b,c"), ("a", ""),
-                                    (" a", "b"), ("a\tb",)])
+                                    (" a", "b"), ("a\tb",), ("a ",), (" ",),
+                                    ("a\u00a0b",), ("a\u2028b",)])
 def test_space_rejects_fault_names_canon_cannot_tell_apart(faults):
     # {a,b | c} and {a | b,c} both render {a,b,c}; {""} renders {} like h0;
     # every text format splits on whitespace
     with pytest.raises(ModelFormatError):
         Space(SHS, faults)
+
+
+def test_fault_names_are_rejected_for_exactly_the_whitespace_characters():
+    # U+3000 is the last character str.isspace() accepts
+    for c in map(chr, range(0x3001)):
+        if c in ",:[]{}":
+            continue
+        if c.isspace():
+            with pytest.raises(ModelFormatError, match="whitespace"):
+                check_fault_name(f"a{c}b")
+        else:
+            check_fault_name(f"a{c}b")
 
 
 def test_order_key_sorts_by_size_then_text():
