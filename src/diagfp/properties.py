@@ -23,7 +23,9 @@ assumption literals by it, which keeps unsat cores reproducible.
 A :class:`Property` is a named tuple ``(kind, anchor)``: its equality and
 hash are the tuple's, computed in C, so a lookup in a solver's
 property-to-literal dict or in a strategy's set runs no Python code.
-Building one checks its kind; its fields are read-only.
+Building one checks its kind, except where :func:`question_candidate`
+builds its children's ``neg_desc`` properties as bare tuples; its fields are
+read-only.
 """
 
 from __future__ import annotations
@@ -136,10 +138,13 @@ def question_candidate(h: Hypothesis, space: Space) -> tuple:
 
     It is stated through the children of ``h`` rather than as {desc(h),
     anc(h)}: the children-based form produces more general conflicts for the
-    conflict-directed strategies.
+    conflict-directed strategies.  Each child's property is built as the
+    tuple the checking constructor would return, since its kind is a
+    constant.
     """
     return (Property(DESC, h),
-            *(Property(NEG_DESC, c) for c in children(h, space)))
+            *(tuple.__new__(Property, (NEG_DESC, c))
+              for c in children(h, space)))
 
 
 def question_minimal(d: Hypothesis, space: Space) -> tuple:

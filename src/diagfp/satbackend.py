@@ -202,93 +202,154 @@ def encode_run(model: DesModel, obs: Observation, params: EncodingParams,
     gets the empty clause and the pass stops.  Returns the decode table:
     ``(var, event)`` for every event variable, in timestep order and,
     within a timestep, in registry order.
+
+    The pass reads tables built once per call: each component's ``(event,
+    moves)`` list; for each event, the set of states each owning component
+    leaves by it, so an event is reachable at ``t`` when no owner's set is
+    disjoint from its states of ``t - 1``; and the events a step may hold,
+    once for each designated event and once for steps with none.  It
+    numbers variables in a local counter, written back to ``cnf.nvars``
+    before each ``Cnf`` helper it calls, and appends clauses straight to
+    ``cnf.clauses``.  Its CNF (variables, clauses and their order, keys and
+    decode table) is the one the former per-timestep scan built, which
+    ``tests/test_model_blocks.py`` pins.
     """
     n = params.horizon(len(obs))
     k = params.steps_per_obs
+    events = model.events
     observable = frozenset(model.observable)
-    comps = model.components
-    # per component: event -> its transitions as (src, dst)
-    by_event = [{} for _ in comps]
-    for moves, comp in zip(by_event, comps):
+    tables = []     # per component: its states, its (event, moves) list
+    # per event: (component, the states it leaves by the event) per owner
+    sources = {e: [] for e in events}
+    for c, comp in enumerate(model.components):
+        by_event = {}   # event -> its transitions as (src, dst)
         for src, e, dst in comp.trans:
-            moves.setdefault(e, []).append((src, dst))
-    # per event: the indices of the components with it in their alphabet
-    owners = {e: [c for c, moves in enumerate(by_event) if e in moves]
-              for e in model.events}
+            by_event.setdefault(e, []).append((src, dst))
+        tables.append((comp.states, list(by_event.items())))
+        for e, moves in by_event.items():
+            sources[e].append((c, frozenset(src for src, _ in moves)))
+    # per designated event (None for none): the components that own it, and
+    # the events a step may hold, in registry order
+    allowed = {None: ((), [e for e in events if e not in observable])}
+    for d in set(obs.sequence):
+        busy = {c for c, _ in sources[d]}
+        allowed[d] = (busy, [e for e in events if e == d or (
+            e not in observable
+            and busy.isdisjoint(c for c, _ in sources[e]))])
     # per component: local state -> its literal at t - 1
     prev = [_state_lits(cnf, [s for s in comp.states if s in comp.init])
-            for comp in comps]
+            for comp in model.components]
     for states in prev:
         if len(states) != 2:
             cnf.exactly_one(states.values())
+    # variables are numbered through nv; cnf.nvars is set before each helper
+    nv = cnf.nvars
+    add = cnf.clauses.append
+    index = cnf.index
     table = []
     for t in range(1, n + 1):
         i, r = divmod(t, k)
         designated = obs.sequence[i - 1] if r == 0 and i <= len(obs) else None
-        busy = owners[designated] if designated else ()
+        busy, candidates = allowed[designated]
         ev = {}
-        for e in model.events:
-            if e == designated or (
-                    e not in observable
-                    and not any(c in busy for c in owners[e])):
-                if all(any(src in prev[c] for src, _ in by_event[c][e])
-                       for c in owners[e]):
-                    ev[e] = cnf.var(("e", e, t))
-                    table.append((ev[e], e))
+        for e in candidates:
+            for c, srcs in sources[e]:
+                if srcs.isdisjoint(prev[c]):
+                    break
+            else:
+                nv += 1
+                ev[e] = index["e", e, t] = nv
+                table.append((nv, e))
+        unit = ev.get(designated)
         if designated:
-            if designated not in ev:
-                cnf.add([])     # the observed event cannot occur here
-                return table
-            cnf.unit(ev[designated])
-        for c, comp in enumerate(comps):
+            # the empty clause where the observed event cannot occur
+            add([unit] if unit else [])
+            if not unit:
+                break
+        for c, (comp_states, moves_of) in enumerate(tables):
             was = prev[c]
             # a lone state of t - 1 is a unit: a clause holding it is true
             lone = len(was) == 1
             stay = c not in busy
             # per event: its moves from the states of t - 1
-            moves = {e: [(src, dst) for src, dst in pairs if src in was]
-                     for e, pairs in by_event[c].items() if e in ev}
-            reach = {dst for pairs in moves.values() for _, dst in pairs}
-            if stay:
-                reach.update(was)
-            now = _state_lits(cnf, [s for s in comp.states if s in reach])
+            moves = []
+            reach = set(was) if stay else set()
+            for e, pairs in moves_of:
+                if e in ev:
+                    # every owner of e has a move for it from was
+                    if len(pairs) > 1:
+                        pairs = [(src, dst) for src, dst in pairs
+                                 if src in was]
+                    moves.append((e, pairs))
+                    reach.update([dst for _, dst in pairs])
+            # the literals of _state_lits, numbered through nv
+            states = [s for s in comp_states if s in reach]
+            if len(states) == 2:
+                nv += 1
+                now = {states[0]: nv, states[1]: -nv}
+            else:
+                now = {}
+                for s in states:
+                    nv += 1
+                    now[s] = nv
             into = {s: [] for s in now}
-            choices = {}    # event -> its moves' variables, where several
-            for e, pairs in moves.items():
-                for src, dst in pairs:
+            choices = []    # (event, its moves' variables), where several
+            for e, pairs in moves:
+                if len(pairs) == 1:
                     # a lone move is taken iff its event occurs: ev[e] is it
-                    if len(pairs) == 1:
-                        tr = ev[e]
-                    else:
-                        tr = cnf.new()
-                        choices.setdefault(e, []).append(tr)
-                    cnf.add([-tr, now[dst]])
+                    ((src, dst),) = pairs
+                    tr = ev[e]
+                    add([-tr, now[dst]])
                     if not lone:
-                        cnf.add([-tr, was[src]])
-                    if e in choices and e != designated:
-                        cnf.add([-tr, ev[e]])
+                        add([-tr, was[src]])
                     into[dst].append(tr)
-            unit = ev.get(designated)
+                    continue
+                trs = []
+                for src, dst in pairs:
+                    nv += 1
+                    trs.append(nv)
+                    add([-nv, now[dst]])
+                    if not lone:
+                        add([-nv, was[src]])
+                    if e != designated:
+                        add([-nv, ev[e]])
+                    into[dst].append(nv)
+                choices.append((e, trs))
             for s, sv in now.items():
                 # frame: a state newly reached needs a transition into it
-                keep = [was[s]] if stay and s in was else []
-                if not (keep and lone) and unit not in into[s]:
-                    cnf.add([-sv] + keep + into[s])
-            for e, trs in choices.items():
-                cnf.add([-ev[e]] + trs)
+                trs = into[s]
+                if unit in trs:
+                    continue
+                if not stay or s not in was:
+                    add([-sv, *trs])
+                elif not lone:
+                    add([-sv, was[s], *trs])
+            for e, trs in choices:
+                add([-ev[e], *trs])
             if len(was) == 2 and not choices:
                 # ``[-tr, was[src]]`` ties each lone move to its source, x
                 # or -x: only the moves from one state need an exclusion
                 by_src = {}
-                for e, ((src, _),) in moves.items():
+                for e, ((src, _),) in moves:
                     by_src.setdefault(src, []).append(ev[e])
-                for evs in by_src.values():
-                    cnf.at_most_one(evs)
+                groups = by_src.values()
             else:
-                cnf.at_most_one([ev[e] for e in moves])
+                groups = ([ev[e] for e, _ in moves],)
+            for lits in groups:
+                if len(lits) == 2:
+                    add([-lits[0], -lits[1]])
+                elif len(lits) > 2:
+                    cnf.nvars = nv
+                    cnf.at_most_one(lits)
+                    nv = cnf.nvars
             if len(now) != 2:
-                cnf.exactly_one(now.values())
+                add(list(now.values()))
+                if len(now) > 2:
+                    cnf.nvars = nv
+                    cnf.at_most_one(now.values())
+                    nv = cnf.nvars
             prev[c] = now
+    cnf.nvars = nv
     return table
 
 

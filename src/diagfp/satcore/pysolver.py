@@ -74,7 +74,11 @@ locals and inline the value test, the enqueue and the queue links, since in
 Python a method call costs more than the work it wraps.  Loading is done once per
 batch: ``add_clauses`` returns to decision level 0 and creates every
 variable its clauses name before loading them, and ``solve`` creates its
-assumptions' variables once.
+assumptions' variables once.  ``add_clauses`` stores a binary clause whose
+two literals are unassigned and on distinct variables directly, as the
+clause and the two watches its general loop would make; every other clause
+(a unit, a literal assigned at root, a repeated or complementary pair, three
+or more literals) takes the general loop.
 
 ``tests/test_satcore.py::test_search_is_unchanged`` pins the search: each
 clause's literal order, the order of every watch list and the queue order
@@ -205,16 +209,27 @@ class MiniSolver:
         """
         # read once: the checks below and the load each walk the clauses
         clauses = tuple(clauses)
-        if any(0 in lits for lits in clauses):
+        named = set(chain.from_iterable(clauses))
+        if 0 in named:
             raise ValueError("literal 0 in a clause")
         # backtrack before creating variables: the queue order depends on it
         self._cancel_until(0)
-        self.ensure_vars(max(map(abs, chain.from_iterable(clauses)),
-                             default=0))
+        self.ensure_vars(max(map(abs, named), default=0))
         if not self.ok:
             return False
         values, watches, stored = self.values, self.watches, self.clauses
         for lits in clauses:
+            if len(lits) == 2:
+                # both unassigned, on two variables: what the loop below
+                # would store, with the same watches
+                a, b = lits
+                a = 2 * a if a > 0 else 1 - 2 * a
+                b = 2 * b if b > 0 else 1 - 2 * b
+                if values[a] < 0 and values[b] < 0 and a ^ b > 1:
+                    watches[a].append(len(stored))
+                    watches[b].append(len(stored))
+                    stored.append([a, b])
+                    continue
             internal = []
             for sl in lits:
                 lit = 2 * sl if sl > 0 else 1 - 2 * sl

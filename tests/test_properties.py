@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagfp.hypothesis import (BHS, KINDS, MHS, SHS, SQHS, Hypothesis, Space,
-                               leq, multi_hyp, seq_hyp, set_hyp)
+                               children, leq, multi_hyp, seq_hyp, set_hyp)
 from diagfp.properties import (ANC, DESC, NEG_ANC, NEG_DESC, Property,
                                exhibits, member, question_candidate,
                                question_coverage, question_minimal)
@@ -107,6 +107,20 @@ def test_question_candidate_structure():
     assert question_candidate(multi_hyp({"f": 1}), MH1) == \
         (Property(DESC, multi_hyp({"f": 1})),
          Property(NEG_DESC, multi_hyp({"f": 2})))
+
+
+@pytest.mark.parametrize("space", [SP4, MH1, SQ2], ids=lambda s: s.kind)
+def test_question_candidate_children_are_checked_properties(space):
+    # the children's properties skip Property.__new__: each must equal, in
+    # type, value and hash, the property the checking constructor builds
+    for h in space.enumerate(2):
+        got = question_candidate(h, space)
+        want = (Property(DESC, h),
+                *(Property(NEG_DESC, c) for c in children(h, space)))
+        assert got == want
+        assert [type(p) for p in got] == [Property] * len(want)
+        assert [hash(p) for p in got] == [hash(p) for p in want]
+        assert [repr(p) for p in got] == [repr(p) for p in want]
 
 
 @pytest.mark.parametrize("space,bound", [

@@ -427,6 +427,90 @@ def test_add_clauses_reads_a_generator_once(solver_cls):
     assert s.solve() and s.value(2) is True
 
 
+def general_add_clauses(s, clauses) -> bool:
+    """``add_clauses`` with every clause through the general load loop: the
+    reference for the kernel's direct load of binary clauses."""
+    clauses = tuple(clauses)
+    s._cancel_until(0)
+    s.ensure_vars(max((abs(sl) for lits in clauses for sl in lits),
+                      default=0))
+    if not s.ok:
+        return False
+    values, watches, stored = s.values, s.watches, s.clauses
+    for lits in clauses:
+        internal = []
+        for sl in lits:
+            lit = 2 * sl if sl > 0 else 1 - 2 * sl
+            va = values[lit]
+            if va >= 0:
+                if va:
+                    break
+                continue
+            if lit in internal:
+                continue
+            if lit ^ 1 in internal:
+                break
+            internal.append(lit)
+        else:
+            if len(internal) > 1:
+                watches[internal[0]].append(len(stored))
+                watches[internal[1]].append(len(stored))
+                stored.append(internal)
+            elif not internal or not s._enqueue(internal[0], None) \
+                    or s._propagate() is not None:
+                s.ok = False
+                return False
+    return True
+
+
+def random_batch(rng, nvars):
+    """Clauses over variables 1..nvars, mostly binary, with duplicates
+    ``[a, a]``, tautologies ``[a, -a]``, units (which make later literals
+    true or false at root), longer clauses and, rarely, the empty clause."""
+    batch = []
+    for _ in range(rng.randint(1, 10)):
+        a, b, *rest = (rng.choice((-1, 1)) * rng.randint(1, nvars)
+                       for _ in range(rng.randint(2, 4)))
+        kind = rng.random()
+        if kind < 0.45:
+            batch.append([a, b])
+        elif kind < 0.55:
+            batch.append([a, a])
+        elif kind < 0.62:
+            batch.append((a, -a))
+        elif kind < 0.8:
+            batch.append([a])
+        elif kind < 0.81:
+            batch.append([])
+        else:
+            batch.append([a, b, *rest])
+    return batch
+
+
+def test_binary_load_matches_the_general_loop():
+    rng = random.Random(5)
+    loaded = skipped = 0
+    for _ in range(400):
+        fast, ref = PySolver(), PySolver()
+        for _ in range(rng.randint(1, 6)):
+            nvars = rng.randint(2, 10)
+            batch = random_batch(rng, nvars)
+            before = len(fast.clauses)
+            assert fast.add_clauses(batch) == general_add_clauses(ref, batch)
+            assert (fast.clauses, fast.watches, fast.values, fast.trail,
+                    fast.ok) == (ref.clauses, ref.watches, ref.values,
+                                 ref.trail, ref.ok)
+            stored = sum(len(c) == 2 for c in fast.clauses[before:])
+            loaded += stored
+            skipped += sum(len(c) == 2 for c in batch) - stored
+            # a search in between leaves the kernel above level 0, with
+            # learnt clauses and reordered watches, for the next batch
+            assumptions = [rng.choice((-1, 1)) * rng.randint(1, nvars)
+                           for _ in range(rng.randint(0, 2))]
+            assert fast.solve(assumptions) == ref.solve(assumptions)
+    assert loaded > 500 and skipped > 500
+
+
 def test_core_is_selective_when_possible(solver_cls):
     # x1 is forced true; assumption -x1 must be in any core, x2 need not be
     s = solver_cls()
