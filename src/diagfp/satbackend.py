@@ -68,10 +68,12 @@ class Cnf:
     A variable that encodings look up again is keyed by the tuple of values
     that define it: ``("e", event, t)`` (event at timestep ``t``; only
     :func:`encode_run` creates one, and an absent key means the event is
-    false there), ``("occ", f)`` (``f`` occurs), ``("dh", p, t)`` and
-    ``("ah", p, t)`` (the subsequence chains' columns, one per anchor prefix
-    ``p``; MHS thresholds are the desc chains of ``(f,) * j``; a column that
-    cannot change at ``t`` maps its key to the variable of ``t - 1``),
+    false there), ``("occ", f)`` (``f`` occurs at least once: an SHS fault,
+    an MHS threshold of one occurrence, a one-fault SqHS desc anchor),
+    ``("dh", p, t)`` and ``("ah", p, t)`` (the subsequence chains' columns,
+    one per anchor prefix ``p``; an MHS threshold of ``j >= 2`` occurrences
+    is the desc chain of ``(f,) * j``; a column that cannot change at ``t``
+    maps its key to the variable of ``t - 1``),
     ``("nofault", t)``, and for circuits ``("sig", signal)`` and
     ``("ab", gate)``.  Every other variable (local states, of which one
     stands for both states of a two-state component, the moves of a
@@ -380,7 +382,10 @@ def encode_fault_interleaving(model: DesModel, n: int, cnf: Cnf) -> None:
 # -------------------------------------------------------------- properties
 
 def _occ_var(cnf: Cnf, fault: str, n: int) -> int:
-    """occ[f] <-> f occurred at some timestep."""
+    """occ[f] <-> f occurred at some timestep: one variable and one clause
+    per timestep where ``f`` has a variable, plus one.  Every space's "at
+    least one ``f``" reads it: an SHS fault, an MHS threshold of one
+    occurrence and a one-fault SqHS desc anchor (:func:`_desc_chain`)."""
     key = ("occ", fault)
     if cnf.has(key):
         return cnf.var(key)
@@ -395,17 +400,22 @@ def _occ_var(cnf: Cnf, fault: str, n: int) -> int:
 
 def _desc_chain(cnf: Cnf, anchor: tuple, n: int) -> int:
     """dh[p]@t <-> the prefix ``p`` of the anchor embeds as a subsequence in
-    the fault word up to ``t``; returns dh[anchor]@n for a non-empty anchor.
+    the fault word up to ``t``; returns dh[anchor]@n for an anchor of two or
+    more faults, and :func:`_occ_var` of a one-fault anchor, which states
+    the same with one variable and is one propagation step deep.
 
     Columns are keyed by prefix, ``("dh", p, t)``: dh[p]@t reads only the
     last fault of ``p`` and the columns of ``p`` and ``p[:-1]``, so anchors
     that share a prefix share its column, and a chain builds only the
     columns not in the CNF yet.  The empty prefix's column is true and left
     implicit.  Where the last fault of ``p`` has no variable, the column
-    keeps its value and its key names the variable of ``t - 1``.  With
-    anchor ``(f,) * j`` this is Sinz's sequential counter (CP 2005), "at
-    least ``j`` occurrences of ``f``": the MHS threshold.
+    keeps its value and its key names the variable of ``t - 1``.  A longer
+    anchor builds the column of its first fault itself.  With anchor
+    ``(f,) * j``, ``j >= 2``, this is Sinz's sequential counter (CP 2005),
+    "at least ``j`` occurrences of ``f``": the MHS threshold.
     """
+    if len(anchor) == 1:
+        return _occ_var(cnf, anchor[0], n)
     for i in range(1, len(anchor) + 1):
         pre = anchor[:i]
         if cnf.has(("dh", pre, n)):
@@ -510,7 +520,13 @@ def encode_property(prop: Property, space: Space, model: DesModel,
                     params: EncodingParams, obs_len: int, cnf: Cnf,
                     act: int) -> None:
     """Pick the literals stating desc or anc of the property's anchor in
-    this space and hand them to :func:`guard_property`."""
+    this space and hand them to :func:`guard_property`.
+
+    SHS reads ``occ[f]`` per fault.  MHS reads one threshold per fault,
+    "at least ``j`` occurrences of ``f``": desc of the anchor's count, anc
+    negating the count plus one; SqHS desc reads the anchor's desc chain
+    and anc its anc chain.  A threshold of one occurrence and a one-fault
+    sequence read ``occ[f]`` (:func:`_desc_chain`)."""
     n = params.horizon(obs_len)
     faults = tuple(model.faults)
     anchor = prop.anchor

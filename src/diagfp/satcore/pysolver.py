@@ -105,6 +105,9 @@ def _luby(i: int) -> int:
     return 1 << (k - 1)
 
 
+_FIRST_BUDGET = _RESTART_BASE * _luby(0)
+
+
 class MiniSolver:
     """Incremental CDCL solver; add clauses, solve under assumptions, add
     more clauses and solve again."""
@@ -503,7 +506,7 @@ class MiniSolver:
         values, trail, trail_lim = self.values, self.trail, self.trail_lim
         level, reason = self.level, self.reason
         restart_round = 0
-        conflict_budget = _RESTART_BASE * _luby(0)
+        conflict_budget = _FIRST_BUDGET
         conflicts_here = 0
         while True:
             confl = self._propagate()

@@ -2,6 +2,7 @@ import json
 import random
 from itertools import combinations, count, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,14 @@ from diagfp.desmodel import (Observation, parse_model, parse_observation,
 from diagfp.errors import DiagError
 from diagfp.explicit import (ExplicitSolver, fits_horizon, oracle_candidates,
                              oracle_diagnose)
-from diagfp.hypothesis import MHS, SHS, SQHS, multi_hyp, seq_hyp, set_hyp
-from diagfp.properties import (ANC, DESC, NEG_DESC, Property, member,
-                               question_candidate, question_coverage,
-                               question_minimal)
+from diagfp.hypothesis import (MHS, SHS, SQHS, Space, multi_hyp, seq_hyp,
+                               set_hyp, word_hyp)
+from diagfp.properties import (ANC, DESC, DESC_KINDS, NEG_ANC, NEG_DESC,
+                               Property, exhibits, member, question_candidate,
+                               question_coverage, question_minimal)
 from diagfp.satbackend import (_PAIRWISE_LIMIT, Cnf, EncodingParams,
                                 SatSolver, _anc_chain, _desc_chain,
-                                encode_run, event_var)
+                                encode_property, encode_run, event_var)
 from diagfp.satcore import MiniSolver
 from diagfp.strategies import run_strategy
 
@@ -311,7 +313,8 @@ def _forced(kernel, assumed, lit, value) -> bool:
 def test_chains_match_brute_force(n):
     faults = ("a", "b")
     # (a, a) is an MHS threshold; the later anchors extend earlier ones or
-    # share a prefix with them, so they reuse those columns
+    # share a prefix with them, so they reuse those columns; (b,) reads
+    # occ[b], and (b, b, a) builds the column of (b,)
     anchors = [("a", "b"), ("a", "a"), ("a", "b", "a"), ("b",),
                ("a", "a", "b"), ("b", "b", "a")]
     cnf = Cnf()
@@ -345,6 +348,67 @@ def test_chains_match_brute_force(n):
         for a, top in anc.items():
             assert _forced(kernels[1], assumed, top,
                            _embeds(word, [{f} for f in a])), (a, steps)
+
+
+def _property_anchors(kind) -> list:
+    """Anchors over faults (a, b): every set, every multiset with up to two
+    occurrences of each fault, every sequence of up to two faults."""
+    if kind == SHS:
+        return [set_hyp(s) for s in ((), ("a",), ("b",), ("a", "b"))]
+    if kind == MHS:
+        return [multi_hyp({"a": i, "b": j}) for i in range(3) for j in range(3)]
+    return [seq_hyp(w) for k in range(3) for w in product("ab", repeat=k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", [SHS, MHS, SQHS])
+def test_properties_match_brute_force(kind, n):
+    faults = ("a", "b")
+    space = Space(kind, faults)
+    model = SimpleNamespace(faults=faults)   # all encode_property reads
+    params = EncodingParams(steps_per_obs=n)  # horizon n, no observation
+    props = [Property(k, a) for a in _property_anchors(kind)
+             for k in (DESC, NEG_DESC, ANC, NEG_ANC)]
+
+    def fresh():
+        cnf = Cnf()
+        ev = {(f, t): cnf.var(("e", f, t))
+              for t in range(1, n + 1) for f in faults}
+        return cnf, ev
+
+    # a desc chain only where "at least" needs two occurrences of one fault
+    # (an MHS threshold) or two faults in order (SqHS desc); a one-fault
+    # anchor reads occ[f]
+    for prop in props:
+        cnf, _ = fresh()
+        encode_property(prop, space, model, params, 0, cnf, cnf.new())
+        if kind == MHS:
+            longest = (max(prop.anchor.count(f) for f in faults)
+                       + (prop.kind not in DESC_KINDS))
+        elif kind == SQHS and prop.kind in DESC_KINDS:
+            longest = prop.anchor.size()
+        else:
+            longest = 0
+        assert any(key[0] == "dh" for key in cnf.index) == (longest >= 2), \
+            prop
+
+    # every property in one CNF, sharing columns, as one solver's would
+    cnf, ev = fresh()
+    acts = {}
+    for prop in props:
+        acts[prop] = cnf.new()
+        encode_property(prop, space, model, params, 0, cnf, acts[prop])
+    kernel = MiniSolver()
+    kernel.ensure_vars(cnf.nvars)
+    kernel.add_clauses(cnf.clauses)
+    for word in product((None,) + faults, repeat=n):
+        assumed = [v if word[t - 1] == f else -v for (f, t), v in ev.items()]
+        # no property binds unless its activation literal is assumed
+        assert kernel.solve(assumed), word
+        hyp = word_hyp([f for f in word if f], space)
+        for prop, act in acts.items():
+            assert kernel.solve(assumed + [act]) == exhibits(hyp, prop, space), \
+                (prop, word)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
